@@ -37,6 +37,14 @@ class Partition:
     def of(cls, *parts: int) -> "Partition":
         return cls(tuple(parts))
 
+    @classmethod
+    def _from_valid_parts(cls, parts: tuple[int, ...]) -> "Partition":
+        """Build from an int tuple already known to be weakly decreasing and
+        positive, skipping the validation in __post_init__."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     @cached_property
     def n(self) -> int:
         return sum(self.parts)
@@ -82,7 +90,7 @@ def transpose(lam: Partition) -> Partition:
     for p in parts:
         for j in range(p):
             cols[j] += 1
-    return Partition(tuple(cols))
+    return Partition._from_valid_parts(tuple(cols))  # column lengths of a diagram
 
 
 def hooks(lam: Partition) -> HookTable:
@@ -303,7 +311,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n < 0:
         raise ValueError("n must be non-negative")
     for parts in _partition_tuples(n, n if max_part is None else max_part):
-        yield Partition(parts)
+        yield Partition._from_valid_parts(parts)
 
 
 @lru_cache(maxsize=None)

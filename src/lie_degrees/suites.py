@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -40,8 +41,8 @@ def check_steinberg(family: str, n_min: int, n_max: int, q_list: tuple[int, ...]
     cases = 0
     lo = max(n_min, 2) if family in ("D", "2D") else n_min
     for n in range(lo, n_max + 1):
-        for q in q_list:
-            ok, runner, gap = unipotent.verify_steinberg_max(n, q, family)
+        results = unipotent.verify_steinberg_max(n, q_list, family)
+        for q, (ok, runner, gap) in zip(q_list, results):
             cases += 1
             if not ok:
                 label = runner.symbol if hasattr(runner, "symbol") else runner
@@ -622,10 +623,28 @@ def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
 
 
 def write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to path through a unique temporary file in the same directory.
+
+    The data is flushed to disk before the rename, and the temporary file is
+    removed if anything fails, so path holds either its old or its new content.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp makes 0600, open() would not
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------

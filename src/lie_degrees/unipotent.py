@@ -8,6 +8,12 @@ degree formula divides q^{a(S)} |G|_{q'} by (q^len - 1) over hooks and
 (q^len + 1) over cohooks of positive length; length-0 cohooks are excluded,
 which is the normalization that makes the trivial character evaluate to 1 and
 the Steinberg symbol to the full q-part of the group order.
+
+The q-independent part of that formula (family, rank, a-value, power of 2,
+hook and cohook lengths) is a degree plan, built once per symbol class and
+evaluated for each q by one checked exact division.  degree_symbol and the
+Steinberg sweep in verify_steinberg_max evaluate the same plans; the sweep
+enumerates each rank once and evaluates every label for every q in its list.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, beta_set, partitions_of
+from .partitions import Partition, beta_hook_cells, beta_set, partitions_of
 
 FAMILIES = ("GL", "GU", "BC", "D", "2D")
 SYMBOL_FAMILIES = ("BC", "D", "2D")
@@ -33,15 +39,21 @@ def a_value_gl(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=200_000)
-def _degree_gl(parts: tuple[int, ...], q: int) -> int:
+def _hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Hook lengths of a partition: q-independent, so computed once per label."""
     from .partitions import hooks  # local import keeps module load order simple
 
+    return tuple(hooks(Partition(parts)).lengths.values())
+
+
+@lru_cache(maxsize=200_000)
+def _degree_gl(parts: tuple[int, ...], q: int) -> int:
     lam = Partition(parts)
     num = 1
     for i in range(1, lam.n + 1):
         num *= q ** i - 1
     den = 1
-    for h in hooks(lam).lengths.values():
+    for h in _hook_lengths(parts):
         den *= q ** h - 1
     if num % den != 0:  # the quotient is a character degree, so this cannot fail
         raise ArithmeticError(f"non-integral GL degree for {parts}, q={q}")
@@ -57,21 +69,20 @@ def degree_gl(lam: Partition, q: int) -> int:
 
 @lru_cache(maxsize=200_000)
 def _degree_gu(parts: tuple[int, ...], q: int) -> int:
-    from .partitions import hooks
-
     lam = Partition(parts)
     mq = -q
     num = 1
     for i in range(1, lam.n + 1):
         num *= mq ** i - 1
     den = 1
-    for h in hooks(lam).lengths.values():
+    for h in _hook_lengths(parts):
         den *= mq ** h - 1
     val = Fraction(mq ** a_value_gl(lam) * num, den)
     if val.denominator != 1:
         raise ArithmeticError(f"non-integral GU degree for {parts}, q={q}")
     out = abs(int(val))
-    assert out > 0
+    if out <= 0:
+        raise ArithmeticError(f"non-positive GU degree for {parts}, q={q}")
     return out
 
 
@@ -106,12 +117,20 @@ class Symbol:
         object.__setattr__(self, "X", _check_row(self.X))
         object.__setattr__(self, "Y", _check_row(self.Y))
 
+    @classmethod
+    def _from_valid_rows(cls, x: tuple[int, ...], y: tuple[int, ...]) -> "Symbol":
+        """Build from int tuples already known to be valid rows, skipping _check_row."""
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "X", x)
+        object.__setattr__(sym, "Y", y)
+        return sym
+
     def shifted(self) -> "Symbol":
-        return Symbol((0,) + tuple(x + 1 for x in self.X),
-                      (0,) + tuple(y + 1 for y in self.Y))
+        return Symbol._from_valid_rows((0,) + tuple(x + 1 for x in self.X),
+                                       (0,) + tuple(y + 1 for y in self.Y))
 
     def swapped(self) -> "Symbol":
-        return Symbol(self.Y, self.X)
+        return Symbol._from_valid_rows(self.Y, self.X)
 
     @property
     def degenerate(self) -> bool:
@@ -146,11 +165,6 @@ class SymbolStats:
     cohooks: tuple[tuple[int, int], ...]
 
 
-def _row_hooks(row: tuple[int, ...]) -> list[tuple[int, int]]:
-    members = set(row)
-    return [(b, c) for c in row for b in range(c) if b not in members]
-
-
 def symbol_stats(sym: Symbol) -> SymbolStats:
     """Rank, defect, a-value, hooks and cohooks of a symbol.
 
@@ -163,7 +177,7 @@ def symbol_stats(sym: Symbol) -> SymbolStats:
     defect = abs(r - s)
 
     set_x, set_y = set(x), set(y)
-    hooks = sorted(_row_hooks(x) + _row_hooks(y))
+    hooks = sorted(beta_hook_cells(x) + beta_hook_cells(y))
     cohooks = sorted(
         [(b, c) for c in x for b in range(c + 1) if b not in set_y]
         + [(b, c) for c in y for b in range(c + 1) if b not in set_x]
@@ -202,12 +216,14 @@ def canonicalize(sym: Symbol) -> SymbolClass:
     so e.g. ((0,2),(0,1)) reduces to ((1),(0)).
     """
     x, y = sym.X, sym.Y
+    # stripping a common leading 0 keeps both rows strictly increasing and
+    # non-negative, so the result needs no re-validation
     while x and y and x[0] == 0 and y[0] == 0:
         x = tuple(v - 1 for v in x[1:])
         y = tuple(v - 1 for v in y[1:])
     if (len(y), y) > (len(x), x):
         x, y = y, x
-    return SymbolClass(Symbol(x, y))
+    return SymbolClass(Symbol._from_valid_rows(x, y))
 
 
 def _order_pprime_symbol(fam: str, n: int, q: int) -> int:
@@ -227,9 +243,6 @@ def _order_pprime_symbol(fam: str, n: int, q: int) -> int:
     raise ValueError(f"not a symbol family: {fam}")
 
 
-_SYMBOL_DEGREE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-
-
 def symbol_two_power(sym: Symbol) -> int:
     """Power of 2 dividing the hook/cohook denominator normalization.
 
@@ -240,6 +253,56 @@ def symbol_two_power(sym: Symbol) -> int:
     """
     z = len(set(sym.X) ^ set(sym.Y))
     return max(0, (z - 1) // 2)
+
+
+class _DegreePlan(NamedTuple):
+    """q^a |G|_{q'} / (2^two_power prod(q^h - 1) prod(q^k + 1)) as a function of q.
+
+    h runs over the hook lengths (minus) and k over the positive cohook
+    lengths (plus); fam and rank select the q'-order |G|_{q'}.
+    """
+
+    label: Symbol
+    fam: str
+    rank: int
+    a: int
+    two_power: int
+    minus: tuple[int, ...]
+    plus: tuple[int, ...]
+
+    def evaluate(self, q: int, order_pprime: int) -> int:
+        """The degree at q, given |G|_{q'} = _order_pprime_symbol(fam, rank, q)."""
+        den = 1 << self.two_power
+        for h in self.minus:
+            den *= q ** h - 1
+        for k in self.plus:
+            den *= q ** k + 1
+        quot, rem = divmod(q ** self.a * order_pprime, den)
+        if rem != 0:
+            raise ArithmeticError(f"non-integral symbol degree for {self.label}, q={q}")
+        return quot
+
+
+def _degree_plan(canon: Symbol) -> _DegreePlan:
+    """Degree plan of a canonical symbol (see canonicalize)."""
+    stats = symbol_stats(canon)
+    if stats.rank < 1:
+        raise ValueError(f"symbol must have positive rank: {canon}")
+    return _DegreePlan(
+        label=canon,
+        fam=family_of_defect(stats.defect),
+        rank=stats.rank,
+        a=stats.a,
+        two_power=symbol_two_power(canon),
+        minus=tuple(c - b for b, c in stats.hooks),
+        plus=tuple(c - b for b, c in stats.cohooks if c > b),
+    )
+
+
+@lru_cache(maxsize=200_000)
+def _degree_symbol(x: tuple[int, ...], y: tuple[int, ...], q: int) -> int:
+    plan = _degree_plan(Symbol._from_valid_rows(x, y))
+    return plan.evaluate(q, _order_pprime_symbol(plan.fam, plan.rank, q))
 
 
 def degree_symbol(sym: Symbol, q: int) -> int:
@@ -254,25 +317,7 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     if q < 2:
         raise ValueError("q must be >= 2")
     canon = canonicalize(sym).symbol
-    key = (canon.X, canon.Y, q)
-    if key in _SYMBOL_DEGREE_CACHE:
-        return _SYMBOL_DEGREE_CACHE[key]
-    stats = symbol_stats(canon)
-    if stats.rank < 1:
-        raise ValueError(f"symbol must have positive rank: {sym}")
-    fam = family_of_defect(stats.defect)
-    num = q ** stats.a * _order_pprime_symbol(fam, stats.rank, q)
-    den = 2 ** symbol_two_power(canon)
-    for b, c in stats.hooks:
-        den *= q ** (c - b) - 1
-    for b, c in stats.cohooks:
-        if c > b:
-            den *= q ** (c - b) + 1
-    quot, rem = divmod(num, den)
-    if rem != 0:
-        raise ArithmeticError(f"non-integral symbol degree for {sym}, q={q}")
-    _SYMBOL_DEGREE_CACHE[key] = quot
-    return quot
+    return _degree_symbol(canon.X, canon.Y, q)
 
 
 def _defects_for(fam: str, n: int) -> Iterator[int]:
@@ -293,8 +338,9 @@ def enumerate_symbols(n: int, fam: str) -> list[SymbolClass]:
     for d in _defects_for(fam, n):
         content = n - d * d // 4
         for a_size in range(content + 1):
+            betas = list(partitions_of(content - a_size))
             for alpha in partitions_of(a_size):
-                for beta in partitions_of(content - a_size):
+                for beta in betas:
                     b0 = max(len(beta.parts), len(alpha.parts) - d, 0)
                     sym = Symbol(beta_set(alpha, b0 + d), beta_set(beta, b0))
                     assert symbol_rank(sym) == n and symbol_defect(sym) == d
@@ -342,43 +388,68 @@ def _steinberg_classes(n: int, parity: str) -> set[tuple]:
 # Steinberg maximality sweeps
 # ---------------------------------------------------------------------------
 
-def verify_steinberg_max(n: int, q: int, fam: str):
-    """Check the Steinberg label has the strictly largest unipotent degree.
+def _steinberg_outcome(st_degree: int, runner, runner_degree: int) -> tuple:
+    if runner is None:  # only the Steinberg label exists
+        return True, None, Fraction(1)
+    return st_degree > runner_degree, runner, Fraction(st_degree, runner_degree)
 
-    Returns (ok, runner_up_label, gap) where runner_up is the largest
-    non-Steinberg label and gap = Steinberg degree / runner-up degree.
-    """
-    if fam not in FAMILIES:
-        raise ValueError(f"unknown family {fam!r}")
-    if fam in ("GL", "GU"):
-        deg = degree_gl if fam == "GL" else degree_gu
-        st_label = Partition((1,) * n)
+
+def _steinberg_max_partitions(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
+    deg = degree_gl if fam == "GL" else degree_gu
+    st_label = Partition((1,) * n)
+    others = [lam for lam in partitions_of(n) if lam != st_label]
+    out = []
+    for q in q_list:
         st_degree = deg(st_label, q)
         runner = None
         runner_degree = -1
-        for lam in partitions_of(n):
-            if lam == st_label:
-                continue
+        for lam in others:
             d = deg(lam, q)
             if d > runner_degree or (d == runner_degree and lam.parts < runner.parts):
                 runner, runner_degree = lam, d
-        if runner is None:  # n = 1: only the Steinberg label exists
-            return True, None, Fraction(1)
-        return st_degree > runner_degree, runner, Fraction(st_degree, runner_degree)
+        out.append(_steinberg_outcome(st_degree, runner, runner_degree))
+    return out
 
-    st_cls = canonicalize(steinberg_symbol(n, "BC" if fam == "BC" else fam))
-    st_degree = degree_symbol(st_cls.symbol, q)
-    runner = None
-    runner_degree = -1
-    for cls in enumerate_symbols(n, fam):
-        if cls.symbol == st_cls.symbol:
-            continue
-        d = degree_symbol(cls.symbol, q)
-        if d > runner_degree:
-            runner, runner_degree = cls, d
-    if runner is None:
-        return True, None, Fraction(1)
-    return st_degree > runner_degree, runner, Fraction(st_degree, runner_degree)
+
+def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
+    st = canonicalize(steinberg_symbol(n, fam)).symbol
+    others = [(cls, _degree_plan(cls.symbol))
+              for cls in enumerate_symbols(n, fam) if cls.symbol != st]
+    for cls, plan in others:  # every plan shares the (fam, n) order below
+        if (plan.fam, plan.rank) != (fam, n):
+            raise ArithmeticError(f"{cls.symbol} is not a {fam} symbol of rank {n}")
+    out = []
+    for q in q_list:
+        order = _order_pprime_symbol(fam, n, q)
+        st_degree = degree_symbol(st, q)
+        runner = None
+        runner_degree = -1
+        for cls, plan in others:
+            d = plan.evaluate(q, order)
+            if d > runner_degree:
+                runner, runner_degree = cls, d
+        out.append(_steinberg_outcome(st_degree, runner, runner_degree))
+    return out
+
+
+def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]:
+    """Check the Steinberg label has the strictly largest unipotent degree.
+
+    Returns one (ok, runner_up_label, gap) per q in q_list, in order, where
+    runner_up is the largest non-Steinberg label and gap = Steinberg degree /
+    runner-up degree.  Among labels of equal degree the runner-up is the
+    partition with the smallest parts (GL, GU) or the first symbol class in
+    enumeration order (BC, D, 2D).  Symbol families enumerate rank n once and
+    build each label's degree plan once, then evaluate every plan for each q.
+    """
+    if fam not in FAMILIES:
+        raise ValueError(f"unknown family {fam!r}")
+    q_list = tuple(q_list)
+    if any(q < 2 for q in q_list):
+        raise ValueError("q must be >= 2")
+    if fam in ("GL", "GU"):
+        return _steinberg_max_partitions(n, q_list, fam)
+    return _steinberg_max_symbols(n, q_list, fam)
 
 
 # ---------------------------------------------------------------------------

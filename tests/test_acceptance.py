@@ -26,17 +26,16 @@ def test_criterion_01_paper_counterexample_degrees():
 def test_criterion_02_steinberg_maximality():
     failures = []
     cases = 0
+    qs = (2, 3, 4, 5)
     for fam in ("GL", "GU"):
         for n in range(1, 31):
-            for q in (2, 3, 4, 5):
-                ok, _, _ = unipotent.verify_steinberg_max(n, q, fam)
+            for q, (ok, _, _) in zip(qs, unipotent.verify_steinberg_max(n, qs, fam)):
                 cases += 1
                 if not ok:
                     failures.append((fam, n, q))
     for fam in ("BC", "D", "2D"):
         for n in range(1 if fam == "BC" else 2, 11):
-            for q in (2, 3, 4, 5):
-                ok, _, _ = unipotent.verify_steinberg_max(n, q, fam)
+            for q, (ok, _, _) in zip(qs, unipotent.verify_steinberg_max(n, qs, fam)):
                 cases += 1
                 if not ok:
                     failures.append((fam, n, q))

@@ -204,6 +204,7 @@ def test_transpose_examples():
 @settings(max_examples=60, deadline=None)
 def test_transpose_involution_and_hooks(lam):
     assert transpose(transpose(lam)) == lam
+    assert Partition(transpose(lam).parts) == transpose(lam)  # built unvalidated
     assert hook_multiset(lam) == hook_multiset(transpose(lam))
 
 
@@ -299,5 +300,7 @@ def test_partition_validation():
 
 def test_partition_counts():
     for n in range(12):
-        assert len(list(partitions_of(n))) == partition_count(n)
+        labels = list(partitions_of(n))
+        assert len(labels) == partition_count(n)
+        assert all(Partition(lam.parts) == lam for lam in labels)  # built unvalidated
     assert partition_count(30) == 5604

@@ -88,6 +88,13 @@ def test_write_atomic(tmp_path):
     suites.write_atomic(str(path), "hello\n")
     assert path.read_text() == "hello\n"
     assert not os.path.exists(str(path) + ".tmp")
+    suites.write_atomic(str(path), "again\n")
+    assert path.read_text() == "again\n"
+    with pytest.raises(TypeError):
+        suites.write_atomic(str(path), None)  # the write fails part-way
+    assert path.read_text() == "again\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 def test_degrees_table_paper_row():

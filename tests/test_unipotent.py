@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_degrees.partitions import Partition, partitions_of
 from lie_degrees.unipotent import (
     Symbol,
+    _check_row,
     a_value_gl,
     canonicalize,
     degree_gl,
@@ -132,6 +135,24 @@ def test_canonicalize_examples():
     assert canonicalize(Symbol((3,), ())).symbol == canonicalize(Symbol((), (3,))).symbol
     cls = canonicalize(Symbol((1,), (0,)))
     assert canonicalize(cls.symbol) == cls  # idempotent
+
+
+symbol_row = st.sets(st.integers(0, 12), max_size=6).map(lambda s: tuple(sorted(s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_row, symbol_row)
+def test_canonical_rows_are_valid_and_stable(x, y):
+    # canonicalize, shifted and swapped skip row validation; their rows must
+    # still be what the validating constructor accepts
+    sym = Symbol(x, y)
+    for variant in (sym, sym.shifted(), sym.swapped(), sym.shifted().swapped()):
+        assert _check_row(variant.X) == variant.X and _check_row(variant.Y) == variant.Y
+        canon = canonicalize(variant).symbol
+        assert _check_row(canon.X) == canon.X and _check_row(canon.Y) == canon.Y
+        assert Symbol(canon.X, canon.Y) == canon
+        assert canonicalize(canon) == canonicalize(variant)
+
 
 
 def test_class_invariants_under_shift_and_swap():
@@ -330,20 +351,55 @@ def test_degenerate_only_in_D():
 def test_steinberg_max_small():
     for fam in ("GL", "GU"):
         for n in (1, 2, 6, 10):
-            for q in (2, 3):
-                ok, runner, gap = verify_steinberg_max(n, q, fam)
+            for ok, runner, gap in verify_steinberg_max(n, (2, 3), fam):
                 assert ok and (runner is None or gap > 1)
     for fam in ("BC", "D", "2D"):
         for n in (2, 4, 6):
-            for q in (2, 3):
-                ok, runner, gap = verify_steinberg_max(n, q, fam)
+            for ok, runner, gap in verify_steinberg_max(n, (2, 3), fam):
                 assert ok and gap > 1
+
+
+def test_steinberg_max_matches_brute_force_per_q():
+    qs = (2, 3, 4, 5, 7)
+    for fam in ("BC", "D", "2D"):
+        for n in range(1 if fam == "BC" else 2, 9):
+            classes = enumerate_symbols(n, fam)
+            st_sym = canonicalize(steinberg_symbol(n, fam)).symbol
+            results = verify_steinberg_max(n, qs, fam)
+            assert len(results) == len(qs)
+            for q, (ok, runner, gap) in zip(qs, results):
+                st_degree = degree_symbol(st_sym, q)
+                others = [c for c in classes if c.symbol != st_sym]
+                degs = [degree_symbol(c.symbol, q) for c in others]
+                best = max(degs)
+                expected = others[degs.index(best)]  # first maximum in enumeration order
+                assert ok == (st_degree > best)
+                assert runner == expected
+                assert gap == Fraction(st_degree, best)
+    for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
+        for n in range(2, 9):
+            results = verify_steinberg_max(n, qs, fam)
+            for q, (ok, runner, gap) in zip(qs, results):
+                st_degree = deg(Partition((1,) * n), q)
+                others = [lam for lam in partitions_of(n) if lam.parts != (1,) * n]
+                best = max(deg(lam, q) for lam in others)
+                expected = min(lam.parts for lam in others if deg(lam, q) == best)
+                assert ok == (st_degree > best)
+                assert runner.parts == expected
+                assert gap == Fraction(st_degree, best)
+
+
+def test_steinberg_max_rejects_small_q_and_unknown_family():
+    with pytest.raises(ValueError):
+        verify_steinberg_max(3, (2, 1), "BC")
+    with pytest.raises(ValueError):
+        verify_steinberg_max(3, (2,), "E8")
 
 
 def test_gl_runner_up_report_q2():
     # over F_2 the runner-up stays within the 8/9-flavoured window (data only)
     for n in (4, 6, 8, 10):
-        ok, runner, gap = verify_steinberg_max(n, 2, "GL")
+        [(ok, runner, gap)] = verify_steinberg_max(n, (2,), "GL")
         assert ok
         ratio = 1 / gap
         assert 0 < ratio < 1
