@@ -136,7 +136,8 @@ def count_irred(q: int, d: int) -> int:
     if d < 1:
         raise ValueError("degree must be >= 1")
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d != 0:
+        raise ArithmeticError(f"non-integral irreducible count for q={q}, d={d}")
     return total // d
 
 
@@ -157,7 +158,8 @@ def count_self_dual(q: int, d: int) -> int:
     h = q ** (d // 2) + 1
     total = sum(_mobius(d // m) * math.gcd(h, q ** m - 1)
                 for m in range(1, d + 1) if d % m == 0)
-    assert total % d == 0 and total >= 0
+    if total % d != 0 or total < 0:
+        raise ArithmeticError(f"invalid self-dual count {total}/{d} for q={q}")
     return total // d
 
 
@@ -295,14 +297,17 @@ def b_gl_exact(n: int, q: int) -> tuple[int, CentralizerTypeGL]:
     if prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     best = _best_split(q, 1, n)
-    assert best is not None
+    if best is None:
+        raise ArithmeticError(f"no admissible centralizer type for n={n}, q={q}")
     bracket = 1
     for i in range(1, n + 1):
         bracket *= q ** i - 1
     value = best[0] * bracket
-    assert value.denominator == 1, "b(GL_n(q)) must be an integer"
+    if value.denominator != 1:
+        raise ArithmeticError(f"non-integral b(GL_{n}({q})) = {value}")
     witness = CentralizerTypeGL(best[1])
-    assert witness.n == n and witness.is_admissible(q)
+    if witness.n != n or not witness.is_admissible(q):
+        raise ArithmeticError(f"inadmissible witness {witness.blocks} for n={n}, q={q}")
     return int(value), witness
 
 
@@ -314,7 +319,8 @@ def gl_degree_of_type(t: CentralizerTypeGL, q: int) -> int:
     val = Fraction(num)
     for k, d in t.blocks:
         val *= _block_weight(q, d, k)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"non-integral degree {val} for type {t.blocks}, q={q}")
     return int(val)
 
 

@@ -5,6 +5,12 @@ over i of (1 - q^-i) are enclosed in rational intervals via the pentagonal
 number series with an explicit geometric tail bound; logarithms, exponentials
 and fractional powers are enclosed with truncated series plus tail bounds, so
 every verdict produced here is a certificate.
+
+The atanh (for ln) and exp series are summed in integer arithmetic as one
+numerator over one common denominator; the tail bound is put over the same
+denominator and each endpoint is rounded outward once to the 2^-192 grid, so
+no gcd is taken per term.  The squarings that undo exp's argument halving run
+on the integer mantissas at scale 2^192.
 """
 
 from __future__ import annotations
@@ -266,20 +272,46 @@ def _tidy(ival: RationalInterval, bits: int = _TIDY_BITS) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-_LN2_CACHE: dict[int, RationalInterval] = {}
+def _round_out(lo_num: int, hi_num: int, den: int) -> tuple[int, int]:
+    """Mantissas of [lo_num/den, hi_num/den] rounded outward to 2^-_TIDY_BITS."""
+    return (lo_num << _TIDY_BITS) // den, -((-hi_num << _TIDY_BITS) // den)
+
+
+def _dyadic(lo: int, hi: int) -> RationalInterval:
+    scale = 1 << _TIDY_BITS
+    return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def _atanh_interval(t: Fraction, terms: int) -> RationalInterval:
-    """Enclosure of atanh(t) = sum t^{2i+1}/(2i+1) for |t| < 1/2."""
-    assert abs(t) < Fraction(1, 2)
-    s = Fraction(0)
-    p = t
-    t2 = t * t
-    for i in range(terms):
-        s += p / (2 * i + 1)
-        p *= t2
-    tail = abs(p) / ((2 * terms + 1) * (1 - t2))
-    return _tidy(RationalInterval(s - tail, s + tail))
+    """Enclosure of atanh(t) = sum t^{2i+1}/(2i+1) for |t| < 1/2.
+
+    With t = a/b the truncated sum is one integer over b^{2T-1} lcm(1, 3, ...,
+    2T-1); the tail |t|^{2T+1}/((2T+1)(1-t^2)) is put over the same
+    denominator and each side is rounded outward once.
+    """
+    t = Fraction(t)
+    a, b = t.numerator, t.denominator
+    if 2 * abs(a) >= b:
+        raise ValueError(f"atanh series needs |t| < 1/2, got {t}")
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    a2, b2 = a * a, b * b
+    lcm = math.lcm(*range(1, 2 * terms, 2))
+    # Horner: acc = sum_i (lcm/(2i+1)) a^{2i} b^{2(T-1-i)}, bpow = b^{2(T-1-i)}
+    acc = lcm // (2 * terms - 1)
+    bpow = 1
+    for i in range(terms - 2, -1, -1):
+        bpow *= b2
+        acc = acc * a2 + (lcm // (2 * i + 1)) * bpow
+    den = b * bpow * lcm                          # b^{2T-1} lcm
+    # tail = |a|^{2T+1} lcm / (den (2T+1)(b^2 - a^2))
+    scale = (2 * terms + 1) * (b2 - a2)
+    num = a * acc * scale
+    tail = abs(a) ** (2 * terms + 1) * lcm
+    return _dyadic(*_round_out(num - tail, num + tail, den * scale))
+
+
+_LN2_CACHE: dict[int, RationalInterval] = {}
 
 
 def ln2_interval(terms: int = 28) -> RationalInterval:
@@ -311,24 +343,35 @@ def ln_interval(x, terms: int = 28) -> RationalInterval:
 
 
 def exp_interval(x, terms: int = 26) -> RationalInterval:
-    """Certified enclosure of exp(x) for a rational x."""
+    """Certified enclosure of exp(x) for a rational x.
+
+    x is halved k times to |x| <= 1/2; with x = a/b the sum of x^i/i! for
+    i <= T is one integer over b^T T!, the tail 2|x|^{T+1}/(T+1)! is put over
+    the same denominator, each side is rounded outward once, and the k
+    squarings run on the integer mantissas at scale 2^_TIDY_BITS.
+    """
     x = Fraction(x)
     k = 0
     while abs(x) > Fraction(1, 2):
         x /= 2
         k += 1
-    s = Fraction(0)
-    p = Fraction(1)
-    for i in range(terms + 1):
-        s += p
-        p = p * x / (i + 1)
-    tail = 2 * abs(x) ** (terms + 1) / math.factorial(terms + 1)
-    out = _tidy(RationalInterval(s - tail, s + tail))
-    if out.lo <= 0:
+    a, b = x.numerator, x.denominator
+    # Horner: 1 + x/1 (1 + x/2 (... (1 + x/T))) as num/den, den = b^T T!
+    num = den = 1
+    for j in range(terms, 0, -1):
+        den *= j * b
+        num = num * a + den
+    # tail = 2|a|^{T+1} / (den b (T+1))
+    scale = b * (terms + 1)
+    num *= scale
+    tail = 2 * abs(a) ** (terms + 1)
+    lo, hi = _round_out(num - tail, num + tail, den * scale)
+    if lo <= 0:
         raise ArithmeticError("exp enclosure not positive; raise terms")
     for _ in range(k):
-        out = _tidy(out * out)
-    return out
+        lo = lo * lo >> _TIDY_BITS
+        hi = -(-hi * hi >> _TIDY_BITS)
+    return _dyadic(lo, hi)
 
 
 def ln_of_interval(ival: RationalInterval, terms: int = 28) -> RationalInterval:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from lie_degrees import maxdegree
 from lie_degrees.maxdegree import (
     CentralizerTypeGL,
     CertVerdict,
@@ -298,3 +303,49 @@ def test_epsilon_certificate_rank_guards():
         epsilon_certificate(GroupSpec("2A", 2, 3))
     with pytest.raises(ValueError):
         epsilon_certificate(GroupSpec("D", 3, 3))
+
+
+# ---------------------------------------------------------------------------
+# integrality checks raise, also under python -O
+# ---------------------------------------------------------------------------
+
+def test_non_integral_counts_raise(monkeypatch):
+    monkeypatch.setattr(maxdegree, "_mobius", lambda n: 1)
+    with pytest.raises(ArithmeticError):
+        count_irred(2, 3)           # 2^3 + 2 is not divisible by 3
+    with pytest.raises(ArithmeticError):
+        count_self_dual(2, 4)       # 1 + 1 + 5 is not divisible by 4
+
+
+def test_non_integral_degrees_raise(monkeypatch):
+    monkeypatch.setattr(maxdegree, "_block_weight",
+                        lambda q, d, k: Fraction(q ** (d * k * (k - 1) // 2), 5))
+    with pytest.raises(ArithmeticError):
+        gl_degree_of_type(CentralizerTypeGL(((3, 1),)), 3)
+    monkeypatch.setattr(maxdegree, "_best_split", lambda q, d, n: (Fraction(1, 5), ((n, 1),)))
+    with pytest.raises(ArithmeticError):
+        b_gl_exact(2, 3)            # (3 - 1)(9 - 1)/5 is not an integer
+
+
+_OPTIMISED_PROBE = textwrap.dedent("""
+    import sys
+    from fractions import Fraction
+    from lie_degrees import maxdegree
+    if __debug__:
+        sys.exit("not running under python -O")
+    maxdegree._block_weight = lambda q, d, k: Fraction(q ** (d * k * (k - 1) // 2), 5)
+    t = maxdegree.CentralizerTypeGL(((3, 1),))
+    try:
+        print(maxdegree.gl_degree_of_type(t, 3))
+    except ArithmeticError:
+        sys.exit(0)
+    sys.exit("no ArithmeticError for a non-integral degree")
+""")
+
+
+def test_integrality_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(maxdegree.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMISED_PROBE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lie_degrees import qexact
 from lie_degrees.qexact import (
     RationalInterval,
     alternating_product,
@@ -178,3 +181,102 @@ def test_interval_arithmetic():
         a / b
     with pytest.raises(ValueError):
         RationalInterval(Fraction(2), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# series kernels: Fraction-loop references and an mpmath oracle
+# ---------------------------------------------------------------------------
+
+def _ref_tidy(lo: Fraction, hi: Fraction, bits: int = 192) -> tuple[Fraction, Fraction]:
+    scale = 1 << bits
+    return (Fraction(math.floor(lo * scale), scale),
+            Fraction(-math.floor(-hi * scale), scale))
+
+
+def _ref_atanh_interval(t: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """The term-by-term Fraction sum that the integer kernel replaced."""
+    s = Fraction(0)
+    p = t
+    t2 = t * t
+    for i in range(terms):
+        s += p / (2 * i + 1)
+        p *= t2
+    tail = abs(p) / ((2 * terms + 1) * (1 - t2))
+    return _ref_tidy(s - tail, s + tail)
+
+
+def _ref_exp_interval(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    k = 0
+    while abs(x) > Fraction(1, 2):
+        x /= 2
+        k += 1
+    s = Fraction(0)
+    p = Fraction(1)
+    for i in range(terms + 1):
+        s += p
+        p = p * x / (i + 1)
+    tail = 2 * abs(x) ** (terms + 1) / math.factorial(terms + 1)
+    lo, hi = _ref_tidy(s - tail, s + tail)
+    assert lo > 0
+    for _ in range(k):
+        lo, hi = _ref_tidy(lo * lo, hi * hi)
+    return lo, hi
+
+
+@st.composite
+def _rationals(draw, limit):
+    """a/b with |a| <= limit(b), for a denominator b of 1 to 400 bits."""
+    bits = draw(st.integers(1, 400))
+    den = draw(st.integers(2 ** (bits - 1), 2 ** bits))
+    top = limit(den)
+    return Fraction(draw(st.integers(-top, top)), den)
+
+
+@given(_rationals(lambda b: (b - 1) // 2), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_atanh_kernel_matches_fraction_reference(t, terms):
+    ival = qexact._atanh_interval(t, terms)
+    assert (ival.lo, ival.hi) == _ref_atanh_interval(t, terms)
+
+
+@given(_rationals(lambda b: 40 * b), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_exp_kernel_matches_fraction_reference(x, terms):
+    ival = exp_interval(x, terms)
+    assert (ival.lo, ival.hi) == _ref_exp_interval(x, terms)
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(-1, 2), Fraction(7, 9), Fraction(3)])
+def test_atanh_kernel_rejects_arguments_outside_its_range(t):
+    with pytest.raises(ValueError):
+        qexact._atanh_interval(t, 28)
+
+
+def test_atanh_kernel_rejects_empty_series():
+    with pytest.raises(ValueError):
+        qexact._atanh_interval(Fraction(1, 3), 0)
+
+
+def _mp_fraction(v) -> Fraction:
+    man, exp = v.man_exp           # man_exp drops the sign
+    return int(mpmath.sign(v)) * Fraction(man) * Fraction(2) ** exp
+
+
+_ORACLE_ARGS = [Fraction(1, 10 ** 6), Fraction(1, 7), Fraction(2, 3), Fraction(1),
+                Fraction(3, 2), Fraction(10), Fraction(441, 5), Fraction(2 ** 100 + 1, 3 ** 50)]
+
+
+@pytest.mark.parametrize("x", _ORACLE_ARGS)
+def test_ln_interval_contains_mpmath_log(x):
+    with mpmath.workdps(100):
+        ref = _mp_fraction(mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
+    for terms in (5, 28):
+        assert ln_interval(x, terms).contains(ref)
+
+
+@pytest.mark.parametrize("x", [-v for v in _ORACLE_ARGS] + _ORACLE_ARGS[:-1] + [Fraction(-40), Fraction(40)])
+def test_exp_interval_contains_mpmath_exp(x):
+    with mpmath.workdps(100):
+        ref = _mp_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
+    for terms in (10, 26):
+        assert exp_interval(x, terms).contains(ref)
