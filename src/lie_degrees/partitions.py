@@ -3,6 +3,11 @@
 Everything here is exact integer arithmetic; no floats. Partitions are stored
 with weakly decreasing parts, nodes are 1-based (row, column) pairs, and a
 node (i, j) belongs to the diagram iff j <= parts[i-1].
+
+`Partition` validates its parts only in the public constructor. The hot paths
+(hook lengths, S_n degrees, down-up moves, enumeration) work on the plain part
+tuples and build their results with `Partition._from_valid_parts`, because
+those results are valid by construction.
 """
 
 from __future__ import annotations
@@ -81,43 +86,55 @@ class HookTable:
     product: int
 
 
+def _column_heights(parts: tuple[int, ...]) -> list[int]:
+    """Column heights (conjugate parts), from the bottom row up in one pass:
+    the columns between the next row's end and row r's end have height r."""
+    heights: list[int] = []
+    prev = 0
+    for r in range(len(parts), 0, -1):
+        p = parts[r - 1]
+        if p > prev:
+            heights += [r] * (p - prev)
+            prev = p
+    return heights
+
+
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition (column lengths)."""
-    parts = lam.parts
-    if not parts:
-        return Partition(())
-    cols = [0] * parts[0]
-    for p in parts:
-        for j in range(p):
-            cols[j] += 1
-    return Partition._from_valid_parts(tuple(cols))  # column lengths of a diagram
+    return Partition._from_valid_parts(tuple(_column_heights(lam.parts)))
+
+
+def hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Hook lengths h(i,j) = arm + leg + 1 of the diagram with these (weakly
+    decreasing, positive) parts, row by row and left to right within a row."""
+    # 0-based h(r, c) = (p_r - r - 1) + (height_c - c)
+    shifted = [h - c for c, h in enumerate(_column_heights(parts))]
+    out: list[int] = []
+    for r, p in enumerate(parts):
+        base = p - r - 1
+        out.extend([base + s for s in shifted[:p]])
+    return tuple(out)
 
 
 def hooks(lam: Partition) -> HookTable:
     """Hook lengths h(i,j) = arm + leg + 1 for every node, and their product."""
-    conj = transpose(lam).parts
-    lengths: dict[Node, int] = {}
-    product = 1
-    for i, row_len in enumerate(lam.parts, start=1):
-        for j in range(1, row_len + 1):
-            h = (row_len - j) + (conj[j - 1] - i) + 1
-            lengths[Node(i, j)] = h
-            product *= h
-    return HookTable(lengths, product)
+    lengths = hook_lengths(lam.parts)
+    nodes = (Node(i, j) for i, p in enumerate(lam.parts, start=1) for j in range(1, p + 1))
+    return HookTable(dict(zip(nodes, lengths)), math.prod(lengths))
 
 
 def hook_multiset(lam: Partition) -> tuple[int, ...]:
     return tuple(sorted(hooks(lam).lengths.values()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _sym_degree(parts: tuple[int, ...]) -> int:
-    lam = Partition(parts)
-    table = hooks(lam)
-    num = math.factorial(lam.n)
-    if num % table.product != 0:  # impossible for a genuine hook table
-        raise ArithmeticError(f"hook product {table.product} does not divide {lam.n}!")
-    return num // table.product
+    product = math.prod(hook_lengths(parts))
+    n = sum(parts)
+    degree, rest = divmod(math.factorial(n), product)
+    if rest:  # impossible for a genuine hook table
+        raise ArithmeticError(f"hook product {product} does not divide {n}!")
+    return degree
 
 
 def sym_degree(lam: Partition) -> int:
@@ -125,43 +142,48 @@ def sym_degree(lam: Partition) -> int:
     return _sym_degree(lam.parts)
 
 
+def addable_nodes(parts: tuple[int, ...]) -> list[Node]:
+    """Nodes addable to the diagram with these parts, top row first."""
+    out = [Node(i, p + 1) for i, p in enumerate(parts, start=1)
+           if i == 1 or p < parts[i - 2]]
+    out.append(Node(len(parts) + 1, 1))
+    return out
+
+
+def removable_nodes(parts: tuple[int, ...]) -> list[Node]:
+    """Nodes removable from the diagram with these parts, top row first."""
+    l = len(parts)
+    return [Node(i, p) for i, p in enumerate(parts, start=1) if i == l or p > parts[i]]
+
+
 def addable_removable(lam: Partition) -> tuple[set[Node], set[Node]]:
     """Nodes addable to / removable from the diagram, as (A, B) with |A| = |B| + 1."""
-    parts = lam.parts
-    l = len(parts)
-    addable: set[Node] = set()
-    removable: set[Node] = set()
-    for i in range(1, l + 1):
-        if i == 1 or parts[i - 1] < parts[i - 2]:
-            addable.add(Node(i, parts[i - 1] + 1))
-        if i == l or parts[i - 1] > parts[i]:
-            removable.add(Node(i, parts[i - 1]))
-    addable.add(Node(l + 1, 1))
-    return addable, removable
+    return set(addable_nodes(lam.parts)), set(removable_nodes(lam.parts))
 
 
 def add_node(lam: Partition, node: Node) -> Partition:
+    """lam with the node added; it must be addable: j = lam_i + 1, and
+    i = 1 or lam_{i-1} >= j (lam_{l+1} = 0 for the row below the last)."""
     i, j = node
-    parts = list(lam.parts)
-    if i == len(parts) + 1:
-        if j != 1:
-            raise ValueError(f"{node} is not addable to {lam}")
-        return Partition(tuple(parts) + (1,))
-    if not (1 <= i <= len(parts)) or parts[i - 1] + 1 != j:
+    parts = lam.parts
+    l = len(parts)
+    if (not 1 <= i <= l + 1 or j != (parts[i - 1] if i <= l else 0) + 1
+            or (i > 1 and parts[i - 2] < j)):
         raise ValueError(f"{node} is not addable to {lam}")
-    parts[i - 1] += 1
-    return Partition(tuple(parts))
+    return Partition._from_valid_parts(parts[:i - 1] + (j,) + parts[i:])
 
 
 def remove_node(lam: Partition, node: Node) -> Partition:
+    """lam with the node removed; it must be removable: j = lam_i, and
+    i = l or lam_{i+1} < j."""
     i, j = node
-    parts = list(lam.parts)
-    if not (1 <= i <= len(parts)) or parts[i - 1] != j:
+    parts = lam.parts
+    l = len(parts)
+    if not 1 <= i <= l or parts[i - 1] != j or (i < l and parts[i] >= j):
         raise ValueError(f"{node} is not removable from {lam}")
-    parts[i - 1] -= 1
-    if parts[i - 1] == 0:
-        parts.pop()
-    return Partition(tuple(parts))
+    if j == 1:  # only the last row can end in column 1 at a corner
+        return Partition._from_valid_parts(parts[:-1])
+    return Partition._from_valid_parts(parts[:i - 1] + (j - 1,) + parts[i:])
 
 
 def formal_hook_length(lam: Partition, node: Node) -> int:
@@ -171,9 +193,13 @@ def formal_hook_length(lam: Partition, node: Node) -> int:
     is the usual hook length, on addable nodes it evaluates to -1.
     """
     i, j = node
-    conj = transpose(lam).parts
-    row = lam.parts[i - 1] if i <= len(lam.parts) else 0
-    col = conj[j - 1] if j <= len(conj) else 0
+    parts = lam.parts
+    row = parts[i - 1] if i <= len(parts) else 0
+    col = 0  # column height: the number of parts >= j
+    for p in parts:
+        if p < j:
+            break
+        col += 1
     return 1 + (row - j) + (col - i)
 
 
@@ -298,12 +324,48 @@ def odd_hook_sequence(lam: Partition) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts <= max_part, in reverse-lexicographic order.
+
+    Walks one array in place (Zoghbi-Stojmenovic): x[:m] is the current
+    partition, h the index of its last part > 1, and every entry after h is 1.
+    The successor lowers x[h] by one to v and refills the tail, that unit plus
+    the ones after h, greedily with parts v.
+    """
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            yield (first,) + rest
+    top = min(n, max_part)
+    if top < 1:
+        return
+    q, r = divmod(n, top)
+    x = [top] * q + [1] * (n - q)
+    if r:
+        x[q] = r
+    m = q + (r > 0)
+    h = m - 1
+    while h >= 0 and x[h] == 1:
+        h -= 1
+    yield tuple(x[:m])
+    while h >= 0:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            v = x[h] - 1
+            x[h] = v
+            t = m - h
+            while t >= v:
+                h += 1
+                x[h] = v
+                t -= v
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -292,7 +292,7 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
             continue
         try:
             symmetric.octuple_ratio(lam, symmetric.OctupleMove(*picked))
-        except AssertionError:
+        except (ArithmeticError, AssertionError):
             failures.append({"lam": lam.parts, "move": repr(picked)})
         done += 1
     return {

@@ -9,6 +9,7 @@ against the direct hook-product ratio on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,11 +18,12 @@ from .partitions import (
     Node,
     Partition,
     add_node,
-    addable_removable,
+    addable_nodes,
     formal_hook_length,
-    hooks,
+    hook_lengths,
     partitions_of,
     remove_node,
+    removable_nodes,
     sym_degree,
     transpose,
 )
@@ -56,11 +58,9 @@ def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
     if lam.n < 1:
         raise ValueError("need a non-empty partition")
     out = []
-    _, removable = addable_removable(lam)
-    for rem in sorted(removable):
+    for rem in removable_nodes(lam.parts):
         mid = remove_node(lam, rem)
-        addable, _ = addable_removable(mid)
-        for add in sorted(addable):
+        for add in addable_nodes(mid.parts):
             out.append((DownUpMove(rem, add), add_node(mid, add)))
     return out
 
@@ -83,15 +83,17 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
     Only cells affected by both down-up moves contribute.  The meet of the two
     added nodes gives a(a+2)/(a+1)^2 and the meet of the two removed nodes
     gives b(b-2)/(b-1)^2, with a, b the hook lengths of lam there; each of the
-    two remove/add meets contributes h^2/(h^2-1).
+    two remove/add meets contributes h^2/(h^2-1).  Raises ArithmeticError when
+    the closed form and the direct ratio differ.
     """
     d12 = apply_downup(lam, move.first)  # validates move.first against lam
     d34 = apply_downup(lam, move.second)
     d1234 = apply_downup(d12, move.second)
 
-    p = hooks(lam).product
-    direct = Fraction(p * hooks(d1234).product,
-                      hooks(d12).product * hooks(d34).product)
+    def product(mu: Partition) -> int:
+        return math.prod(hook_lengths(mu.parts))
+
+    direct = Fraction(product(lam) * product(d1234), product(d12) * product(d34))
 
     a_node = Node(min(move.first.add.i, move.second.add.i),
                   min(move.first.add.j, move.second.add.j))
@@ -106,7 +108,9 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
               * Fraction(b * (b - 2), (b - 1) ** 2)
               * Fraction(c * c, c * c - 1)
               * Fraction(d * d, d * d - 1))
-    assert closed == direct, f"closed form {closed} != direct ratio {direct}"
+    if closed != direct:
+        raise ArithmeticError(f"closed form {closed} != direct ratio {direct} "
+                              f"for {lam}, {move}")
     return direct
 
 
@@ -121,14 +125,20 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
         raise ValueError("delta must be positive")
     excluded = {Fraction(s) for s in excluded}
     base = sym_degree(lam)
+
+    def hit(d: int) -> bool:  # d/base >= delta, and d/base not excluded
+        return (d * delta.denominator >= delta.numerator * base
+                and Fraction(d, base) not in excluded)
+
     neigh = downup_neighborhood(lam)
+    # |d/base - 1| = |d - base|/base with base > 0 fixed: integer keys, same order
     scored = []
     for move, gamma in neigh:
-        ratio = Fraction(sym_degree(gamma), base)
-        scored.append((-abs(ratio - 1), gamma.parts, move, ratio, gamma))
-    scored.sort(key=lambda t: (t[0], t[1], t[2].remove, t[2].add))
-    for _, _, _, ratio, gamma in scored:
-        if ratio >= delta and ratio not in excluded:
+        d = sym_degree(gamma)
+        scored.append((-abs(d - base), gamma.parts, move.remove, move.add, d, gamma))
+    scored.sort(key=lambda t: t[:4])
+    for *_, d, gamma in scored:
+        if hit(d):
             return gamma
     for m1, _ in neigh:
         for m2, _ in neigh:
@@ -137,8 +147,7 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
             if len(i_coords) != 4 or len(j_coords) != 4:
                 continue
             gamma = apply_downup(apply_downup(lam, m1), m2)
-            ratio = Fraction(sym_degree(gamma), base)
-            if ratio >= delta and ratio not in excluded:
+            if hit(sym_degree(gamma)):
                 return gamma
     return None
 
@@ -200,9 +209,10 @@ def alt_degrees(n: int) -> DegreeMultiset:
     for lam in partitions_of(n):
         conj = transpose(lam)
         if lam == conj:
-            d = sym_degree(lam)
-            assert d % 2 == 0, f"self-conjugate degree must be even: {lam}"
-            counts[d // 2] = counts.get(d // 2, 0) + 2
+            half, odd = divmod(sym_degree(lam), 2)
+            if odd:
+                raise ArithmeticError(f"self-conjugate degree must be even: {lam}")
+            counts[half] = counts.get(half, 0) + 2
         elif lam.parts > conj.parts:  # count each transpose pair once
             d = sym_degree(lam)
             counts[d] = counts.get(d, 0) + 1

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, beta_hook_cells, beta_set, partitions_of
+from .partitions import Partition, beta_hook_cells, beta_set, hook_lengths, partitions_of
 
 FAMILIES = ("GL", "GU", "BC", "D", "2D")
 SYMBOL_FAMILIES = ("BC", "D", "2D")
@@ -41,9 +41,7 @@ def a_value_gl(lam: Partition) -> int:
 @lru_cache(maxsize=200_000)
 def _hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Hook lengths of a partition: q-independent, so computed once per label."""
-    from .partitions import hooks  # local import keeps module load order simple
-
-    return tuple(hooks(Partition(parts)).lengths.values())
+    return hook_lengths(parts)
 
 
 @lru_cache(maxsize=200_000)

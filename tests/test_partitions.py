@@ -15,6 +15,7 @@ from lie_degrees.partitions import (
     beta_hook_cells,
     dominance,
     formal_hook_length,
+    hook_lengths,
     hook_multiset,
     hooks,
     odd_hook_cells,
@@ -102,6 +103,20 @@ partition_strategy = st.builds(
     lambda seed, n: random_partition(random.Random(seed), n),
     st.integers(0, 10 ** 9), st.integers(1, 40))
 
+partition_strategy_to_60 = st.builds(
+    lambda seed, n: random_partition(random.Random(seed), n),
+    st.integers(0, 10 ** 9), st.integers(0, 60))
+
+
+def recursive_partition_tuples(n, max_part):
+    """The recursive reverse-lexicographic generator, kept as a reference."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in recursive_partition_tuples(n - first, first):
+            yield (first,) + rest
+
 
 # ---------------------------------------------------------------------------
 # hooks and degrees
@@ -131,6 +146,24 @@ def test_hooks_match_brute_force(lam):
     for (i, j), h in table.lengths.items():
         assert h == hook_length_brute(lam, i, j)
         assert h == formal_hook_length(lam, Node(i, j))
+
+
+def test_hook_lengths_row_major():
+    assert hook_lengths(()) == ()
+    assert hook_lengths((2, 2)) == (3, 2, 2, 1)
+    assert hook_lengths((3, 1)) == (4, 2, 1, 1)
+    assert hook_lengths((3, 2, 1)) == (5, 3, 1, 3, 1, 1)
+
+
+@given(partition_strategy_to_60)
+@settings(max_examples=80, deadline=None)
+def test_hook_lengths_kernel_matches_hook_table_and_formal_hooks(lam):
+    lengths = hook_lengths(lam.parts)
+    table = hooks(lam)
+    assert lengths == tuple(table.lengths.values())  # row-major, like the table
+    cells = [Node(i, j) for i, p in enumerate(lam.parts, start=1) for j in range(1, p + 1)]
+    formal = math.prod(formal_hook_length(lam, node) for node in cells)
+    assert math.prod(lengths) == formal == table.product
 
 
 def test_sym_degree_examples():
@@ -169,6 +202,20 @@ def test_addable_removable_vs_brute(lam):
     assert len(a) == len(b) + 1
 
 
+def test_interior_nodes_are_neither_addable_nor_removable():
+    lam = Partition((2, 2))
+    for node in (Node(2, 3), Node(1, 1), Node(2, 1), Node(3, 2), Node(0, 1), Node(1, 0)):
+        with pytest.raises(ValueError):
+            add_node(lam, node)
+    for node in (Node(1, 2), Node(1, 1), Node(2, 1), Node(3, 1), Node(0, 2)):
+        with pytest.raises(ValueError):
+            remove_node(lam, node)
+    assert add_node(lam, Node(1, 3)) == Partition((3, 2))
+    assert add_node(lam, Node(3, 1)) == Partition((2, 2, 1))
+    assert remove_node(lam, Node(2, 2)) == Partition((2, 1))
+    assert remove_node(Partition((2, 1)), Node(2, 1)) == Partition((2,))
+
+
 def test_size_bounds_random_large():
     rng = random.Random(11)
     for _ in range(40):
@@ -185,6 +232,7 @@ def test_add_then_remove_round_trip(lam):
     a, _ = addable_removable(lam)
     for node in a:
         bigger = add_node(lam, node)
+        assert Partition(bigger.parts) == bigger  # built unvalidated
         assert remove_node(bigger, node) == lam
         a2, _ = addable_removable(bigger)
         assert len(a ^ a2) <= 3  # only the node itself and its two successors move
@@ -304,3 +352,11 @@ def test_partition_counts():
         assert len(labels) == partition_count(n)
         assert all(Partition(lam.parts) == lam for lam in labels)  # built unvalidated
     assert partition_count(30) == 5604
+
+
+def test_partitions_of_matches_recursive_generator():
+    for n in range(26):
+        for max_part in range(n + 2):
+            got = [lam.parts for lam in partitions_of(n, max_part)]
+            assert got == list(recursive_partition_tuples(n, max_part)), (n, max_part)
+        assert [lam.parts for lam in partitions_of(n)] == list(recursive_partition_tuples(n, n))

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from lie_degrees import suites
+from lie_degrees import suites, symmetric
 
 
 def test_fmt_rational():
@@ -23,6 +26,36 @@ def test_check_prop_compgl_sweep():
 def test_check_ratio_witness():
     record = suites.check_ratio_witness(15, 16)
     assert record["verdict"] == "pass" and record["values"]["shapes"] > 300
+
+
+def test_check_octuple_closed_form_fails_on_a_wrong_hook_length(monkeypatch):
+    assert suites.check_octuple_closed_form(20, 30, 1)["verdict"] == "pass"
+    broken = symmetric.formal_hook_length
+    monkeypatch.setattr(symmetric, "formal_hook_length", lambda lam, node: broken(lam, node) + 1)
+    record = suites.check_octuple_closed_form(20, 30, 1)
+    assert record["verdict"] == "fail"
+    assert set(record["witness"]) == {"lam", "move"}
+    assert record["values"] == {"verified": 20}
+
+
+_OCTUPLE_UNDER_O = textwrap.dedent("""
+    import sys
+    from lie_degrees import suites, symmetric
+    if __debug__:
+        sys.exit("not running under python -O")
+    broken = symmetric.formal_hook_length
+    symmetric.formal_hook_length = lambda lam, node: broken(lam, node) + 1
+    verdict = suites.check_octuple_closed_form(20, 30, 1)["verdict"]
+    sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a wrong hook length")
+""")
+
+
+def test_octuple_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(suites.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OCTUPLE_UNDER_O],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_check_prop_dominance_includes_q2_pair():

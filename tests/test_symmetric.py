@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lie_degrees import symmetric
 from lie_degrees.partitions import (
     Node,
     Partition,
@@ -19,6 +20,7 @@ from lie_degrees.symmetric import (
     DownUpMove,
     OctupleMove,
     alt_degrees,
+    apply_downup,
     downup_neighborhood,
     epsilon_of,
     octuple_ratio,
@@ -115,6 +117,15 @@ def test_octuple_positive_and_consistent():
     assert count > 0
 
 
+def test_octuple_mismatch_raises_arithmetic_error(monkeypatch):
+    lam = Partition((4, 3, 1, 1))
+    oct_move = next(legal_octuples(lam, [m for m, _ in downup_neighborhood(lam)]))
+    broken = symmetric.formal_hook_length
+    monkeypatch.setattr(symmetric, "formal_hook_length", lambda lam, node: broken(lam, node) + 1)
+    with pytest.raises(ArithmeticError, match="closed form"):
+        octuple_ratio(lam, oct_move)
+
+
 def test_octuple_requires_distinct_coordinates():
     with pytest.raises(ValueError):
         OctupleMove(DownUpMove(Node(1, 2), Node(2, 2)),
@@ -140,6 +151,49 @@ def test_octuple_random_sweep():
 # ---------------------------------------------------------------------------
 
 STANDARD_EXCLUDED = {Fraction(2), Fraction(1), Fraction(1, 2)}
+
+
+def fraction_keyed_ratio_witness(lam, excluded, delta):
+    """The ratio witness search with Fraction sort keys, kept as a reference."""
+    excluded = {Fraction(s) for s in excluded}
+    base = sym_degree(lam)
+    neigh = downup_neighborhood(lam)
+    scored = []
+    for move, gamma in neigh:
+        ratio = Fraction(sym_degree(gamma), base)
+        scored.append((-abs(ratio - 1), gamma.parts, move, ratio, gamma))
+    scored.sort(key=lambda t: (t[0], t[1], t[2].remove, t[2].add))
+    for _, _, _, ratio, gamma in scored:
+        if ratio >= delta and ratio not in excluded:
+            return gamma
+    for m1, _ in neigh:
+        for m2, _ in neigh:
+            i_coords = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
+            j_coords = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
+            if len(i_coords) != 4 or len(j_coords) != 4:
+                continue
+            gamma = apply_downup(apply_downup(lam, m1), m2)
+            ratio = Fraction(sym_degree(gamma), base)
+            if ratio >= delta and ratio not in excluded:
+                return gamma
+    return None
+
+
+@pytest.mark.parametrize("excluded, delta", [
+    (STANDARD_EXCLUDED, Fraction(1, 100)),
+    (set(), Fraction(1)),
+    ({Fraction(1)}, Fraction(3, 2)),     # often only an octuple move, or nothing, hits
+])
+def test_witness_matches_fraction_keyed_reference(excluded, delta):
+    octuple_hits = 0
+    for n in range(2, 15):
+        for lam in partitions_of(n):
+            expected = fraction_keyed_ratio_witness(lam, excluded, delta)
+            assert ratio_witness(lam, excluded, delta) == expected, lam
+            if expected is not None and expected not in dict(downup_neighborhood(lam)).values():
+                octuple_hits += 1
+    if delta > 1:
+        assert octuple_hits > 0  # the octuple scan is exercised too
 
 
 def test_witness_column_20():
@@ -189,6 +243,14 @@ def test_alt_degrees_frozen_lists():
     assert alt_degrees(5).as_sorted_list() == [1, 3, 3, 4, 5]
     assert alt_degrees(6).as_sorted_list() == [1, 5, 5, 8, 8, 9, 10]
     assert alt_degrees(4).as_sorted_list() == [1, 1, 1, 3]
+
+
+def test_alt_degrees_rejects_odd_self_conjugate_degree(monkeypatch):
+    real = symmetric.sym_degree
+    monkeypatch.setattr(symmetric, "sym_degree",
+                        lambda lam: 17 if lam.parts == (3, 2, 1) else real(lam))
+    with pytest.raises(ArithmeticError, match="even"):
+        alt_degrees(6)
 
 
 def test_alt_degrees_square_sum():
