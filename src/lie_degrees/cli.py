@@ -140,14 +140,7 @@ def cmd_ratio_search(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="lie-degrees",
-        description="Exact character degrees and certified bound verification "
-                    "for symmetric groups and finite classical groups.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("degree", help="compute one degree, or a full table with --n")
+def _degree_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["sym", "gl", "gu", "symbol"])
     p.add_argument("--partition", help="e.g. 3,2,1 or 2^3,1")
     p.add_argument("--x", help="symbol row X, e.g. 1,2")
@@ -160,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", choices=["steinberg", "props", "lemmas", "all"])
     p.add_argument("--family", help="comma list of GL,GU,BC,D,2D (steinberg)")
     p.add_argument("--n", default="1..10", help="rank range, e.g. 1..20")
@@ -175,13 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include wall-clock fields (report no longer byte-stable)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bmax", help="exact largest irreducible degree")
+
+def _bmax_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["gl"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=cmd_bmax)
 
-    p = sub.add_parser("bounds", help="bracket table for c(G) = b(G)/|G|_p")
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", default="A", help="comma list of A,2A,B,C,D,2D")
     p.add_argument("--n", default="1..40")
     p.add_argument("--q", default="2")
@@ -189,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("epsilon", help="epsilon values and certificates")
+
+def _epsilon_arguments(p: argparse.ArgumentParser) -> None:
     ksub = p.add_subparsers(dest="kind", required=True)
     pa = ksub.add_parser("an", help="epsilon(A_n) from the exact degree list")
     pa.add_argument("--n", default="5..20", help="single n prints the exact rational")
@@ -202,18 +199,53 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--q", type=int, required=True)
     pc.set_defaults(func=cmd_epsilon, kind="cert")
 
-    p = sub.add_parser("ratio-search",
-                       help="find a same-size diagram with degree ratio outside a finite set")
+
+def _ratio_search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--partition", required=True)
     p.add_argument("--exclude", default="", help="comma list of rationals, e.g. 2,1,1/2")
     p.add_argument("--delta", default="1/100", help="lower bound for the ratio")
     p.set_defaults(func=cmd_ratio_search)
 
+
+PROG = "lie-degrees"
+# command -> (help line, function adding its arguments to its parser)
+COMMANDS = {
+    "degree": ("compute one degree, or a full table with --n", _degree_arguments),
+    "verify": ("run a verification suite", _verify_arguments),
+    "bmax": ("exact largest irreducible degree", _bmax_arguments),
+    "bounds": ("bracket table for c(G) = b(G)/|G|_p", _bounds_arguments),
+    "epsilon": ("epsilon values and certificates", _epsilon_arguments),
+    "ratio-search": ("find a same-size diagram with degree ratio outside a finite set",
+                     _ratio_search_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog=PROG,
+        description="Exact character degrees and certified bound verification "
+                    "for symmetric groups and finite classical groups.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return ap
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as build_parser makes it, without the others."""
+    p = argparse.ArgumentParser(prog=f"{PROG} {name}")
+    COMMANDS[name][1](p)
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        # argparse parsers are slow to build (its message lookups search the
+        # locale on every call), so a named command is parsed by its own alone
+        args = command_parser(argv[0]).parse_args(argv[1:])
+    else:  # help, or a usage error that lists the commands
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

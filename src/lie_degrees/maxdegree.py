@@ -110,7 +110,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (q, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _mobius(n: int) -> int:
     if n == 1:
         return 1
@@ -232,7 +232,7 @@ def _block_budget(q: int, d: int) -> int:
     return q - 1 if d == 1 else count_irred(q, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _block_weight(q: int, d: int, k: int) -> Fraction:
     den = 1
     for i in range(1, k + 1):
@@ -240,7 +240,7 @@ def _block_weight(q: int, d: int, k: int) -> Fraction:
     return Fraction(q ** (d * k * (k - 1) // 2), den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _best_blocks_fixed_d(q: int, d: int, t: int, kmax: int, budget: int):
     """Best (value, parts) for blocks of field degree d with k's summing to t,
     at most `budget` blocks, parts weakly decreasing and <= kmax."""
@@ -259,7 +259,7 @@ def _best_blocks_fixed_d(q: int, d: int, t: int, kmax: int, budget: int):
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _best_split(q: int, d_min: int, budget_weight: int):
     """Best (value, blocks) over types using field degrees >= d_min with total
     weight sum k*d equal to budget_weight."""
@@ -360,7 +360,8 @@ def merge_ratio_sl_n_2(t: CentralizerTypeGL) -> Fraction:
     """Degree ratio after merging the two heaviest blocks into one torus block
     GL_1(2^{k1 d1 + k2 d2}), for types over F_2 with at least two blocks.
 
-    The exact ratio lies strictly between 81/512 and 1, which is asserted.
+    The exact ratio lies strictly between 81/512 and 1; ArithmeticError
+    (carrying t and the ratio) is raised if it does not.
     """
     q = 2
     if len(t.blocks) < 2:
@@ -370,16 +371,10 @@ def merge_ratio_sl_n_2(t: CentralizerTypeGL) -> Fraction:
     (k1, d1), (k2, d2) = t.blocks[0], t.blocks[1]
     if (d1, d2) == (1, 1):
         raise ValueError("the two heaviest blocks cannot both have d = 1")
-    num = 1
-    for i in range(1, k1 + 1):
-        num *= q ** (i * d1) - 1
-    for i in range(1, k2 + 1):
-        num *= q ** (i * d2) - 1
-    den = (q ** (d1 * k1 * (k1 - 1) // 2)
-           * q ** (d2 * k2 * (k2 - 1) // 2)
-           * (q ** (k1 * d1 + k2 * d2) - 1))
-    ratio = Fraction(num, den)
-    assert Fraction(81, 512) < ratio < 1, (t, ratio)
+    ratio = 1 / (_block_weight(q, d1, k1) * _block_weight(q, d2, k2)
+                 * (q ** (k1 * d1 + k2 * d2) - 1))
+    if not Fraction(81, 512) < ratio < 1:
+        raise ArithmeticError(f"merge ratio {ratio} of type {t.blocks} is not in (81/512, 1)")
     return ratio
 
 

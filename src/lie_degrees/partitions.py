@@ -13,6 +13,7 @@ those results are valid by construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -231,6 +232,18 @@ def dominance(mu: Partition, nu: Partition) -> Dominance:
 # beta-sets
 # ---------------------------------------------------------------------------
 
+def beta_row(parts: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """Increasing beta-set {p_i + size - i} of the partition with these (weakly
+    decreasing, positive) parts; size >= len(parts) is not checked."""
+    pad = size - len(parts)
+    return tuple(range(pad)) + tuple(map(operator.add, reversed(parts), range(pad, size)))
+
+
+def beta_parts(row: tuple[int, ...]) -> tuple[int, ...]:
+    """Parts of the partition encoded by an increasing beta-set (beta_row's inverse)."""
+    return tuple(reversed([e - j for j, e in enumerate(row) if e > j]))
+
+
 def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
     """Strictly increasing beta-set {lam_i + size - i}; size defaults to #parts.
 
@@ -242,9 +255,7 @@ def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
         size = len(parts)
     if size < len(parts):
         raise ValueError(f"beta-set size {size} smaller than number of parts")
-    padded = list(parts) + [0] * (size - len(parts))
-    out = tuple(sorted(padded[i] + size - 1 - i for i in range(size)))
-    return out
+    return beta_row(parts, size)
 
 
 def partition_from_beta_set(beta: Iterable[int]) -> Partition:
@@ -253,9 +264,7 @@ def partition_from_beta_set(beta: Iterable[int]) -> Partition:
         raise ValueError(f"beta-set entries must be non-negative: {entries}")
     if len(set(entries)) != len(entries):
         raise ValueError(f"beta-set entries must be distinct: {entries}")
-    parts = [e - i for i, e in enumerate(entries)]
-    parts = [p for p in reversed(parts) if p > 0]
-    return Partition(tuple(parts))
+    return Partition(beta_parts(tuple(entries)))
 
 
 def beta_hook_cells(beta: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -376,7 +385,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         yield Partition._from_valid_parts(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def partition_count(n: int, max_part: int | None = None) -> int:
     if max_part is None or max_part > n:
         max_part = n

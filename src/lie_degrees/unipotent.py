@@ -1,29 +1,45 @@
 """Unipotent character degrees of the finite classical groups.
 
-GL_n(q) and GU_n(q) degrees come from the quantized hook formula on partitions
-(GU by formally substituting -q and taking the absolute value).  Types B/C, D
-and 2D are parametrized by symbols: pairs of strictly increasing sequences up
-to shift-and-swap equivalence, with defect parity selecting the type.  The
-degree formula divides q^{a(S)} |G|_{q'} by (q^len - 1) over hooks and
-(q^len + 1) over cohooks of positive length; length-0 cohooks are excluded,
-which is the normalization that makes the trivial character evaluate to 1 and
-the Steinberg symbol to the full q-part of the group order.
+GL_n(q) and GU_n(q) degrees come from the quantized hook formula on partitions:
+one checked integer division, which at -q gives the GU degree up to sign
+(Ennola duality).  Types B/C, D and 2D are parametrized by symbols: pairs of
+strictly increasing sequences up to shift-and-swap equivalence, with defect
+parity selecting the type.  The degree formula divides q^{a(S)} |G|_{q'} by
+(q^len - 1) over hooks and (q^len + 1) over cohooks of positive length;
+length-0 cohooks are excluded, which is the normalization that makes the
+trivial character evaluate to 1 and the Steinberg symbol to the full q-part
+of the group order.
 
-The q-independent part of that formula (family, rank, a-value, power of 2,
-hook and cohook lengths) is a degree plan, built once per symbol class and
-evaluated for each q by one checked exact division.  degree_symbol and the
-Steinberg sweep in verify_steinberg_max evaluate the same plans; the sweep
-enumerates each rank once and evaluates every label for every q in its list.
+Symbols are enumerated on plain row tuples: each bipartition (alpha, beta)
+of the right size gives the rows of one reduced symbol directly, so no
+canonicalization or de-duplication is needed.  The q-independent part of the
+degree formula (family, rank, a-value, power of 2, hook lengths of alpha and
+beta, positive cohook lengths) is a degree plan, built from those tuples by
+the same row-level formulas that symbol_stats uses, and evaluated for each q
+against one table of q^k - 1 and q^k + 1 with one checked exact division.
+degree_symbol caches the plan per canonical row pair; the Steinberg sweep in
+verify_steinberg_max builds the plans of one rank, evaluates them for every q
+in its list and keeps none of them afterwards.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, beta_hook_cells, beta_set, hook_lengths, partitions_of
+from .partitions import (
+    Partition,
+    _partition_tuples,
+    beta_hook_cells,
+    beta_parts,
+    beta_row,
+    hook_lengths,
+    partitions_of,
+)
 
 FAMILIES = ("GL", "GU", "BC", "D", "2D")
 SYMBOL_FAMILIES = ("BC", "D", "2D")
@@ -33,9 +49,13 @@ SYMBOL_FAMILIES = ("BC", "D", "2D")
 # type A: quantized hook formula
 # ---------------------------------------------------------------------------
 
+def _a_value(parts: tuple[int, ...]) -> int:
+    return sum(i * p for i, p in enumerate(parts))
+
+
 def a_value_gl(lam: Partition) -> int:
     """a(lam) = sum (i-1) * lam_i over the weakly decreasing parts."""
-    return sum(i * p for i, p in enumerate(lam.parts))
+    return _a_value(lam.parts)
 
 
 @lru_cache(maxsize=200_000)
@@ -46,16 +66,16 @@ def _hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=200_000)
 def _degree_gl(parts: tuple[int, ...], q: int) -> int:
-    lam = Partition(parts)
-    num = 1
-    for i in range(1, lam.n + 1):
-        num *= q ** i - 1
-    den = 1
-    for h in _hook_lengths(parts):
-        den *= q ** h - 1
-    if num % den != 0:  # the quotient is a character degree, so this cannot fail
-        raise ArithmeticError(f"non-integral GL degree for {parts}, q={q}")
-    return q ** a_value_gl(lam) * (num // den)
+    """q^a prod_{i <= n} (q^i - 1) / prod_h (q^h - 1) over the hook lengths h.
+
+    Also the GU kernel: at -q the value is the GU_n(q) degree up to sign
+    (Ennola duality), so q may be negative.
+    """
+    num = math.prod(q ** i - 1 for i in range(1, sum(parts) + 1))
+    quot, rem = divmod(num, math.prod(q ** h - 1 for h in _hook_lengths(parts)))
+    if rem:  # the quotient is a character degree, so this cannot fail
+        raise ArithmeticError(f"non-integral type A degree for {parts}, q={q}")
+    return q ** _a_value(parts) * quot
 
 
 def degree_gl(lam: Partition, q: int) -> int:
@@ -65,30 +85,11 @@ def degree_gl(lam: Partition, q: int) -> int:
     return _degree_gl(lam.parts, q)
 
 
-@lru_cache(maxsize=200_000)
-def _degree_gu(parts: tuple[int, ...], q: int) -> int:
-    lam = Partition(parts)
-    mq = -q
-    num = 1
-    for i in range(1, lam.n + 1):
-        num *= mq ** i - 1
-    den = 1
-    for h in _hook_lengths(parts):
-        den *= mq ** h - 1
-    val = Fraction(mq ** a_value_gl(lam) * num, den)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral GU degree for {parts}, q={q}")
-    out = abs(int(val))
-    if out <= 0:
-        raise ArithmeticError(f"non-positive GU degree for {parts}, q={q}")
-    return out
-
-
 def degree_gu(lam: Partition, q: int) -> int:
     """Degree of the unipotent character of GU_n(q) labelled by lam."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return _degree_gu(lam.parts, q)
+    return abs(_degree_gl(lam.parts, -q))
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +164,54 @@ class SymbolStats:
     cohooks: tuple[tuple[int, int], ...]
 
 
+# Row-level formulas, on plain increasing int tuples; symbol_stats, the
+# Symbol accessors and the degree plans all go through these.
+
+def _rows_rank(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    return sum(x) + sum(y) - ((len(x) + len(y) - 1) ** 2) // 4  # floor(((r+s-1)/2)^2)
+
+
+def _rows_a_value(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """Sum of min(e, f) over pairs of entries, minus binom(r+s-2i, 2) for
+    i >= 1 (binom(m, 2) = 0 for m < 2)."""
+    entries = sorted(x + y)
+    m = len(entries)
+    return (sum(map(operator.mul, entries, range(m - 1, -1, -1)))
+            - sum(k * (k - 1) // 2 for k in range(m - 2, 1, -2)))
+
+
+def _rows_two_power(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    return max(0, (len(set(x) ^ set(y)) - 1) // 2)
+
+
+def _cohook_lengths(x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+    """Lengths c - b of the positive cohooks from row x to row y: c in x and
+    b < c not in y."""
+    ys = set(y)
+    return [c - b for c in x for b in range(c) if b not in ys]
+
+
 def symbol_stats(sym: Symbol) -> SymbolStats:
     """Rank, defect, a-value, hooks and cohooks of a symbol.
 
-    Cohooks are listed with b <= c as defined; the degree formula skips the
-    b = c ones.  The a-value correction sum treats binom(m, 2) as 0 for m < 2.
+    Cohooks (b, c) have c in one row and b <= c not in the other; the b = c
+    ones are listed too, and the degree formula skips them.
     """
     x, y = sym.X, sym.Y
-    r, s = len(x), len(y)
-    rank = sum(x) + sum(y) - ((r + s - 1) ** 2) // 4  # floor(((r+s-1)/2)^2)
-    defect = abs(r - s)
-
-    set_x, set_y = set(x), set(y)
-    hooks = sorted(beta_hook_cells(x) + beta_hook_cells(y))
-    cohooks = sorted(
-        [(b, c) for c in x for b in range(c + 1) if b not in set_y]
-        + [(b, c) for c in y for b in range(c + 1) if b not in set_x]
+    cohooks = [(c, c) for row, other in ((x, y), (y, x)) for c in row if c not in other]
+    cohooks += [(c - k, c) for row, other in ((x, y), (y, x))
+                for c in row for k in _cohook_lengths((c,), other)]
+    return SymbolStats(
+        rank=_rows_rank(x, y),
+        defect=abs(len(x) - len(y)),
+        a=_rows_a_value(x, y),
+        hooks=tuple(sorted(beta_hook_cells(x) + beta_hook_cells(y))),
+        cohooks=tuple(sorted(cohooks)),
     )
-
-    entries = sorted(x + y)
-    n_e = len(entries)
-    a = sum(e * (n_e - 1 - i) for i, e in enumerate(entries))
-    i = 1
-    while r + s - 2 * i >= 2:
-        m = r + s - 2 * i
-        a -= m * (m - 1) // 2
-        i += 1
-    return SymbolStats(rank, defect, a, tuple(hooks), tuple(cohooks))
 
 
 def symbol_rank(sym: Symbol) -> int:
-    r, s = len(sym.X), len(sym.Y)
-    return sum(sym.X) + sum(sym.Y) - ((r + s - 1) ** 2) // 4
+    return _rows_rank(sym.X, sym.Y)
 
 
 def symbol_defect(sym: Symbol) -> int:
@@ -224,6 +241,7 @@ def canonicalize(sym: Symbol) -> SymbolClass:
     return SymbolClass(Symbol._from_valid_rows(x, y))
 
 
+@lru_cache(maxsize=4096)
 def _order_pprime_symbol(fam: str, n: int, q: int) -> int:
     """q'-part of the classical group order for the symbol families."""
     if n < 1:
@@ -249,18 +267,26 @@ def symbol_two_power(sym: Symbol) -> int:
     the full q-part, and small-rank degree lists match the groups they must
     (B_1 = A_1, B_2 = Sp_4, D_2 = A_1 x A_1, D_3 = A_3, 2D_3 = 2A_3).
     """
-    z = len(set(sym.X) ^ set(sym.Y))
-    return max(0, (z - 1) // 2)
+    return _rows_two_power(sym.X, sym.Y)
+
+
+@lru_cache(maxsize=1024)
+def _factor_tables(q: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(q^k - 1) and (q^k + 1) for k = 0..top."""
+    powers = [q ** k for k in range(top + 1)]
+    return tuple(p - 1 for p in powers), tuple(p + 1 for p in powers)
 
 
 class _DegreePlan(NamedTuple):
     """q^a |G|_{q'} / (2^two_power prod(q^h - 1) prod(q^k + 1)) as a function of q.
 
     h runs over the hook lengths (minus) and k over the positive cohook
-    lengths (plus); fam and rank select the q'-order |G|_{q'}.
+    lengths (plus); fam and rank select the q'-order |G|_{q'}.  x and y are
+    the canonical rows of the symbol.
     """
 
-    label: Symbol
+    x: tuple[int, ...]
+    y: tuple[int, ...]
     fam: str
     rank: int
     a: int
@@ -268,39 +294,46 @@ class _DegreePlan(NamedTuple):
     minus: tuple[int, ...]
     plus: tuple[int, ...]
 
-    def evaluate(self, q: int, order_pprime: int) -> int:
-        """The degree at q, given |G|_{q'} = _order_pprime_symbol(fam, rank, q)."""
-        den = 1 << self.two_power
-        for h in self.minus:
-            den *= q ** h - 1
-        for k in self.plus:
-            den *= q ** k + 1
+    @property
+    def top(self) -> int:
+        """Largest entry of the rows, which bounds every hook and cohook length."""
+        return max(self.x[-1:] + self.y[-1:], default=0)
+
+    def evaluate(self, q: int, order_pprime: int,
+                 tables: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        """The degree at q, given |G|_{q'} = _order_pprime_symbol(fam, rank, q)
+        and tables = _factor_tables(q, top) for some top >= self.top."""
+        minus_tab, plus_tab = tables
+        den = (math.prod(map(minus_tab.__getitem__, self.minus), start=1 << self.two_power)
+               * math.prod(map(plus_tab.__getitem__, self.plus)))
         quot, rem = divmod(q ** self.a * order_pprime, den)
         if rem != 0:
-            raise ArithmeticError(f"non-integral symbol degree for {self.label}, q={q}")
+            raise ArithmeticError(
+                f"non-integral symbol degree for {Symbol._from_valid_rows(self.x, self.y)}, q={q}")
         return quot
 
 
-def _degree_plan(canon: Symbol) -> _DegreePlan:
-    """Degree plan of a canonical symbol (see canonicalize)."""
-    stats = symbol_stats(canon)
-    if stats.rank < 1:
-        raise ValueError(f"symbol must have positive rank: {canon}")
+def _build_plan(x: tuple[int, ...], y: tuple[int, ...], alpha: tuple[int, ...],
+                beta: tuple[int, ...], fam: str, rank: int) -> _DegreePlan:
+    """Degree plan of the symbol (x, y) whose rows are beta-sets of the
+    partitions alpha and beta; their hooks are the symbol's hooks."""
     return _DegreePlan(
-        label=canon,
-        fam=family_of_defect(stats.defect),
-        rank=stats.rank,
-        a=stats.a,
-        two_power=symbol_two_power(canon),
-        minus=tuple(c - b for b, c in stats.hooks),
-        plus=tuple(c - b for b, c in stats.cohooks if c > b),
+        x, y, fam, rank,
+        a=_rows_a_value(x, y),
+        two_power=_rows_two_power(x, y),
+        minus=_hook_lengths(alpha) + _hook_lengths(beta),
+        plus=tuple(_cohook_lengths(x, y) + _cohook_lengths(y, x)),
     )
 
 
 @lru_cache(maxsize=200_000)
-def _degree_symbol(x: tuple[int, ...], y: tuple[int, ...], q: int) -> int:
-    plan = _degree_plan(Symbol._from_valid_rows(x, y))
-    return plan.evaluate(q, _order_pprime_symbol(plan.fam, plan.rank, q))
+def _symbol_plan(x: tuple[int, ...], y: tuple[int, ...]) -> _DegreePlan:
+    """Degree plan of a canonical symbol (see canonicalize)."""
+    rank = _rows_rank(x, y)
+    if rank < 1:
+        raise ValueError(f"symbol must have positive rank: {Symbol._from_valid_rows(x, y)}")
+    return _build_plan(x, y, beta_parts(x), beta_parts(y),
+                       family_of_defect(len(x) - len(y)), rank)
 
 
 def degree_symbol(sym: Symbol, q: int) -> int:
@@ -315,7 +348,9 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     if q < 2:
         raise ValueError("q must be >= 2")
     canon = canonicalize(sym).symbol
-    return _degree_symbol(canon.X, canon.Y, q)
+    plan = _symbol_plan(canon.X, canon.Y)
+    return plan.evaluate(q, _order_pprime_symbol(plan.fam, plan.rank, q),
+                         _factor_tables(q, plan.top))
 
 
 def _defects_for(fam: str, n: int) -> Iterator[int]:
@@ -326,26 +361,51 @@ def _defects_for(fam: str, n: int) -> Iterator[int]:
         d += 4 if fam in ("D", "2D") else 2
 
 
-def enumerate_symbols(n: int, fam: str) -> list[SymbolClass]:
-    """All symbol classes of the given rank whose defect matches the family."""
+_Label = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _symbol_labels(n: int, fam: str) -> list[_Label]:
+    """Canonical rows (x, y) of every symbol class of rank n in the family,
+    with the partitions (alpha, beta) they encode, sorted on (defect, x, y).
+
+    For each defect d the bipartitions (alpha, beta) of n - d^2/4 give
+    x = beta-set(alpha, b0 + d) and y = beta-set(beta, b0) with
+    b0 = max(len beta, len alpha - d, 0), so one of the rows lacks 0: the
+    symbol is reduced, and for d > 0 each pair is its own class.  For d = 0
+    the swapped pair gives the same class, and only the order with x >= y
+    (the canonical one) is kept.
+    """
     if fam not in SYMBOL_FAMILIES:
         raise ValueError(f"enumeration is for symbol families, not {fam!r}")
     if n < 1:
         raise ValueError("rank must be >= 1")
-    seen: dict[tuple, SymbolClass] = {}
+    row = lru_cache(maxsize=None)(beta_row)  # one per call: no rows outlive the rank
+    labels: list[_Label] = []
     for d in _defects_for(fam, n):
+        block: list[_Label] = []
         content = n - d * d // 4
         for a_size in range(content + 1):
-            betas = list(partitions_of(content - a_size))
-            for alpha in partitions_of(a_size):
+            betas = list(_partition_tuples(content - a_size, content - a_size))
+            for alpha in _partition_tuples(a_size, a_size):
                 for beta in betas:
-                    b0 = max(len(beta.parts), len(alpha.parts) - d, 0)
-                    sym = Symbol(beta_set(alpha, b0 + d), beta_set(beta, b0))
-                    assert symbol_rank(sym) == n and symbol_defect(sym) == d
-                    cls = canonicalize(sym)
-                    seen[(cls.symbol.X, cls.symbol.Y)] = cls
-    return sorted(seen.values(),
-                  key=lambda c: (symbol_defect(c.symbol), c.symbol.X, c.symbol.Y))
+                    b0 = max(len(beta), len(alpha) - d, 0)
+                    x = row(alpha, b0 + d)
+                    y = row(beta, b0)
+                    if d == 0 and y > x:
+                        continue
+                    if _rows_rank(x, y) != n or len(x) - len(y) != d:
+                        raise ArithmeticError(
+                            f"rows {x}, {y} from {alpha}, {beta} are not of rank {n}, defect {d}")
+                    block.append((x, y, alpha, beta))
+        block.sort()  # on (x, y): distinct rows encode distinct classes
+        labels += block
+    return labels
+
+
+def enumerate_symbols(n: int, fam: str) -> list[SymbolClass]:
+    """All symbol classes of the given rank whose defect matches the family,
+    sorted on (defect, X, Y)."""
+    return [SymbolClass(Symbol._from_valid_rows(x, y)) for x, y, _, _ in _symbol_labels(n, fam)]
 
 
 def steinberg_symbol(n: int, fam: str) -> Symbol:
@@ -411,21 +471,22 @@ def _steinberg_max_partitions(n: int, q_list: tuple[int, ...], fam: str) -> list
 
 def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
     st = canonicalize(steinberg_symbol(n, fam)).symbol
-    others = [(cls, _degree_plan(cls.symbol))
-              for cls in enumerate_symbols(n, fam) if cls.symbol != st]
-    for cls, plan in others:  # every plan shares the (fam, n) order below
-        if (plan.fam, plan.rank) != (fam, n):
-            raise ArithmeticError(f"{cls.symbol} is not a {fam} symbol of rank {n}")
+    plans = [_build_plan(x, y, alpha, beta, fam, n)
+             for x, y, alpha, beta in _symbol_labels(n, fam) if (x, y) != (st.X, st.Y)]
+    top = max((plan.top for plan in plans), default=0)
     out = []
     for q in q_list:
         order = _order_pprime_symbol(fam, n, q)
+        tables = _factor_tables(q, top)
         st_degree = degree_symbol(st, q)
         runner = None
         runner_degree = -1
-        for cls, plan in others:
-            d = plan.evaluate(q, order)
+        for plan in plans:
+            d = plan.evaluate(q, order, tables)
             if d > runner_degree:
-                runner, runner_degree = cls, d
+                runner, runner_degree = plan, d
+        if runner is not None:
+            runner = SymbolClass(Symbol._from_valid_rows(runner.x, runner.y))
         out.append(_steinberg_outcome(st_degree, runner, runner_degree))
     return out
 
@@ -463,10 +524,10 @@ def _transfer_candidates(sym: Symbol) -> Iterator[Symbol]:
     set_x, set_y = set(sym.X), set(sym.Y)
     for v in sym.X:
         if v not in set_y:
-            yield Symbol(tuple(sorted(set_x - {v})), tuple(sorted(set_y | {v})))
+            yield Symbol._from_valid_rows(tuple(sorted(set_x - {v})), tuple(sorted(set_y | {v})))
     for v in sym.Y:
         if v not in set_x:
-            yield Symbol(tuple(sorted(set_x | {v})), tuple(sorted(set_y - {v})))
+            yield Symbol._from_valid_rows(tuple(sorted(set_x | {v})), tuple(sorted(set_y - {v})))
 
 
 def _exchange_candidates(sym: Symbol) -> Iterator[Symbol]:
@@ -486,7 +547,8 @@ def _exchange_candidates(sym: Symbol) -> Iterator[Symbol]:
                     rows2 = (set(mid[0]), set(mid[1]))
                     rows2[r2].discard(v)
                     rows2[r2].add(v + 1)
-                    yield Symbol(tuple(sorted(rows2[0])), tuple(sorted(rows2[1])))
+                    yield Symbol._from_valid_rows(tuple(sorted(rows2[0])),
+                                                  tuple(sorted(rows2[1])))
 
 
 def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
@@ -507,9 +569,10 @@ def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
             continue
         new_x = set_x - {0} | {1}
         if b + 1 in set_x and b not in set_x:
-            yield Symbol(tuple(sorted(new_x - {b + 1} | {b})), y)
+            yield Symbol._from_valid_rows(tuple(sorted(new_x - {b + 1} | {b})), y)
         if b + 1 in set_y and b not in set_y:
-            yield Symbol(tuple(sorted(new_x)), tuple(sorted(set_y - {b + 1} | {b})))
+            yield Symbol._from_valid_rows(tuple(sorted(new_x)),
+                                          tuple(sorted(set_y - {b + 1} | {b})))
 
 
 def stclass_chain(sym: Symbol, q: int, max_steps: int = 10_000) -> list[Symbol]:
@@ -544,8 +607,10 @@ def stclass_chain(sym: Symbol, q: int, max_steps: int = 10_000) -> list[Symbol]:
             if key in seen:
                 continue
             seen.add(key)
-            assert symbol_rank(c_cls) == n
-            assert (symbol_defect(c_cls) % 2 == 1) == (parity == "BC")
+            if (symbol_rank(c_cls) != n
+                    or (symbol_defect(c_cls) % 2 == 1) != (parity == "BC")):
+                raise ArithmeticError(
+                    f"move from {cur_cls} to {c_cls} changes the rank or the defect parity")
             if degree_symbol(c_cls, q) > cur_degree:
                 chosen = cand
                 break
@@ -561,7 +626,7 @@ def stclass_chain(sym: Symbol, q: int, max_steps: int = 10_000) -> list[Symbol]:
 def _chain_candidates(cls_symbol: Symbol) -> Iterator[Symbol]:
     if _is_cuspidal(cls_symbol) and len(cls_symbol.X) >= 1:
         x = cls_symbol.X
-        yield Symbol(x[:-1], (x[-1],))
+        yield Symbol._from_valid_rows(x[:-1], (x[-1],))
     yield from _scripted_main_move(cls_symbol)
     reps = [cls_symbol, cls_symbol.shifted()]
     for rep in reps:

@@ -1,8 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
-from lie_degrees.cli import main, parse_partition
+import pytest
+
+from lie_degrees.cli import COMMANDS, build_parser, command_parser, main, parse_partition
 from lie_degrees.partitions import Partition
 
 
@@ -118,6 +121,33 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
     r = run_cli("epsilon", "cert", "--family", "A", "--rank", "1", "--q", "6")
     assert r.returncode == 2
+
+
+def test_command_parser_matches_the_full_parser():
+    full = build_parser()
+    [subs] = [a.choices for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subs) == list(COMMANDS)
+    for name in COMMANDS:
+        assert command_parser(name).format_help() == subs[name].format_help()
+    for argv in (["degree", "gl", "--partition", "2,2,2", "--q", "3"],
+                 ["degree", "symbol", "--n", "4", "--symbol-family", "D"],
+                 ["verify", "steinberg", "--family", "BC", "--n", "1..4", "--timing"],
+                 ["bmax", "gl", "--n", "3", "--q", "2"],
+                 ["bounds", "--family", "A,B"],
+                 ["epsilon", "an", "--n", "5..7"],
+                 ["epsilon", "cert", "--family", "A", "--rank", "2", "--q", "3"],
+                 ["ratio-search", "--partition", "3,1", "--exclude", "2"]):
+        expected = vars(full.parse_args(argv))
+        assert expected.pop("command") == argv[0]
+        assert vars(command_parser(argv[0]).parse_args(argv[1:])) == expected
+
+
+def test_usage_errors_in_a_command_exit_2(capsys):
+    for argv in (["verify", "everything"], ["bmax", "gl", "--n", "3"], ["degree", "gl", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: lie-degrees {argv[0]} ")
 
 
 def test_main_entry_direct():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lie_degrees import suites, symmetric
+from lie_degrees import maxdegree, suites, symmetric, unipotent
 
 
 def test_fmt_rational():
@@ -40,7 +40,7 @@ def test_check_octuple_closed_form_fails_on_a_wrong_hook_length(monkeypatch):
 
 _OCTUPLE_UNDER_O = textwrap.dedent("""
     import sys
-    from lie_degrees import suites, symmetric
+    from lie_degrees import maxdegree, suites, symmetric, unipotent
     if __debug__:
         sys.exit("not running under python -O")
     broken = symmetric.formal_hook_length
@@ -50,11 +50,71 @@ _OCTUPLE_UNDER_O = textwrap.dedent("""
 """)
 
 
-def test_octuple_check_survives_python_O():
+def _run_under_python_O(source):
     src = os.path.dirname(os.path.dirname(suites.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", _OCTUPLE_UNDER_O],
+    return subprocess.run([sys.executable, "-O", "-c", source],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_octuple_check_survives_python_O():
+    proc = _run_under_python_O(_OCTUPLE_UNDER_O)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_check_stclass_chains_fails_on_a_degree_that_drops_along_a_chain(monkeypatch):
+    assert suites.check_stclass_chains(3, (2,))["verdict"] == "pass"
+    degree = unipotent.degree_symbol  # right on reduced symbols, 0 on the others
+    monkeypatch.setattr(unipotent, "degree_symbol", lambda sym, q: (
+        degree(sym, q) if unipotent.canonicalize(sym).symbol == sym else 0))
+    record = suites.check_stclass_chains(3, (2,))
+    assert record["verdict"] == "fail"
+    assert set(record["witness"]) == {"family", "n", "q", "symbol", "error"}
+
+
+_STCLASS_UNDER_O = textwrap.dedent("""
+    import sys
+    from lie_degrees import suites, unipotent
+    if __debug__:
+        sys.exit("not running under python -O")
+    degree = unipotent.degree_symbol
+    unipotent.degree_symbol = lambda sym, q: (
+        degree(sym, q) if unipotent.canonicalize(sym).symbol == sym else 0)
+    verdict = suites.check_stclass_chains(3, (2,))["verdict"]
+    sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a degree that drops")
+""")
+
+
+def test_stclass_check_survives_python_O():
+    proc = _run_under_python_O(_STCLASS_UNDER_O)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_check_merge_ratios_fails_on_a_wrong_block_weight(monkeypatch):
+    assert suites.check_merge_ratios(6)["verdict"] == "pass"
+    weight = maxdegree._block_weight  # 1/8 of it moves every ratio out of (81/512, 1)
+    monkeypatch.setattr(maxdegree, "_block_weight", lambda q, d, k: weight(q, d, k) / 8)
+    t = maxdegree.CentralizerTypeGL(((1, 2), (1, 1)))
+    with pytest.raises(ArithmeticError, match="not in"):
+        maxdegree.merge_ratio_sl_n_2(t)
+    record = suites.check_merge_ratios(6)
+    assert record["verdict"] == "fail" and set(record["witness"]) == {"type"}
+
+
+_MERGE_UNDER_O = textwrap.dedent("""
+    import sys
+    from lie_degrees import maxdegree, suites
+    if __debug__:
+        sys.exit("not running under python -O")
+    weight = maxdegree._block_weight
+    maxdegree._block_weight = lambda q, d, k: weight(q, d, k) / 8
+    verdict = suites.check_merge_ratios(6)["verdict"]
+    sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a wrong block weight")
+""")
+
+
+def test_merge_ratio_check_survives_python_O():
+    proc = _run_under_python_O(_MERGE_UNDER_O)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -1,13 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_degrees.partitions import Partition, partitions_of
+from lie_degrees import unipotent
+from lie_degrees.partitions import Partition, _partition_tuples, beta_set, partitions_of
 from lie_degrees.unipotent import (
     Symbol,
+    _build_plan,
     _check_row,
+    _symbol_labels,
+    _symbol_plan,
     a_value_gl,
     canonicalize,
     degree_gl,
@@ -67,6 +75,30 @@ def test_degree_gu_closed_forms(q):
         assert degree_gu(Partition((1,) * n), q) == q ** (n * (n - 1) // 2)
     assert degree_gu(Partition((2, 2)), q) == degree_gl(Partition((2, 2)), q)
     assert degree_gu(Partition((2, 1)), q) == q * (q - 1)
+
+
+def _ref_degree_gu(lam, q):
+    """The GU degree as |(-q)^a prod (-q)^i - 1 / prod (-q)^h - 1| in Fractions,
+    with the hooks read from the validating Partition."""
+    from lie_degrees.partitions import hooks
+
+    mq = -q
+    num = 1
+    for i in range(1, lam.n + 1):
+        num *= mq ** i - 1
+    den = 1
+    for h in hooks(Partition(lam.parts)).lengths.values():
+        den *= mq ** h - 1
+    val = Fraction(mq ** a_value_gl(lam) * num, den)
+    assert val.denominator == 1
+    return abs(int(val))
+
+
+def test_degree_gu_matches_fraction_formula():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            for q in (2, 3, 4, 5, 7):
+                assert degree_gu(lam, q) == _ref_degree_gu(lam, q), (lam.parts, q)
 
 
 def test_gl_degrees_specialize_to_sn_dimensions():
@@ -344,6 +376,102 @@ def test_degenerate_only_in_D():
     assert len(degen) == 1 and degen[0].multiplicity == 2
 
 
+def _ref_enumerate_symbols(n, fam):
+    """Every bipartition through the validating Symbol, canonicalize and a
+    dict of the classes seen."""
+    seen = {}
+    for d in unipotent._defects_for(fam, n):
+        content = n - d * d // 4
+        for a_size in range(content + 1):
+            for alpha in partitions_of(a_size):
+                for beta in partitions_of(content - a_size):
+                    b0 = max(len(beta.parts), len(alpha.parts) - d, 0)
+                    sym = Symbol(beta_set(alpha, b0 + d), beta_set(beta, b0))
+                    assert symbol_rank(sym) == n and symbol_defect(sym) == d
+                    cls = canonicalize(sym)
+                    seen[(cls.symbol.X, cls.symbol.Y)] = cls
+    return sorted(seen.values(),
+                  key=lambda c: (symbol_defect(c.symbol), c.symbol.X, c.symbol.Y))
+
+
+def _ref_degree_plan(canon):
+    """(fam, rank, a, two_power, sorted minus, sorted plus) from symbol_stats."""
+    stats = symbol_stats(canon)
+    return (family_of_defect(stats.defect), stats.rank, stats.a, symbol_two_power(canon),
+            sorted(c - b for b, c in stats.hooks),
+            sorted(c - b for b, c in stats.cohooks if c > b))
+
+
+def _plan_key(plan):
+    return (plan.fam, plan.rank, plan.a, plan.two_power, sorted(plan.minus), sorted(plan.plus))
+
+
+def test_enumeration_and_plans_match_reference():
+    for fam in ("BC", "D", "2D"):
+        for n in range(1, 11):
+            classes = enumerate_symbols(n, fam)
+            assert classes == _ref_enumerate_symbols(n, fam), (fam, n)
+            labels = _symbol_labels(n, fam)
+            assert [(x, y) for x, y, _, _ in labels] == [(c.symbol.X, c.symbol.Y) for c in classes]
+            for x, y, alpha, beta in labels:
+                plan = _build_plan(x, y, alpha, beta, fam, n)
+                assert _plan_key(plan) == _ref_degree_plan(Symbol(x, y)), (x, y)
+                assert _plan_key(_symbol_plan(x, y)) == _plan_key(plan)
+
+
+def test_built_rows_are_valid_and_canonical():
+    for fam in ("BC", "D", "2D"):
+        for n in range(1, 11):
+            for x, y, alpha, beta in _symbol_labels(n, fam):
+                sym = Symbol(x, y)  # the validating constructor
+                assert (sym.X, sym.Y) == (x, y)
+                assert canonicalize(sym).symbol == sym
+                assert beta_set(Partition(alpha), len(x)) == x
+                assert beta_set(Partition(beta), len(y)) == y
+
+
+partition_parts = st.integers(0, 7).flatmap(
+    lambda k: st.sampled_from(list(_partition_tuples(k, k))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_parts, partition_parts, st.integers(0, 7))
+def test_tuple_plan_matches_symbol_stats_plan(alpha, beta, d):
+    b0 = max(len(beta), len(alpha) - d, 0)
+    x = beta_set(Partition(alpha), b0 + d)
+    y = beta_set(Partition(beta), b0)
+    sym = Symbol(x, y)
+    rank = symbol_rank(sym)
+    if rank < 1:
+        return
+    plan = _build_plan(x, y, alpha, beta, family_of_defect(d), rank)
+    assert _plan_key(plan) == _ref_degree_plan(sym)
+    assert _plan_key(plan) == _ref_degree_plan(canonicalize(sym).symbol)
+
+
+_ENUMERATION_UNDER_O = textwrap.dedent("""
+    import sys
+    from lie_degrees import unipotent
+    if __debug__:
+        sys.exit("not running under python -O")
+    row = unipotent.beta_row
+    unipotent.beta_row = lambda parts, size: tuple(v + 1 for v in row(parts, size))
+    try:
+        unipotent.enumerate_symbols(4, "BC")
+    except ArithmeticError:
+        sys.exit(0)
+    sys.exit("no ArithmeticError for rows of the wrong rank")
+""")
+
+
+def test_enumeration_rank_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(unipotent.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _ENUMERATION_UNDER_O],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Steinberg maximality and chains
 # ---------------------------------------------------------------------------
@@ -439,3 +567,10 @@ def test_chain_preserves_rank_and_parity():
         assert symbol_rank(s) == 2 and symbol_defect(s) % 2 == 1
     degs = [degree_symbol(s, 2) for s in chain]
     assert all(a < b for a, b in zip(degs, degs[1:]))
+
+
+def test_chain_rejects_a_move_that_changes_the_rank(monkeypatch):
+    monkeypatch.setattr(unipotent, "_chain_candidates",
+                        lambda sym: iter([Symbol((0, 7), (1,))]))
+    with pytest.raises(ArithmeticError, match="rank"):
+        stclass_chain(Symbol((0, 2), (1,)), 2)
