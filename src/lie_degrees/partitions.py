@@ -311,20 +311,26 @@ def _odd_hook_cells(beta: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def odd_hook_cells(lam: Partition) -> list[tuple[int, int]]:
     """ceil(n/2) distinct beta-set hooks of odd length with i-th length <= 2i-1."""
-    cells = _odd_hook_cells(beta_set(lam))
-    members = set(beta_set(lam))
+    beta = beta_set(lam)
+    members = set(beta)
+    cells = _odd_hook_cells(beta)
     for b, c in cells:  # each returned pair must be a genuine hook
-        assert c in members and b not in members and 0 <= b < c
-    assert len(set(cells)) == len(cells)
+        if not (c in members and b not in members and 0 <= b < c):
+            raise ArithmeticError(f"({b}, {c}) is not a hook of the beta-set of {lam}")
+    if len(set(cells)) != len(cells):
+        raise ArithmeticError(f"the odd hooks {cells} of {lam} repeat a cell")
     return cells
 
 
 def odd_hook_sequence(lam: Partition) -> list[int]:
     """Sorted lengths of the odd-hook family produced by the 2-core descent."""
     lengths = sorted(c - b for b, c in odd_hook_cells(lam))
-    assert len(lengths) == (lam.n + 1) // 2
-    assert all(l % 2 == 1 for l in lengths)
-    assert all(l <= 2 * i - 1 for i, l in enumerate(lengths, start=1))
+    if len(lengths) != (lam.n + 1) // 2:
+        raise ArithmeticError(f"{len(lengths)} odd hooks of {lam}, not ceil(n/2)")
+    if any(l % 2 == 0 for l in lengths):
+        raise ArithmeticError(f"an odd-hook length of {lam} is even: {lengths}")
+    if any(l > 2 * i - 1 for i, l in enumerate(lengths, start=1)):
+        raise ArithmeticError(f"the odd-hook lengths {lengths} of {lam} exceed 2i - 1")
     return lengths
 
 

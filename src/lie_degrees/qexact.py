@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 
@@ -386,7 +387,13 @@ def log_base_interval(x, base: int, terms: int = 28) -> RationalInterval:
     """Certified enclosure of log_base(x) for rational x > 0 and integer base >= 2."""
     if base < 2:
         raise ValueError("base must be >= 2")
-    return ln_interval(x, terms) / ln_interval(base, terms)
+    return ln_interval(x, terms) / _ln_base(base, terms)
+
+
+@lru_cache(maxsize=64)
+def _ln_base(base: int, terms: int) -> RationalInterval:
+    """ln_interval of an integer base, shared by every log_base_interval call."""
+    return ln_interval(base, terms)
 
 
 def pow_interval(ival: RationalInterval, exponent, terms: int = 28) -> RationalInterval:

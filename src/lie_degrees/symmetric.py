@@ -65,6 +65,17 @@ def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
     return out
 
 
+def downup_moves(parts: tuple[int, ...]) -> list[DownUpMove]:
+    """The moves of downup_neighborhood, in the same order, without building
+    the diagrams they lead to."""
+    out = []
+    for rem in removable_nodes(parts):
+        i, j = rem
+        mid = parts[:-1] if j == 1 else parts[:i - 1] + (j - 1,) + parts[i:]
+        out += [DownUpMove(rem, add) for add in addable_nodes(mid)]
+    return out
+
+
 def _cross_hook(lam: Partition, remove: Node, add: Node) -> int:
     """Hook length of lam at the unique diagram cell where the removed node's
     row/column meets the added node's column/row.
@@ -73,7 +84,8 @@ def _cross_hook(lam: Partition, remove: Node, add: Node) -> int:
     exactly one of the two meets lies in the diagram.
     """
     node = Node(add.i, remove.j) if add.i < remove.i else Node(remove.i, add.j)
-    assert lam.contains(node), (lam, remove, add)
+    if not lam.contains(node):
+        raise ArithmeticError(f"cross cell {node} of {remove} and {add} is outside {lam}")
     return formal_hook_length(lam, node)
 
 
@@ -99,7 +111,9 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
                   min(move.first.add.j, move.second.add.j))
     b_node = Node(min(move.first.remove.i, move.second.remove.i),
                   min(move.first.remove.j, move.second.remove.j))
-    assert lam.contains(a_node) and lam.contains(b_node)
+    for node in (a_node, b_node):
+        if not lam.contains(node):
+            raise ArithmeticError(f"meet {node} of the octuple {move} is outside {lam}")
     a = formal_hook_length(lam, a_node)
     b = formal_hook_length(lam, b_node)
     c = _cross_hook(lam, move.first.remove, move.second.add)

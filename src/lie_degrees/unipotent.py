@@ -20,6 +20,14 @@ against one table of q^k - 1 and q^k + 1 with one checked exact division.
 degree_symbol caches the plan per canonical row pair; the Steinberg sweep in
 verify_steinberg_max builds the plans of one rank, evaluates them for every q
 in its list and keeps none of them afterwards.
+
+A degree-increasing chain (stclass_chain) walks from a symbol class to a
+Steinberg class, and its next step depends only on the current class and q
+(_chain_step).  So _chain_forest takes that step once per non-Steinberg class
+of one rank and defect parity at one q -- D and 2D together, since chains
+cross between them -- and keeps the successor or the error; a chain from any
+class is then read from the forest (_forest_chain), with the same symbols
+and the same errors as stclass_chain.
 """
 
 from __future__ import annotations
@@ -429,17 +437,23 @@ def steinberg_symbol(n: int, fam: str) -> Symbol:
     raise ValueError(f"no Steinberg symbol for family {fam!r}")
 
 
-def _steinberg_classes(n: int, parity: str) -> set[tuple]:
-    """Canonical Steinberg classes acceptable for a chain endpoint."""
+_Rows = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _canonical_rows(sym: Symbol) -> _Rows:
+    cls = canonicalize(sym).symbol
+    return cls.X, cls.Y
+
+
+@lru_cache(maxsize=256)
+def _steinberg_classes(n: int, parity: str) -> frozenset[_Rows]:
+    """Canonical rows of the Steinberg classes acceptable for a chain endpoint,
+    for defect parity "BC" (odd) or "even" (D and 2D)."""
     if parity == "BC":
-        cls = canonicalize(steinberg_symbol(n, "BC")).symbol
-        return {(cls.X, cls.Y)}
-    out = set()
-    for fam in ("D", "2D"):
-        if n >= 2:
-            cls = canonicalize(steinberg_symbol(n, fam)).symbol
-            out.add((cls.X, cls.Y))
-    return out
+        fams: tuple[str, ...] = ("BC",)
+    else:
+        fams = ("D", "2D") if n >= 2 else ()
+    return frozenset(_canonical_rows(steinberg_symbol(n, fam)) for fam in fams)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +589,49 @@ def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
                                           tuple(sorted(set_y - {b + 1} | {b})))
 
 
-def stclass_chain(sym: Symbol, q: int, max_steps: int = 10_000) -> list[Symbol]:
+_Step = tuple[Symbol, _Rows]  # a chosen candidate and the canonical rows of its class
+_MAX_STEPS = 10_000
+
+
+def _chain_step(rows: _Rows, q: int, n: int, parity: str) -> _Step:
+    """One step of stclass_chain from the class with canonical rows `rows`, of
+    rank n and defect parity "BC" (odd) or "even": the first candidate move,
+    in _chain_candidates order and skipping repeated classes, whose degree at
+    q exceeds the current one, with the canonical rows of its class."""
+    cur_cls = Symbol._from_valid_rows(*rows)
+    cur_degree = degree_symbol(cur_cls, q)
+    seen = {rows}
+    for cand in _chain_candidates(cur_cls):
+        c_cls = canonicalize(cand).symbol
+        key = (c_cls.X, c_cls.Y)
+        if key in seen:
+            continue
+        seen.add(key)
+        if (symbol_rank(c_cls) != n
+                or (symbol_defect(c_cls) % 2 == 1) != (parity == "BC")):
+            raise ArithmeticError(
+                f"move from {cur_cls} to {c_cls} changes the rank or the defect parity")
+        if degree_symbol(c_cls, q) > cur_degree:
+            return cand, key
+    raise ArithmeticError(
+        f"no degree-increasing move from {cur_cls} at q={q}; "
+        "this would contradict Steinberg maximality")
+
+
+def _walk_chain(sym: Symbol, rows: _Rows, targets: frozenset, step,
+                max_steps: int) -> list[Symbol]:
+    """sym (with canonical rows `rows`) followed by the candidates that
+    step(rows) -> (candidate, its canonical rows) chooses, up to a target class."""
+    chain = [sym]
+    for _ in range(max_steps):
+        if rows in targets:
+            return chain
+        cand, rows = step(rows)
+        chain.append(cand)
+    raise ArithmeticError(f"chain from {sym} did not terminate in {max_steps} steps")
+
+
+def stclass_chain(sym: Symbol, q: int, max_steps: int = _MAX_STEPS) -> list[Symbol]:
     """A chain of symbols from sym to a Steinberg symbol, degree strictly
     increasing at each step, with rank and defect parity preserved.
 
@@ -588,39 +644,45 @@ def stclass_chain(sym: Symbol, q: int, max_steps: int = 10_000) -> list[Symbol]:
         raise ValueError("q must be >= 2")
     n = symbol_rank(sym)
     parity = "BC" if symbol_defect(sym) % 2 == 1 else "even"
-    targets = _steinberg_classes(n, "BC" if parity == "BC" else "even")
-    cur = sym
-    cur_cls = canonicalize(cur).symbol
-    if (cur_cls.X, cur_cls.Y) in targets:
+    targets = _steinberg_classes(n, parity)
+    rows = _canonical_rows(sym)
+    if rows in targets:
         raise ValueError(f"{sym} already labels the Steinberg character")
-    chain = [sym]
-    for _ in range(max_steps):
-        cur_cls = canonicalize(cur).symbol
-        if (cur_cls.X, cur_cls.Y) in targets:
-            return chain
-        cur_degree = degree_symbol(cur_cls, q)
-        seen: set[tuple] = {(cur_cls.X, cur_cls.Y)}
-        chosen = None
-        for cand in _chain_candidates(cur_cls):
-            c_cls = canonicalize(cand).symbol
-            key = (c_cls.X, c_cls.Y)
-            if key in seen:
+    return _walk_chain(sym, rows, targets, lambda r: _chain_step(r, q, n, parity), max_steps)
+
+
+def _chain_forest(n: int, parity: str, q: int) -> dict[_Rows, _Step | ArithmeticError]:
+    """The step of stclass_chain at q from every non-Steinberg class of rank n
+    and defect parity "BC" (odd) or "even" (D and 2D together, since chains
+    cross between them), keyed on canonical rows: the (candidate, canonical
+    rows) that _chain_step chooses, or the ArithmeticError it raises."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    targets = _steinberg_classes(n, parity)
+    forest: dict[_Rows, _Step | ArithmeticError] = {}
+    for fam in ("BC",) if parity == "BC" else ("D", "2D"):
+        for x, y, _, _ in _symbol_labels(n, fam):
+            if (x, y) in targets:
                 continue
-            seen.add(key)
-            if (symbol_rank(c_cls) != n
-                    or (symbol_defect(c_cls) % 2 == 1) != (parity == "BC")):
-                raise ArithmeticError(
-                    f"move from {cur_cls} to {c_cls} changes the rank or the defect parity")
-            if degree_symbol(c_cls, q) > cur_degree:
-                chosen = cand
-                break
-        if chosen is None:
-            raise ArithmeticError(
-                f"no degree-increasing move from {cur_cls} at q={q}; "
-                "this would contradict Steinberg maximality")
-        chain.append(chosen)
-        cur = chosen
-    raise ArithmeticError(f"chain from {sym} did not terminate in {max_steps} steps")
+            try:
+                forest[(x, y)] = _chain_step((x, y), q, n, parity)
+            except ArithmeticError as exc:
+                forest[(x, y)] = exc
+    return forest
+
+
+def _forest_chain(forest: dict, sym: Symbol, targets: frozenset) -> list[Symbol]:
+    """stclass_chain(sym, q) read from _chain_forest(n, parity, q): the same
+    symbols, and the same ArithmeticError where a step on the way raised one."""
+    def step(rows: _Rows) -> _Step:
+        out = forest.get(rows)
+        if out is None:
+            raise ArithmeticError(f"{Symbol._from_valid_rows(*rows)} is not a class of the forest")
+        if isinstance(out, ArithmeticError):
+            raise out
+        return out
+
+    return _walk_chain(sym, _canonical_rows(sym), targets, step, _MAX_STEPS)
 
 
 def _chain_candidates(cls_symbol: Symbol) -> Iterator[Symbol]:

@@ -280,3 +280,15 @@ def test_exp_interval_contains_mpmath_exp(x):
         ref = _mp_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
     for terms in (10, 26):
         assert exp_interval(x, terms).contains(ref)
+
+
+def test_log_base_interval_takes_ln_of_the_base_once(monkeypatch):
+    args = [(x, base) for base in (2, 3, 5) for x in (Fraction(7, 3), 10, 41, Fraction(1, 9))]
+    expected = [ln_interval(x) / ln_interval(base) for x, base in args]
+    qexact._ln_base.cache_clear()
+    ln = qexact.ln_interval
+    seen = []
+    monkeypatch.setattr(qexact, "ln_interval", lambda x, terms=28: seen.append(x) or ln(x, terms))
+    assert [log_base_interval(x, base) for x, base in args] == expected
+    assert [seen.count(base) for base in (2, 3, 5)] == [1, 1, 1]
+    qexact._ln_base.cache_clear()

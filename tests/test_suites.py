@@ -90,6 +90,105 @@ def test_stclass_check_survives_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def _per_chain_stclass_check(rank_max, q_list):
+    """The chain check as it was before the step forest: one stclass_chain
+    per (class, q), degrees of the chain's symbols as stored."""
+    failures = []
+    chains = 0
+    for fam in ("BC", "D", "2D"):
+        for n in range(2 if fam != "BC" else 1, rank_max + 1):
+            targets = unipotent._steinberg_classes(n, "BC" if fam == "BC" else "even")
+            for cls in unipotent.enumerate_symbols(n, fam):
+                if (cls.symbol.X, cls.symbol.Y) in targets:
+                    continue
+                for q in q_list:
+                    try:
+                        chain = unipotent.stclass_chain(cls.symbol, q)
+                        degs = [unipotent.degree_symbol(s, q) for s in chain]
+                    except ArithmeticError as exc:
+                        error = str(exc)
+                    else:
+                        if all(a < b for a, b in zip(degs, degs[1:])):
+                            chains += 1
+                            continue
+                        error = f"degrees {degs} along the chain do not increase"
+                    failures.append({"family": fam, "n": n, "q": q,
+                                     "symbol": [cls.symbol.X, cls.symbol.Y],
+                                     "error": error})
+    return {"verdict": "pass" if not failures else "fail",
+            "witness": failures[0] if failures else None,
+            "values": {"chains": chains}, "failures": len(failures)}
+
+
+def _stclass_outcome(record):
+    return {k: record[k] for k in ("verdict", "witness", "values")}
+
+
+def test_stclass_forest_check_matches_the_per_chain_check(monkeypatch):
+    expected = _per_chain_stclass_check(5, (2, 3))
+    assert expected["verdict"] == "pass"
+    assert _stclass_outcome(suites.check_stclass_chains(5, (2, 3))) == _stclass_outcome(expected)
+    # a 2D class of rank 5 that D chains cross into; no move is offered from it
+    blocked = ((1, 2, 3, 4), (0, 1))
+    candidates = unipotent._chain_candidates
+    monkeypatch.setattr(unipotent, "_chain_candidates", lambda sym: (
+        iter(()) if (sym.X, sym.Y) == blocked else candidates(sym)))
+    expected = _per_chain_stclass_check(5, (2, 3))
+    record = suites.check_stclass_chains(5, (2, 3))
+    assert expected["failures"] > 1 and expected["witness"]["family"] == "D"
+    assert expected["witness"]["symbol"] != list(blocked)
+    assert expected["witness"]["error"].startswith(
+        "no degree-increasing move from Symbol((1, 2, 3, 4), (0, 1))")
+    assert _stclass_outcome(record) == _stclass_outcome(expected)
+
+
+_ASSERTS_UNDER_O = textwrap.dedent("""
+    import sys
+    from lie_degrees import partitions, symmetric
+    from lie_degrees.partitions import Node, Partition
+    from lie_degrees.symmetric import DownUpMove, OctupleMove
+    if __debug__:
+        sys.exit("not running under python -O")
+
+    def raises(call, text):
+        try:
+            call()
+        except ArithmeticError as exc:
+            if text not in str(exc):
+                sys.exit(f"wrong error: {exc}")
+        else:
+            sys.exit(f"no ArithmeticError ({text})")
+
+    lam = Partition((3, 1))
+    cells = partitions._odd_hook_cells
+    partitions._odd_hook_cells = lambda beta: cells(beta) * 2
+    raises(lambda: partitions.odd_hook_cells(lam), "repeat a cell")
+    partitions._odd_hook_cells = lambda beta: [(1, 1)]
+    raises(lambda: partitions.odd_hook_cells(lam), "is not a hook")
+    partitions._odd_hook_cells = cells
+    hooks = partitions.odd_hook_cells
+    partitions.odd_hook_cells = lambda lam: hooks(lam)[1:]
+    raises(lambda: partitions.odd_hook_sequence(lam), "not ceil(n/2)")
+    partitions.odd_hook_cells = lambda lam: [(0, 2), (1, 2)]
+    raises(lambda: partitions.odd_hook_sequence(lam), "is even")
+    partitions.odd_hook_cells = lambda lam: [(0, 3), (1, 4)]
+    raises(lambda: partitions.odd_hook_sequence(lam), "exceed 2i - 1")
+    partitions.odd_hook_cells = hooks
+    assert partitions.odd_hook_sequence(lam) == [1, 3]
+
+    one = Partition((1,))
+    raises(lambda: symmetric._cross_hook(one, Node(1, 1), Node(3, 3)), "cross cell Node(i=1, j=3)")
+    symmetric.apply_downup = lambda lam, move: lam  # lets moves off the diagram through
+    far = OctupleMove(DownUpMove(Node(5, 5), Node(6, 6)), DownUpMove(Node(7, 7), Node(8, 8)))
+    raises(lambda: symmetric.octuple_ratio(one, far), "meet Node(i=6, j=6)")
+""")
+
+
+def test_hook_and_octuple_verdicts_survive_python_O():
+    proc = _run_under_python_O(_ASSERTS_UNDER_O)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_check_merge_ratios_fails_on_a_wrong_block_weight(monkeypatch):
     assert suites.check_merge_ratios(6)["verdict"] == "pass"
     weight = maxdegree._block_weight  # 1/8 of it moves every ratio out of (81/512, 1)

@@ -277,3 +277,9 @@ def test_epsilon_an_at_least_one_report():
             below.append(n)
     if below:  # pragma: no cover - would indicate surprising new data
         warnings.warn(f"epsilon(A_n) < 1 for n in {below}")
+
+
+def test_downup_moves_match_the_neighborhood():
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            assert symmetric.downup_moves(lam.parts) == [m for m, _ in downup_neighborhood(lam)]

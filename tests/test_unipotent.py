@@ -574,3 +574,35 @@ def test_chain_rejects_a_move_that_changes_the_rank(monkeypatch):
                         lambda sym: iter([Symbol((0, 7), (1,))]))
     with pytest.raises(ArithmeticError, match="rank"):
         stclass_chain(Symbol((0, 2), (1,)), 2)
+
+
+def test_forest_chains_match_stclass_chain():
+    # every class of rank <= 7 in BC, D and 2D: the chain read from the shared
+    # per-(rank, parity, q) forest is the chain stclass_chain builds step by step
+    forests = {}
+    walked = 0
+    for fam in ("BC", "D", "2D"):
+        parity = "BC" if fam == "BC" else "even"
+        for n in range(1 if fam == "BC" else 2, 8):
+            targets = unipotent._steinberg_classes(n, parity)
+            for cls in enumerate_symbols(n, fam):
+                if (cls.symbol.X, cls.symbol.Y) in targets:
+                    continue
+                for q in (2, 3, 5):
+                    if (n, parity, q) not in forests:
+                        forests[n, parity, q] = unipotent._chain_forest(n, parity, q)
+                    chain = unipotent._forest_chain(forests[n, parity, q], cls.symbol, targets)
+                    assert chain == stclass_chain(cls.symbol, q)
+                    walked += 1
+    starts = sum(len(enumerate_symbols(n, fam)) - 1
+                 for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, 8))
+    assert walked == 3 * starts
+
+
+def test_steinberg_classes_are_cached_frozensets():
+    for parity in ("BC", "even"):
+        got = unipotent._steinberg_classes(4, parity)
+        assert isinstance(got, frozenset) and got is unipotent._steinberg_classes(4, parity)
+    assert unipotent._steinberg_classes(4, "even") == {
+        (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)).symbol for f in ("D", "2D"))}
+    assert unipotent._steinberg_classes(1, "even") == frozenset()
