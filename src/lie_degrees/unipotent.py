@@ -679,7 +679,7 @@ def _forest_chain(forest: dict, sym: Symbol, targets: frozenset) -> list[Symbol]
         if out is None:
             raise ArithmeticError(f"{Symbol._from_valid_rows(*rows)} is not a class of the forest")
         if isinstance(out, ArithmeticError):
-            raise out
+            raise out.with_traceback(None)  # shared by every chain through this class
         return out
 
     return _walk_chain(sym, _canonical_rows(sym), targets, step, _MAX_STEPS)
