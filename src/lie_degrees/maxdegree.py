@@ -394,13 +394,21 @@ def bound_bracket_intervals(spec: GroupSpec, terms: int = 28) -> tuple[RationalI
     B/C/D/2D, q even: max(1, (1/5) log_q(n+17)^{3/8})
          <= c <= 8 (1+log_q(2n+1))^{1.27}
     """
-    n, q = spec.n, spec.q
+    kind = spec.family if spec.family in ("A", "2A") else "BCD"
+    return _bracket_intervals(kind, spec.n, spec.q, terms)
+
+
+@lru_cache(maxsize=4096)
+def _bracket_intervals(kind: str, n: int, q: int,
+                       terms: int) -> tuple[RationalInterval, RationalInterval]:
+    """bound_bracket_intervals for "A", "2A" or "BCD" (one bracket for
+    B, C, D and 2D), cached: the intervals are frozen."""
     one = RationalInterval.point(1)
-    if spec.family == "A":
+    if kind == "A":
         lo_arg = Fraction(n - 1) * (1 - Fraction(1, q)) + q * q
         lower = pow_interval(log_base_interval(lo_arg, q, terms), Fraction(3, 4), terms) * Fraction(1, 4)
         upper = pow_interval(log_base_interval(n * (q - 1) + q, q, terms), Fraction(254, 100), terms) * 13
-    elif spec.family == "2A":
+    elif kind == "2A":
         lo_arg = Fraction(n - 1) * (1 - Fraction(1, q * q)) + q ** 4
         lower = pow_interval(log_base_interval(lo_arg, q, terms), Fraction(2, 5), terms) * Fraction(1, 4)
         upper = pow_interval(log_base_interval(n * (q * q - 1) + q * q, q, terms), Fraction(127, 100), terms) * 2

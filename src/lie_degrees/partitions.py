@@ -7,11 +7,14 @@ node (i, j) belongs to the diagram iff j <= parts[i-1].
 `Partition` validates its parts only in the public constructor. The hot paths
 (hook lengths, S_n degrees, down-up moves, enumeration) work on the plain part
 tuples and build their results with `Partition._from_valid_parts`, because
-those results are valid by construction.
+those results are valid by construction. S_n degrees come from `hook_product`,
+which reads the product of all hook lengths off the first-column hooks without
+listing the hooks; `hook_lengths` lists them for `hooks()` and the q-analogues.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -128,9 +131,28 @@ def hook_multiset(lam: Partition) -> tuple[int, ...]:
     return tuple(sorted(hooks(lam).lengths.values()))
 
 
+def hook_product(parts: tuple[int, ...]) -> int:
+    """Product of the hook lengths of the diagram with these (weakly
+    decreasing, positive) parts, from its first-column hooks
+    beta_i = parts_i + l - i:  prod beta_i! / prod_{i<j} (beta_i - beta_j)
+    (Macdonald, Symmetric Functions, I.1 Ex. 1).
+
+    The conjugate diagram has the same hooks, so the shape with fewer rows is
+    used: the Vandermonde product has l(l - 1)/2 factors."""
+    if parts and len(parts) > parts[0]:
+        parts = _column_heights(parts)
+    betas = list(map(operator.add, parts, range(len(parts) - 1, -1, -1)))
+    num = math.prod(map(math.factorial, betas))
+    den = math.prod(itertools.starmap(operator.sub, itertools.combinations(betas, 2)))
+    product, rest = divmod(num, den)
+    if rest:  # impossible for strictly decreasing first-column hooks
+        raise ArithmeticError(f"the Vandermonde product {den} of {parts} does not divide {num}")
+    return product
+
+
 @lru_cache(maxsize=200_000)
 def _sym_degree(parts: tuple[int, ...]) -> int:
-    product = math.prod(hook_lengths(parts))
+    product = hook_product(parts)
     n = sum(parts)
     degree, rest = divmod(math.factorial(n), product)
     if rest:  # impossible for a genuine hook table

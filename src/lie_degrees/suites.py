@@ -32,6 +32,19 @@ def fmt_rational(x: Fraction) -> dict:
     return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": str(dec)}
 
 
+def json_safe_ints(obj):
+    """obj with every int of absolute value >= 2^53 turned into its decimal
+    string, through dicts, lists and tuples, so JSON readers that parse
+    numbers as doubles lose no digits (bools are ints below 2^53)."""
+    if isinstance(obj, dict):
+        return {k: json_safe_ints(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe_ints(v) for v in obj]
+    if isinstance(obj, int) and abs(obj) >= 2 ** 53:
+        return str(obj)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -280,10 +293,10 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
         picked = None
         for m1 in moves[:8]:
             for m2 in moves[:8]:
-                iset = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
-                jset = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
-                if len(iset) == 4 and len(jset) == 4:
-                    picked = (m1, m2)
+                (r1, a1), (r2, a2) = m1, m2
+                if (len({r1.i, a1.i, r2.i, a2.i}) == 4
+                        and len({r1.j, a1.j, r2.j, a2.j}) == 4):
+                    picked = (symmetric.DownUpMove(*m1), symmetric.DownUpMove(*m2))
                     break
             if picked:
                 break
@@ -606,7 +619,7 @@ class SuiteReport:
         }
         doc = {"schema": SCHEMA, "config": self.config,
                "checks": checks, "summary": summary}
-        return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+        return json.dumps(json_safe_ints(doc), indent=2, sort_keys=True, default=str) + "\n"
 
     def to_csv(self, timing: bool = False) -> str:
         import csv
@@ -745,6 +758,5 @@ def render_table(header: list[str], rows: list[list], fmt: str, kind: str) -> st
         writer.writerows(rows)
         return buf.getvalue()
     doc = {"schema": SCHEMA, "kind": kind, "columns": header,
-           "rows": [[str(v) if isinstance(v, int) and abs(v) >= 2 ** 53 else v
-                     for v in row] for row in rows]}
+           "rows": json_safe_ints(rows)}
     return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"

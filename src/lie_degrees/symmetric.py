@@ -5,11 +5,14 @@ node and adding one back; summing their degrees recovers n * deg(Delta).
 Octuple moves combine two coordinate-disjoint down-up moves; the degree ratio
 they produce has a closed form in two hook lengths of Delta, which is checked
 against the direct hook-product ratio on every call.
+
+The sweeps (ratio witnesses, degree lists) walk plain part tuples and score
+each diagram with the cached `partitions._sym_degree`; a `Partition` or a
+`DownUpMove` is built only for what a function returns or validates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,15 +20,16 @@ from functools import cached_property
 from .partitions import (
     Node,
     Partition,
+    _column_heights,
+    _partition_tuples,
+    _sym_degree,
     add_node,
     addable_nodes,
     formal_hook_length,
-    hook_lengths,
-    partitions_of,
+    hook_product,
     remove_node,
     removable_nodes,
     sym_degree,
-    transpose,
 )
 
 
@@ -65,14 +69,18 @@ def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
     return out
 
 
-def downup_moves(parts: tuple[int, ...]) -> list[DownUpMove]:
-    """The moves of downup_neighborhood, in the same order, without building
-    the diagrams they lead to."""
+def _removed(parts: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """parts with the removable node (i, j) taken away."""
+    return parts[:-1] if j == 1 else parts[:i - 1] + (j - 1,) + parts[i:]
+
+
+def downup_moves(parts: tuple[int, ...]) -> list[tuple[Node, Node]]:
+    """The (remove, add) node pairs of downup_neighborhood's moves, in the
+    same order, without building the moves or the diagrams they lead to."""
     out = []
     for rem in removable_nodes(parts):
-        i, j = rem
-        mid = parts[:-1] if j == 1 else parts[:i - 1] + (j - 1,) + parts[i:]
-        out += [DownUpMove(rem, add) for add in addable_nodes(mid)]
+        mid = _removed(parts, *rem)
+        out += [(rem, add) for add in addable_nodes(mid)]
     return out
 
 
@@ -101,11 +109,8 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
     d12 = apply_downup(lam, move.first)  # validates move.first against lam
     d34 = apply_downup(lam, move.second)
     d1234 = apply_downup(d12, move.second)
-
-    def product(mu: Partition) -> int:
-        return math.prod(hook_lengths(mu.parts))
-
-    direct = Fraction(product(lam) * product(d1234), product(d12) * product(d34))
+    num = hook_product(lam.parts) * hook_product(d1234.parts)
+    den = hook_product(d12.parts) * hook_product(d34.parts)
 
     a_node = Node(min(move.first.add.i, move.second.add.i),
                   min(move.first.add.j, move.second.add.j))
@@ -118,14 +123,12 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
     b = formal_hook_length(lam, b_node)
     c = _cross_hook(lam, move.first.remove, move.second.add)
     d = _cross_hook(lam, move.second.remove, move.first.add)
-    closed = (Fraction(a * (a + 2), (a + 1) ** 2)
-              * Fraction(b * (b - 2), (b - 1) ** 2)
-              * Fraction(c * c, c * c - 1)
-              * Fraction(d * d, d * d - 1))
-    if closed != direct:
-        raise ArithmeticError(f"closed form {closed} != direct ratio {direct} "
-                              f"for {lam}, {move}")
-    return direct
+    closed_num = a * (a + 2) * b * (b - 2) * c * c * d * d
+    closed_den = (a + 1) ** 2 * (b - 1) ** 2 * (c * c - 1) * (d * d - 1)
+    if closed_den == 0 or closed_num * den != num * closed_den:
+        raise ArithmeticError(f"closed form {closed_num}/{closed_den} != direct ratio "
+                              f"{Fraction(num, den)} for {lam}, {move}")
+    return Fraction(num, den)
 
 
 def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> Partition | None:
@@ -138,24 +141,32 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
     if delta <= 0:
         raise ValueError("delta must be positive")
     excluded = {Fraction(s) for s in excluded}
-    base = sym_degree(lam)
+    parts = lam.parts
+    if not parts:
+        raise ValueError("need a non-empty partition")
+    base = _sym_degree(parts)
 
     def hit(d: int) -> bool:  # d/base >= delta, and d/base not excluded
         return (d * delta.denominator >= delta.numerator * base
                 and Fraction(d, base) not in excluded)
 
-    neigh = downup_neighborhood(lam)
-    # |d/base - 1| = |d - base|/base with base > 0 fixed: integer keys, same order
+    # |d/base - 1| = |d - base|/base with base > 0 fixed: integer keys; no two
+    # entries share (remove, add), so the trailing degree is never compared
     scored = []
-    for move, gamma in neigh:
-        d = sym_degree(gamma)
-        scored.append((-abs(d - base), gamma.parts, move.remove, move.add, d, gamma))
-    scored.sort(key=lambda t: t[:4])
-    for *_, d, gamma in scored:
+    for rem in removable_nodes(parts):
+        mid = _removed(parts, *rem)
+        for add in addable_nodes(mid):
+            i, j = add
+            gamma = mid[:i - 1] + (j,) + mid[i:]
+            d = _sym_degree(gamma)
+            scored.append((-abs(d - base), gamma, rem, add, d))
+    scored.sort()
+    for _, gamma, _, _, d in scored:
         if hit(d):
-            return gamma
-    for m1, _ in neigh:
-        for m2, _ in neigh:
+            return Partition._from_valid_parts(gamma)
+    moves = [DownUpMove(*m) for m in downup_moves(parts)]
+    for m1 in moves:
+        for m2 in moves:
             i_coords = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
             j_coords = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
             if len(i_coords) != 4 or len(j_coords) != 4:
@@ -204,9 +215,11 @@ class DegreeMultiset:
 
 def sym_degrees(n: int) -> DegreeMultiset:
     """All S_n irreducible degrees with multiplicity."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     counts: dict[int, int] = {}
-    for lam in partitions_of(n):
-        d = sym_degree(lam)
+    for parts in _partition_tuples(n, n):
+        d = _sym_degree(parts)
         counts[d] = counts.get(d, 0) + 1
     return DegreeMultiset.from_dict(counts)
 
@@ -220,15 +233,16 @@ def alt_degrees(n: int) -> DegreeMultiset:
     if n < 2:
         raise ValueError("n must be >= 2")
     counts: dict[int, int] = {}
-    for lam in partitions_of(n):
-        conj = transpose(lam)
-        if lam == conj:
-            half, odd = divmod(sym_degree(lam), 2)
+    for parts in _partition_tuples(n, n):
+        conj = tuple(_column_heights(parts))
+        if parts == conj:
+            half, odd = divmod(_sym_degree(parts), 2)
             if odd:
-                raise ArithmeticError(f"self-conjugate degree must be even: {lam}")
+                raise ArithmeticError("self-conjugate degree must be even: "
+                                      f"{Partition._from_valid_parts(parts)}")
             counts[half] = counts.get(half, 0) + 2
-        elif lam.parts > conj.parts:  # count each transpose pair once
-            d = sym_degree(lam)
+        elif parts > conj:  # count each transpose pair once
+            d = _sym_degree(parts)
             counts[d] = counts.get(d, 0) + 1
     return DegreeMultiset.from_dict(counts)
 

@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import lie_degrees
 from lie_degrees.cli import COMMANDS, build_parser, command_parser, main, parse_partition
 from lie_degrees.partitions import Partition
 
@@ -152,3 +154,29 @@ def test_usage_errors_in_a_command_exit_2(capsys):
 
 def test_main_entry_direct():
     assert main(["degree", "gl", "--partition", "2,2,2", "--q", "2"]) == 0
+
+
+# sha256 of the whole stdout of commands the benchmark runs (perfbench/golden/
+# holds them record by record): report bytes are part of the certificate
+PINNED_OUTPUTS = [
+    (("verify", "all", "--q", "2,3,4", "--n", "1..6", "--jobs", "1"),
+     "de9ce695fdbc010aa162ba0adfa97f9ed9df176dd7ba6de22dec2a6a38980144"),
+    (("verify", "all", "--q", "2,3,4", "--n", "1..6", "--jobs", "2"),
+     "de9ce695fdbc010aa162ba0adfa97f9ed9df176dd7ba6de22dec2a6a38980144"),
+    (("epsilon", "an", "--n", "5..26", "--format", "csv"),
+     "5f8651146ad2904deec419d894035e3a20e38dc4e00cf9e7cd4992825565bf7d"),
+    (("bounds", "--family", "A,2A,B,C,D,2D", "--q", "2,3,4,5", "--n", "1..2", "--format", "csv"),
+     "4e69023e8ad2cb037be2a0bb9deb4dba64701bb9d289411cfc881e0155497bcb"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
+                         ids=[" ".join(args) for args, _ in PINNED_OUTPUTS])
+def test_benchmarked_command_output_bytes_are_pinned(args, digest):
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "LIE_DEGREES_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lie_degrees.__file__))
+    proc = subprocess.run([sys.executable, "-m", "lie_degrees.cli", *args],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

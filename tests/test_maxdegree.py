@@ -349,3 +349,27 @@ def test_integrality_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMISED_PROBE],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bracket_intervals_are_computed_once_per_bracket(monkeypatch):
+    from lie_degrees import qexact, suites
+
+    maxdegree._bracket_intervals.cache_clear()
+    qexact._ln_base.cache_clear()
+    ln = qexact.ln_interval
+    seen = []
+    monkeypatch.setattr(qexact, "ln_interval", lambda x, terms=28: seen.append(x) or ln(x, terms))
+    for family in ("A", "2A", "B", "C", "D", "2D"):      # the bounds-table command
+        for q in (2, 3, 4, 5):
+            suites.bounds_table(family, 1, 2, q)
+    # 244 before the memo: 40 brackets, of which 24 are distinct
+    assert maxdegree._bracket_intervals.cache_info().misses == 24
+    assert len(seen) < 244, len(seen)
+    for n, q in ((2, 2), (3, 3), (5, 4)):
+        shared = bound_bracket_intervals(GroupSpec("B", n, q))
+        assert all(bound_bracket_intervals(GroupSpec(f, n, q)) is shared for f in ("C", "D", "2D"))
+        assert maxdegree._bracket_intervals.__wrapped__("BCD", n, q, 28) == shared
+        spec = GroupSpec("A", n, q)
+        assert bound_bracket_intervals(spec) == maxdegree._bracket_intervals.__wrapped__("A", n, q, 28)
+    maxdegree._bracket_intervals.cache_clear()
+    qexact._ln_base.cache_clear()

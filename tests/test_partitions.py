@@ -17,6 +17,7 @@ from lie_degrees.partitions import (
     formal_hook_length,
     hook_lengths,
     hook_multiset,
+    hook_product,
     hooks,
     odd_hook_cells,
     odd_hook_sequence,
@@ -107,6 +108,10 @@ partition_strategy_to_60 = st.builds(
     lambda seed, n: random_partition(random.Random(seed), n),
     st.integers(0, 10 ** 9), st.integers(0, 60))
 
+partition_strategy_to_80 = st.builds(
+    lambda seed, n: random_partition(random.Random(seed), n),
+    st.integers(0, 10 ** 9), st.integers(0, 80))
+
 
 def recursive_partition_tuples(n, max_part):
     """The recursive reverse-lexicographic generator, kept as a reference."""
@@ -164,6 +169,25 @@ def test_hook_lengths_kernel_matches_hook_table_and_formal_hooks(lam):
     cells = [Node(i, j) for i, p in enumerate(lam.parts, start=1) for j in range(1, p + 1)]
     formal = math.prod(formal_hook_length(lam, node) for node in cells)
     assert math.prod(lengths) == formal == table.product
+
+
+def test_hook_product_matches_the_hook_lengths_for_every_partition_to_30():
+    for n in range(31):
+        for lam in partitions_of(n):
+            assert hook_product(lam.parts) == math.prod(hook_lengths(lam.parts)), lam
+
+
+@given(partition_strategy_to_80)
+@settings(max_examples=150, deadline=None)
+def test_hook_product_matches_the_hook_lengths(lam):
+    assert hook_product(lam.parts) == math.prod(hook_lengths(lam.parts)) == hooks(lam).product
+
+
+def test_hook_product_examples():
+    assert hook_product(()) == 1
+    assert hook_product((3, 2, 1)) == 45
+    assert hook_product((2, 2)) == 12
+    assert hook_product((1,) * 6) == math.factorial(6) == hook_product((6,))
 
 
 def test_sym_degree_examples():

@@ -38,6 +38,56 @@ def test_check_octuple_closed_form_fails_on_a_wrong_hook_length(monkeypatch):
     assert record["values"] == {"verified": 20}
 
 
+def _downup_move_octuple_picks(count, n_max, seed):
+    """The octuple check's selection on DownUpMove objects, kept as a
+    reference: the (lam, first, second) it hands to octuple_ratio."""
+    import random
+    from lie_degrees.partitions import Partition
+    rng = random.Random(seed)
+    picks = []
+    attempts = 0
+    while len(picks) < count and attempts < 100 * count:
+        attempts += 1
+        n = rng.randint(8, n_max)
+        parts = []
+        rem, prev = n, n
+        while rem:
+            p = rng.randint(1, min(prev, rem))
+            parts.append(p)
+            rem -= p
+            prev = p
+        lam = Partition(tuple(sorted(parts, reverse=True)))
+        moves = [m for m, _ in symmetric.downup_neighborhood(lam)]
+        rng.shuffle(moves)
+        picked = None
+        for m1 in moves[:8]:
+            for m2 in moves[:8]:
+                iset = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
+                jset = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
+                if len(iset) == 4 and len(jset) == 4:
+                    picked = (m1, m2)
+                    break
+            if picked:
+                break
+        if picked:
+            picks.append((lam, *picked))
+    return picks
+
+
+def test_octuple_check_picks_the_same_pairs_as_the_move_object_selection(monkeypatch):
+    seen = []
+    real = symmetric.octuple_ratio
+
+    def recording(lam, move):
+        seen.append((lam, move.first, move.second))
+        return real(lam, move)
+
+    monkeypatch.setattr(symmetric, "octuple_ratio", recording)
+    record = suites.check_octuple_closed_form(1000, 60, 20260810)
+    assert record["verdict"] == "pass" and record["values"] == {"verified": 1000}
+    assert seen == _downup_move_octuple_picks(1000, 60, 20260810)
+
+
 _OCTUPLE_UNDER_O = textwrap.dedent("""
     import sys
     from lie_degrees import maxdegree, suites, symmetric, unipotent
@@ -319,6 +369,23 @@ def test_epsilon_table():
     header, rows = suites.epsilon_table(5, 8)
     assert rows[0][:3] == [5, 5, "7/5"]
     assert rows[3][:2] == [8, 70]
+
+
+def test_report_json_stringifies_huge_ints_and_leaves_bools():
+    big = 2 ** 53
+    report = suites.SuiteReport(config={"q_list": [2, 3]}, checks=[{
+        "check": "synthetic", "params": {"limit": big, "flag": True},
+        "verdict": "pass", "witness": None,
+        "values": {"rows": [{"b": big + 1, "small": big - 1, "neg": -big,
+                             "pair": (big, 7), "ok": False}]},
+    }])
+    for text in (report.to_json(), report.to_json(timing=True)):
+        check = json.loads(text)["checks"][0]
+        assert check["params"] == {"limit": str(big), "flag": True}
+        assert check["values"]["rows"] == [{"b": str(big + 1), "small": big - 1,
+                                            "neg": str(-big), "pair": [str(big), 7],
+                                            "ok": False}]
+    assert json.loads(report.to_json())["config"] == {"q_list": [2, 3]}
 
 
 def test_render_table_json_stringifies_huge_ints():

@@ -14,6 +14,7 @@ from lie_degrees.partitions import (
     formal_hook_length,
     partitions_of,
     sym_degree,
+    transpose,
 )
 from lie_degrees.symmetric import (
     DegreeMultiset,
@@ -126,6 +127,16 @@ def test_octuple_mismatch_raises_arithmetic_error(monkeypatch):
         octuple_ratio(lam, oct_move)
 
 
+def test_octuple_closed_form_with_a_zero_denominator_raises(monkeypatch):
+    # b = 2 and c = 1 make the closed form 0/0, which cross-multiplication alone accepts
+    lam = Partition((4, 3, 1, 1))
+    oct_move = next(legal_octuples(lam, [m for m, _ in downup_neighborhood(lam)]))
+    hooks = iter([3, 2, 1, 3])   # a, b, then the two cross hooks c, d
+    monkeypatch.setattr(symmetric, "formal_hook_length", lambda lam, node: next(hooks))
+    with pytest.raises(ArithmeticError, match="closed form 0/0"):
+        octuple_ratio(lam, oct_move)
+
+
 def test_octuple_requires_distinct_coordinates():
     with pytest.raises(ValueError):
         OctupleMove(DownUpMove(Node(1, 2), Node(2, 2)),
@@ -204,6 +215,11 @@ def test_witness_column_20():
     assert ratio >= Fraction(1, 100) and ratio not in STANDARD_EXCLUDED
 
 
+def test_witness_needs_a_non_empty_partition():
+    with pytest.raises(ValueError, match="non-empty"):
+        ratio_witness(Partition(()), set(), Fraction(1))
+
+
 def test_witness_trivial_row():
     gamma = ratio_witness(Partition((9,)), set(), Fraction(1))
     assert gamma == Partition((8, 1))
@@ -233,10 +249,46 @@ def test_branching_identity():
             assert total == sym_degree(lam)
 
 
+def reference_sym_degrees(n):
+    """The Partition-based S_n degree list, kept as a reference."""
+    counts = {}
+    for lam in partitions_of(n):
+        d = sym_degree(lam)
+        counts[d] = counts.get(d, 0) + 1
+    return DegreeMultiset.from_dict(counts)
+
+
+def reference_alt_degrees(n):
+    """The Partition-based A_n degree list, kept as a reference."""
+    counts = {}
+    for lam in partitions_of(n):
+        conj = transpose(lam)
+        if lam == conj:
+            half, odd = divmod(sym_degree(lam), 2)
+            assert not odd
+            counts[half] = counts.get(half, 0) + 2
+        elif lam.parts > conj.parts:
+            d = sym_degree(lam)
+            counts[d] = counts.get(d, 0) + 1
+    return DegreeMultiset.from_dict(counts)
+
+
+def test_degree_lists_match_the_partition_based_reference():
+    for n in range(0, 21):
+        assert sym_degrees(n) == reference_sym_degrees(n)
+    for n in range(2, 21):
+        assert alt_degrees(n) == reference_alt_degrees(n)
+
+
 def test_sym_degrees_total():
     for n in (4, 6, 9):
         d = sym_degrees(n)
         assert d.total == math.factorial(n)
+
+
+def test_sym_degrees_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="non-negative"):
+        sym_degrees(-1)
 
 
 def test_alt_degrees_frozen_lists():
@@ -246,9 +298,9 @@ def test_alt_degrees_frozen_lists():
 
 
 def test_alt_degrees_rejects_odd_self_conjugate_degree(monkeypatch):
-    real = symmetric.sym_degree
-    monkeypatch.setattr(symmetric, "sym_degree",
-                        lambda lam: 17 if lam.parts == (3, 2, 1) else real(lam))
+    real = symmetric._sym_degree
+    monkeypatch.setattr(symmetric, "_sym_degree",
+                        lambda parts: 17 if parts == (3, 2, 1) else real(parts))
     with pytest.raises(ArithmeticError, match="even"):
         alt_degrees(6)
 
@@ -282,4 +334,5 @@ def test_epsilon_an_at_least_one_report():
 def test_downup_moves_match_the_neighborhood():
     for n in range(1, 15):
         for lam in partitions_of(n):
-            assert symmetric.downup_moves(lam.parts) == [m for m, _ in downup_neighborhood(lam)]
+            assert symmetric.downup_moves(lam.parts) == [(m.remove, m.add)
+                                                         for m, _ in downup_neighborhood(lam)]
