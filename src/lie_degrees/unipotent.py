@@ -17,9 +17,17 @@ degree formula (family, rank, a-value, power of 2, hook lengths of alpha and
 beta, positive cohook lengths) is a degree plan, built from those tuples by
 the same row-level formulas that symbol_stats uses, and evaluated for each q
 against one table of q^k - 1 and q^k + 1 with one checked exact division.
-degree_symbol caches the plan per canonical row pair; the Steinberg sweep in
-verify_steinberg_max builds the plans of one rank, evaluates them for every q
-in its list and keeps none of them afterwards.
+degree_symbol caches the plan per canonical row pair.
+
+The Steinberg sweep (verify_steinberg_max) looks for the exact runner-up at
+each q without evaluating most labels.  With e = a - sum(hook lengths) -
+sum(positive cohook lengths), the exponent key, and s = (number of hooks) -
+(power of 2), the slack, the bounds q^h - 1 >= q^h / 2 and q^k + 1 > q^k
+(q >= 2, h, k >= 1) give degree <= |G|_{q'} q^e 2^s.  The labels of a rank
+are sorted once on (-e, tie key); at each q the walk skips a label whose
+bound, compared in integers, is below the best degree so far, and stops once
+the bound with the largest slack is.  A symbol label's plan is built the
+first time some q evaluates it, and none is kept after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class, and its next step depends only on the current class and q
@@ -37,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -179,13 +187,18 @@ def _rows_rank(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return sum(x) + sum(y) - ((len(x) + len(y) - 1) ** 2) // 4  # floor(((r+s-1)/2)^2)
 
 
+@lru_cache(maxsize=1024)
+def _binomial_tail(m: int) -> int:
+    """Sum of binom(m - 2i, 2) over i >= 1 (binom(k, 2) = 0 for k < 2)."""
+    return sum(k * (k - 1) // 2 for k in range(m - 2, 1, -2))
+
+
 def _rows_a_value(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """Sum of min(e, f) over pairs of entries, minus binom(r+s-2i, 2) for
-    i >= 1 (binom(m, 2) = 0 for m < 2)."""
+    i >= 1."""
     entries = sorted(x + y)
     m = len(entries)
-    return (sum(map(operator.mul, entries, range(m - 1, -1, -1)))
-            - sum(k * (k - 1) // 2 for k in range(m - 2, 1, -2)))
+    return sum(map(operator.mul, entries, range(m - 1, -1, -1))) - _binomial_tail(m)
 
 
 def _rows_two_power(x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -460,6 +473,76 @@ def _steinberg_classes(n: int, parity: str) -> frozenset[_Rows]:
 # Steinberg maximality sweeps
 # ---------------------------------------------------------------------------
 
+def _partition_exponent(parts: tuple[int, ...]) -> int:
+    """a - sum of the hook lengths of a partition lam of n: the n hooks have
+    total length n(lam) + n(lam') + n, so this is -n(lam') - n."""
+    return -sum(p * (p - 1) // 2 for p in parts) - sum(parts)
+
+
+def _symbol_exponent(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """a - sum(minus) - sum(plus) of the degree plan of the rows (x, y), read
+    off the sorted entries z_0 <= ... <= z_{M-1}:
+    sum j z_j - sum z_j (z_j + 1) - sum binom(k, 2) over k = M-2, M-4, ... >= 2."""
+    z = sorted(x + y)
+    m = len(z)
+    return (sum(map(operator.mul, z, range(-1, m - 1))) - sum(map(operator.mul, z, z))
+            - _binomial_tail(m))
+
+
+def _order_pprime_partition(fam: str, n: int, q: int) -> int:
+    """|prod_{i <= n} (Q^i - 1)| at Q = q for GL and Q = -q for GU: the
+    q'-part of |GL_n(q)| or |GU_n(q)|."""
+    signed = q if fam == "GL" else -q
+    return abs(math.prod(signed ** i - 1 for i in range(1, n + 1)))
+
+
+# One label of a runner-up search: (-e, tie key, s, label), where the degree
+# at q is at most |G|_{q'} q^e 2^s; a list of them is sorted on (-e, tie key).
+_Entry = tuple[int, object, int, object]
+
+
+def _partition_entries(n: int) -> list[_Entry]:
+    """Search entries of the non-Steinberg partitions of n: s = n (one
+    q^h - 1 per box), and the parts are the tie key and the label."""
+    return sorted((-_partition_exponent(lam.parts), lam.parts, n, lam)
+                  for lam in partitions_of(n) if lam.parts != (1,) * n)
+
+
+def _symbol_entries(labels: list[_Label]) -> list[_Entry]:
+    """Search entries of symbol labels (x, y, alpha, beta): one q^h - 1 per
+    box of alpha and beta, so s = |alpha| + |beta| - two_power; the index in
+    labels is the tie key and the label."""
+    return sorted((-_symbol_exponent(x, y), i, sum(alpha) + sum(beta) - _rows_two_power(x, y), i)
+                  for i, (x, y, alpha, beta) in enumerate(labels))
+
+
+def _below(order: int, e: int, s: int, q: int, best: int) -> bool:
+    """order * q^e * 2^s < best, decided in integers."""
+    return (order << max(s, 0)) * q ** max(e, 0) < (best << max(-s, 0)) * q ** max(-e, 0)
+
+
+def _runner_up(entries: list[_Entry], q: int, order: int,
+               evaluate: Callable[[object, int], int]) -> tuple:
+    """(label, degree) of the largest evaluate(label, q) over the entries, ties
+    to the smallest tie key; (None, -1) if there are none.
+
+    order is |G|_{q'}.  A label whose bound is below the best degree so far
+    cannot reach it and is not evaluated; once the bound with the largest s
+    is below it, no later label (e no larger) can, and the walk stops.
+    """
+    slack = max((s for _, _, s, _ in entries), default=0)
+    runner, best, best_tie = None, -1, None
+    for neg_e, tie, s, label in entries:
+        if _below(order, -neg_e, slack, q, best):
+            break
+        if _below(order, -neg_e, s, q, best):
+            continue
+        d = evaluate(label, q)
+        if d > best or (d == best and tie < best_tie):
+            runner, best, best_tie = label, d, tie
+    return runner, best
+
+
 def _steinberg_outcome(st_degree: int, runner, runner_degree: int) -> tuple:
     if runner is None:  # only the Steinberg label exists
         return True, None, Fraction(1)
@@ -469,39 +552,31 @@ def _steinberg_outcome(st_degree: int, runner, runner_degree: int) -> tuple:
 def _steinberg_max_partitions(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
     deg = degree_gl if fam == "GL" else degree_gu
     st_label = Partition((1,) * n)
-    others = [lam for lam in partitions_of(n) if lam != st_label]
+    entries = _partition_entries(n)
     out = []
     for q in q_list:
-        st_degree = deg(st_label, q)
-        runner = None
-        runner_degree = -1
-        for lam in others:
-            d = deg(lam, q)
-            if d > runner_degree or (d == runner_degree and lam.parts < runner.parts):
-                runner, runner_degree = lam, d
-        out.append(_steinberg_outcome(st_degree, runner, runner_degree))
+        runner, runner_degree = _runner_up(entries, q, _order_pprime_partition(fam, n, q), deg)
+        out.append(_steinberg_outcome(deg(st_label, q), runner, runner_degree))
     return out
 
 
 def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
     st = canonicalize(steinberg_symbol(n, fam)).symbol
-    plans = [_build_plan(x, y, alpha, beta, fam, n)
-             for x, y, alpha, beta in _symbol_labels(n, fam) if (x, y) != (st.X, st.Y)]
-    top = max((plan.top for plan in plans), default=0)
+    labels = [label for label in _symbol_labels(n, fam) if label[:2] != (st.X, st.Y)]
+    entries = _symbol_entries(labels)
+    plans: dict[int, _DegreePlan] = {}  # built for the labels some q evaluates
+
+    def evaluate(i: int, q: int) -> int:
+        plan = plans.get(i)
+        if plan is None:
+            plan = plans[i] = _build_plan(*labels[i], fam, n)
+        return plan.evaluate(q, _order_pprime_symbol(fam, n, q), _factor_tables(q, plan.top))
+
     out = []
     for q in q_list:
-        order = _order_pprime_symbol(fam, n, q)
-        tables = _factor_tables(q, top)
-        st_degree = degree_symbol(st, q)
-        runner = None
-        runner_degree = -1
-        for plan in plans:
-            d = plan.evaluate(q, order, tables)
-            if d > runner_degree:
-                runner, runner_degree = plan, d
-        if runner is not None:
-            runner = SymbolClass(Symbol._from_valid_rows(runner.x, runner.y))
-        out.append(_steinberg_outcome(st_degree, runner, runner_degree))
+        i, runner_degree = _runner_up(entries, q, _order_pprime_symbol(fam, n, q), evaluate)
+        runner = None if i is None else SymbolClass(Symbol._from_valid_rows(*labels[i][:2]))
+        out.append(_steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
     return out
 
 
@@ -512,14 +587,27 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     runner_up is the largest non-Steinberg label and gap = Steinberg degree /
     runner-up degree.  Among labels of equal degree the runner-up is the
     partition with the smallest parts (GL, GU) or the first symbol class in
-    enumeration order (BC, D, 2D).  Symbol families enumerate rank n once and
-    build each label's degree plan once, then evaluate every plan for each q.
+    enumeration order (BC, D, 2D).
+
+    Each degree is at most |G|_{q'} q^e 2^s (|G|_{q'} taken at -q and in
+    absolute value for GU), since q^h - 1 >= q^h / 2 and q^k + 1 > q^k for
+    q >= 2 and h, k >= 1.  The exponent key e = a - sum h - sum k is
+    -n(lam') - n for a partition lam of n and is read off the sorted row
+    entries for a symbol (_symbol_exponent); the slack s is n, or
+    |alpha| + |beta| - c for a symbol with power of two c.  The labels of rank
+    n are sorted once on (-e, tie key), the tie key being the parts or the
+    enumeration index.  At each q the walk evaluates exactly only the labels
+    whose bound, compared in integers with the best degree so far, can still
+    reach it, and stops once the bound with the largest slack cannot.  Symbol
+    plans are built the first time a label is evaluated.
     """
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
     q_list = tuple(q_list)
     if any(q < 2 for q in q_list):
         raise ValueError("q must be >= 2")
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if fam in ("GL", "GU"):
         return _steinberg_max_partitions(n, q_list, fam)
     return _steinberg_max_symbols(n, q_list, fam)

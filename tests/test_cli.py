@@ -167,6 +167,13 @@ PINNED_OUTPUTS = [
      "5f8651146ad2904deec419d894035e3a20e38dc4e00cf9e7cd4992825565bf7d"),
     (("bounds", "--family", "A,2A,B,C,D,2D", "--q", "2,3,4,5", "--n", "1..2", "--format", "csv"),
      "4e69023e8ad2cb037be2a0bb9deb4dba64701bb9d289411cfc881e0155497bcb"),
+    (("verify", "steinberg", "--family", "GL,GU,BC,D,2D", "--q", "2,3,4,5", "--n", "1..12",
+      "--jobs", "1"),
+     "ff43e466db5995c4a6a5622c7b933f989cdd84fa9636e81cea5820496adb3b1f"),
+    # ranks beyond the benchmark's, where the runner-up search skips the most labels
+    (("verify", "steinberg", "--family", "GL,GU,BC,D,2D", "--q", "2,3,5,7", "--n", "13..16",
+      "--jobs", "1"),
+     "66d949e915c3707238d531b283c53df9647959b08fd6d8991a0cfb8bed9c7efc"),
 ]
 
 

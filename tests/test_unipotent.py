@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie_degrees import unipotent
-from lie_degrees.partitions import Partition, _partition_tuples, beta_set, partitions_of
+from lie_degrees.partitions import Partition, _partition_tuples, beta_set, hook_lengths, partitions_of
 from lie_degrees.unipotent import (
     Symbol,
     _build_plan,
@@ -606,3 +606,150 @@ def test_steinberg_classes_are_cached_frozensets():
     assert unipotent._steinberg_classes(4, "even") == {
         (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)).symbol for f in ("D", "2D"))}
     assert unipotent._steinberg_classes(1, "even") == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# runner-up search: exponent key, degree bound, early stop
+# ---------------------------------------------------------------------------
+
+SEARCH_QS = (2, 3, 4, 5, 7)
+
+
+def _symbol_ranks(n_max):
+    return [(fam, n) for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, n_max + 1)]
+
+
+def test_exponent_key_is_the_plan_exponent():
+    for fam, n in _symbol_ranks(10):
+        for x, y, alpha, beta in _symbol_labels(n, fam):
+            plan = _build_plan(x, y, alpha, beta, fam, n)
+            assert unipotent._symbol_exponent(x, y) == plan.a - sum(plan.minus) - sum(plan.plus)
+    for n in range(1, 21):
+        for parts in _partition_tuples(n, n):
+            assert unipotent._partition_exponent(parts) == (
+                unipotent._a_value(parts) - sum(hook_lengths(parts)))
+
+
+def test_partition_order_is_the_pprime_part_of_gl_and_gu():
+    for n in range(1, 10):
+        for q in SEARCH_QS:
+            _, sl = order_parts(GroupSpec("A", n, q))
+            _, su = order_parts(GroupSpec("2A", n, q))
+            assert unipotent._order_pprime_partition("GL", n, q) == (q - 1) * sl
+            assert unipotent._order_pprime_partition("GU", n, q) == (q + 1) * su
+
+
+def test_every_degree_is_within_its_search_bound():
+    # degree <= |G|_{q'} q^e 2^s for every entry: the inequality the early stop rests on
+    def within(degree, order, neg_e, s, q):
+        return degree <= order * Fraction(q) ** -neg_e * Fraction(2) ** s
+
+    for fam, n in _symbol_ranks(8):
+        labels = _symbol_labels(n, fam)
+        for neg_e, i, s, _ in unipotent._symbol_entries(labels):
+            sym = Symbol(*labels[i][:2])
+            for q in SEARCH_QS:
+                order = unipotent._order_pprime_symbol(fam, n, q)
+                assert within(degree_symbol(sym, q), order, neg_e, s, q), (sym, q)
+    for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
+        for n in range(1, 15):
+            for neg_e, _, s, lam in unipotent._partition_entries(n):
+                for q in SEARCH_QS:
+                    order = unipotent._order_pprime_partition(fam, n, q)
+                    assert within(deg(lam, q), order, neg_e, s, q), (fam, lam, q)
+
+
+def _unpruned_steinberg_max(n, q_list, fam):
+    """The exhaustive sweep the runner-up search replaced: every label at every q."""
+    if fam in ("GL", "GU"):
+        deg = degree_gl if fam == "GL" else degree_gu
+        st_label = Partition((1,) * n)
+        others = [lam for lam in partitions_of(n) if lam != st_label]
+        out = []
+        for q in q_list:
+            runner, runner_degree = None, -1
+            for lam in others:
+                d = deg(lam, q)
+                if d > runner_degree or (d == runner_degree and lam.parts < runner.parts):
+                    runner, runner_degree = lam, d
+            out.append(unipotent._steinberg_outcome(deg(st_label, q), runner, runner_degree))
+        return out
+    st = canonicalize(steinberg_symbol(n, fam)).symbol
+    plans = [_build_plan(x, y, alpha, beta, fam, n)
+             for x, y, alpha, beta in _symbol_labels(n, fam) if (x, y) != (st.X, st.Y)]
+    top = max((plan.top for plan in plans), default=0)
+    out = []
+    for q in q_list:
+        order = unipotent._order_pprime_symbol(fam, n, q)
+        tables = unipotent._factor_tables(q, top)
+        runner, runner_degree = None, -1
+        for plan in plans:
+            d = plan.evaluate(q, order, tables)
+            if d > runner_degree:
+                runner, runner_degree = plan, d
+        if runner is not None:
+            runner = unipotent.SymbolClass(Symbol(runner.x, runner.y))
+        out.append(unipotent._steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
+    return out
+
+
+def test_runner_up_search_matches_the_unpruned_sweep():
+    for fam, n in _symbol_ranks(10):
+        assert verify_steinberg_max(n, SEARCH_QS, fam) == _unpruned_steinberg_max(n, SEARCH_QS, fam)
+    for fam in ("GL", "GU"):
+        for n in range(1, 19):
+            assert (verify_steinberg_max(n, SEARCH_QS, fam)
+                    == _unpruned_steinberg_max(n, SEARCH_QS, fam)), (fam, n)
+
+
+def test_runner_up_search_stops_early(monkeypatch):
+    evaluated, built = [], []
+    real_evaluate, real_build = unipotent._DegreePlan.evaluate, unipotent._build_plan
+
+    def counting_evaluate(plan, *args):
+        evaluated.append((plan.x, plan.y))
+        return real_evaluate(plan, *args)
+
+    def counting_build(*args):
+        built.append(args[:2])
+        return real_build(*args)
+
+    monkeypatch.setattr(unipotent._DegreePlan, "evaluate", counting_evaluate)
+    monkeypatch.setattr(unipotent, "_build_plan", counting_build)
+    labels = _symbol_labels(10, "BC")
+    got = verify_steinberg_max(10, (2, 5), "BC")
+    assert len(evaluated) < len(labels) / 4    # Steinberg evaluations included
+    assert len(built) == len(set(built)) < len(labels) / 4
+    monkeypatch.undo()
+    assert got == _unpruned_steinberg_max(10, (2, 5), "BC")
+
+
+def _search(entries, degrees, order=8, q=2):
+    return unipotent._runner_up(sorted(entries), q, order, lambda label, _q: degrees[label])
+
+
+def test_runner_up_search_breaks_ties_on_the_tie_key_across_exponents():
+    # A is walked first (larger e); B has the same degree and the smaller tie key
+    assert _search([(1, 5, 0, "A"), (2, 1, 0, "B")], {"A": 1, "B": 1}) == ("B", 1)
+    assert _search([(1, 3, 0, "C"), (1, 2, 0, "D")], {"C": 1, "D": 1}) == ("D", 1)
+    assert _search([], {}) == (None, -1)
+
+
+def test_runner_up_search_evaluates_a_label_whose_bound_equals_the_best():
+    # B's bound 8 * 2^-1 * 2^1 = 8 equals A's degree; B ties and wins on the tie key
+    assert _search([(0, 2, 0, "A"), (1, 1, 1, "B")], {"A": 8, "B": 8}) == ("B", 8)
+
+
+def test_runner_up_search_stops_on_the_largest_slack():
+    # B's own bound (4) is below 8, but C, walked after it, has slack 3 (bound 32)
+    degrees = {"A": 8, "B": 1, "C": 20}
+    assert _search([(0, 1, 0, "A"), (1, 2, 0, "B"), (1, 3, 3, "C")], degrees) == ("C", 20)
+    # with the largest slack's bound below the best, nothing after A is evaluated
+    assert _search([(0, 1, 0, "A"), (4, 2, 1, "B")], {"A": 8}) == ("A", 8)
+
+
+def test_steinberg_max_rejects_rank_below_one():
+    for fam in unipotent.FAMILIES:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="rank must be >= 1"):
+                verify_steinberg_max(n, (2,), fam)
