@@ -54,7 +54,6 @@ from .maxdegree import (
     CentralizerTypeGL,
     CertVerdict,
     GroupSpec,
-    PolyBudget,
     b_gl_exact,
     bound_bracket,
     count_irred,
@@ -62,7 +61,6 @@ from .maxdegree import (
     epsilon_certificate,
     merge_ratio_sl_n_2,
     order_parts,
-    poly_budget,
     seitz_bound,
 )
 

@@ -1,9 +1,14 @@
-"""Largest-degree machinery: group orders, polynomial budgets, exact b(GL_n(q)),
-the minimal-torus (Seitz) bound, logarithmic bound brackets, epsilon
-certificates and the merge-move ratios over F_2.
+"""Largest-degree machinery: group orders, irreducible polynomial counts,
+exact b(GL_n(q)), the minimal-torus (Seitz) bound, logarithmic bound brackets,
+epsilon certificates and the merge-move ratios over F_2.
 
 Group ranks follow the matrix conventions: family A of rank n is SL_n, 2A is
 SU_n, B/C rank n are Spin_{2n+1}/Sp_{2n}, D/2D rank n are Spin^{+-}_{2n}.
+
+Every q'-part of a group order comes from one cached table, order_pprime, on
+the one kernel qexact.bracket = prod (Q^i - 1), for both family vocabularies:
+A/2A/B/C/D/2D here and GL/GU/BC/D/2D in unipotent.  The unitary groups are
+read at Q = -q in absolute value (Ennola duality).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import lru_cache
 
 from .qexact import (
     RationalInterval,
+    bracket,
     log_base_interval,
     pow_interval,
 )
@@ -40,34 +46,40 @@ class GroupSpec:
             raise ValueError("q must be >= 2")
 
 
+@lru_cache(maxsize=4096)
+def order_pprime(family: str, n: int, q: int) -> int:
+    """|G|_{p'} of GL_n(q), GU_n(q), SL_n (A), SU_n (2A) or the rank-n group
+    of family B, C, BC (Spin_{2n+1} / Sp_{2n}), D or 2D (Spin^{+-}_{2n}).
+
+    GL: [1..n] at q, A: [2..n] at q, GU and 2A: the same at -q in absolute
+    value, B/C/BC: [1..n] at q^2, D/2D: (q^n -+ 1) [1..n-1] at q^2, with
+    [c] = qexact.bracket(c, Q).  GL_0 = GU_0 = 1 (the empty partition); the
+    rank-typed families need n >= 1.
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if n < 1 and not (n == 0 and family in ("GL", "GU")):
+        raise ValueError("rank must be >= 1")
+    if family in ("GL", "GU", "A", "2A"):
+        signed = q if family in ("GL", "A") else -q
+        return abs(bracket(range(1 if family in ("GL", "GU") else 2, n + 1), signed))
+    if family in ("B", "C", "BC"):
+        return bracket(range(1, n + 1), q * q)
+    if family in ("D", "2D"):
+        return (q ** n - (1 if family == "D" else -1)) * bracket(range(1, n), q * q)
+    raise ValueError(f"unknown family {family!r}")
+
+
 def order_parts(spec: GroupSpec) -> tuple[int, int]:
     """(|G|_p, |G|_{p'}) for the simply connected group of the family."""
-    n, q = spec.n, spec.q
-    if spec.family == "A":
-        p_part = q ** (n * (n - 1) // 2)
-        pprime = 1
-        for i in range(2, n + 1):
-            pprime *= q ** i - 1
-        return p_part, pprime
-    if spec.family == "2A":
-        p_part = q ** (n * (n - 1) // 2)
-        pprime = 1
-        for i in range(2, n + 1):
-            pprime *= q ** i - (-1) ** i
-        return p_part, pprime
-    if spec.family in ("B", "C"):
-        p_part = q ** (n * n)
-        pprime = 1
-        for i in range(1, n + 1):
-            pprime *= q ** (2 * i) - 1
-        return p_part, pprime
-    # D / 2D
-    eps = 1 if spec.family == "D" else -1
-    p_part = q ** (n * (n - 1))
-    pprime = q ** n - eps
-    for i in range(1, n):
-        pprime *= q ** (2 * i) - 1
-    return p_part, pprime
+    n = spec.n
+    if spec.family in ("A", "2A"):
+        p_exponent = n * (n - 1) // 2
+    elif spec.family in ("B", "C"):
+        p_exponent = n * n
+    else:  # D / 2D
+        p_exponent = n * (n - 1)
+    return spec.q ** p_exponent, order_pprime(spec.family, n, spec.q)
 
 
 def seitz_bound(spec: GroupSpec) -> int:
@@ -169,28 +181,6 @@ def count_irred_nondual(q: int, d: int) -> int:
     return base - count_self_dual(q, d)
 
 
-@dataclass(frozen=True)
-class PolyBudget:
-    """Per-degree counts n_d of monic irreducibles over F_q and n*_d of those
-    not fixed by reciprocal duality (t excluded from the latter)."""
-
-    q: int
-    counts: tuple[int, ...]
-    nondual_counts: tuple[int, ...]
-
-    def n(self, d: int) -> int:
-        return self.counts[d - 1]
-
-    def n_star(self, d: int) -> int:
-        return self.nondual_counts[d - 1]
-
-
-def poly_budget(q: int, d_max: int) -> PolyBudget:
-    return PolyBudget(q,
-                      tuple(count_irred(q, d) for d in range(1, d_max + 1)),
-                      tuple(count_irred_nondual(q, d) for d in range(1, d_max + 1)))
-
-
 # ---------------------------------------------------------------------------
 # exact b(GL_n(q)) over centralizer types
 # ---------------------------------------------------------------------------
@@ -220,11 +210,8 @@ class CentralizerTypeGL:
         return out
 
     def is_admissible(self, q: int) -> bool:
-        for d, count in self.degree_multiplicities().items():
-            budget = q - 1 if d == 1 else count_irred(q, d)
-            if count > budget:
-                return False
-        return True
+        return all(count <= _block_budget(q, d)
+                   for d, count in self.degree_multiplicities().items())
 
 
 def _block_budget(q: int, d: int) -> int:
@@ -234,10 +221,8 @@ def _block_budget(q: int, d: int) -> int:
 
 @lru_cache(maxsize=200_000)
 def _block_weight(q: int, d: int, k: int) -> Fraction:
-    den = 1
-    for i in range(1, k + 1):
-        den *= q ** (i * d) - 1
-    return Fraction(q ** (d * k * (k - 1) // 2), den)
+    """|GL_k(q^d)|_p / |GL_k(q^d)|_{p'}, the factor of one block in a degree."""
+    return Fraction(q ** (d * k * (k - 1) // 2), order_pprime("GL", k, q ** d))
 
 
 @lru_cache(maxsize=200_000)
@@ -299,10 +284,7 @@ def b_gl_exact(n: int, q: int) -> tuple[int, CentralizerTypeGL]:
     best = _best_split(q, 1, n)
     if best is None:
         raise ArithmeticError(f"no admissible centralizer type for n={n}, q={q}")
-    bracket = 1
-    for i in range(1, n + 1):
-        bracket *= q ** i - 1
-    value = best[0] * bracket
+    value = best[0] * order_pprime("GL", n, q)
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral b(GL_{n}({q})) = {value}")
     witness = CentralizerTypeGL(best[1])
@@ -313,10 +295,7 @@ def b_gl_exact(n: int, q: int) -> tuple[int, CentralizerTypeGL]:
 
 def gl_degree_of_type(t: CentralizerTypeGL, q: int) -> int:
     """Degree of the semisimple-type character attached to a centralizer type."""
-    num = 1
-    for i in range(1, t.n + 1):
-        num *= q ** i - 1
-    val = Fraction(num)
+    val = Fraction(order_pprime("GL", t.n, q))
     for k, d in t.blocks:
         val *= _block_weight(q, d, k)
     if val.denominator != 1:

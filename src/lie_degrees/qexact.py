@@ -115,10 +115,14 @@ def _check_bracket_seq(c: Iterable[int]) -> tuple[int, ...]:
 
 
 def bracket(c: Iterable[int], q: int) -> int:
-    """[c] = prod(q^{c_i} - 1) over the strictly increasing sequence c."""
+    """[c] = prod(q^{c_i} - 1) over the strictly increasing sequence c.
+
+    q may be negative (|q| >= 2): at -q the bracket is, up to sign, the
+    unitary counterpart of the one at q (Ennola duality).
+    """
     seq = _check_bracket_seq(c)
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    if abs(q) < 2:
+        raise ValueError("|q| must be >= 2")
     out = 1
     for ci in seq:
         out *= q ** ci - 1

@@ -49,6 +49,18 @@ def json_safe_ints(obj):
 # individual checks
 # ---------------------------------------------------------------------------
 
+def _record(check: str, params: dict, failures: list, values: dict | None = None) -> dict:
+    """The record of a pass/fail check: it fails iff there are failures, and
+    the first one is the witness."""
+    return {
+        "check": check,
+        "params": params,
+        "verdict": "fail" if failures else "pass",
+        "witness": failures[0] if failures else None,
+        "values": {} if values is None else values,
+    }
+
+
 def check_steinberg(family: str, n_min: int, n_max: int, q_list: tuple[int, ...]) -> dict:
     failures = []
     cases = 0
@@ -61,26 +73,16 @@ def check_steinberg(family: str, n_min: int, n_max: int, q_list: tuple[int, ...]
                 label = runner.symbol if hasattr(runner, "symbol") else runner
                 failures.append({"n": n, "q": q, "runner_up": repr(label),
                                  "gap": fmt_rational(gap)})
-    return {
-        "check": "steinberg",
-        "params": {"family": family, "n_min": n_min, "n_max": n_max, "q_list": list(q_list)},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {"cases": cases},
-    }
+    return _record("steinberg",
+                   {"family": family, "n_min": n_min, "n_max": n_max, "q_list": list(q_list)},
+                   failures, {"cases": cases})
 
 
 def check_anchor_degrees() -> dict:
     d1 = unipotent.degree_gl(partitions.Partition((2, 2, 2)), 2)
     d2 = unipotent.degree_gl(partitions.Partition((3, 2, 1)), 2)
-    ok = (d1, d2) == (5952, 6480)
-    return {
-        "check": "anchor_degrees",
-        "params": {},
-        "verdict": "pass" if ok else "fail",
-        "witness": None if ok else {"got": [d1, d2], "expected": [5952, 6480]},
-        "values": {"deg_222": d1, "deg_321": d2},
-    }
+    failures = [] if (d1, d2) == (5952, 6480) else [{"got": [d1, d2], "expected": [5952, 6480]}]
+    return _record("anchor_degrees", {}, failures, {"deg_222": d1, "deg_321": d2})
 
 
 def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> dict:
@@ -105,13 +107,8 @@ def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> dict:
                     upper = Fraction(q ** 2 * dmu, q ** j)
                     if not (lower < dnu < upper <= dmu):
                         failures.append({"lam": lam.parts, "node": [i, j], "q": q})
-    return {
-        "check": "prop_compgl",
-        "params": {"n_max": n_max, "q_list": list(q_list)},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {"cases": cases},
-    }
+    return _record("prop_compgl", {"n_max": n_max, "q_list": list(q_list)}, failures,
+                   {"cases": cases})
 
 
 def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> dict:
@@ -142,15 +139,10 @@ def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> dict:
                 if mu is not nu and partitions.dominance(nu, mu) == partitions.Dominance.GREATER \
                         and degs[nu.parts] >= degs[mu.parts]:
                     q2_violations.append([list(mu.parts), list(nu.parts)])
-    q2_ok = q2_violations == [[[2, 2, 2], [3, 2, 1]]]
-    return {
-        "check": "prop_dominance",
-        "params": {"n_max": n_max, "q_list": list(q_list)},
-        "verdict": "pass" if not failures and q2_ok else "fail",
-        "witness": (failures[0] if failures else
-                    None if q2_ok else {"q2_violations": q2_violations}),
-        "values": {"cases": cases, "q2_smallest_counterexample": q2_violations},
-    }
+    if q2_violations != [[[2, 2, 2], [3, 2, 1]]]:
+        failures.append({"q2_violations": q2_violations})
+    return _record("prop_dominance", {"n_max": n_max, "q_list": list(q_list)}, failures,
+                   {"cases": cases, "q2_smallest_counterexample": q2_violations})
 
 
 def check_prop_glgu(n_max: int, q_list: tuple[int, ...]) -> dict:
@@ -171,14 +163,9 @@ def check_prop_glgu(n_max: int, q_list: tuple[int, ...]) -> dict:
     trivial_like = {(n,) for n in range(1, n_max + 1)}
     trivial_like |= {(1,) * n for n in range(1, n_max + 1)}
     extra = sorted(equalities - trivial_like - {(2, 2)})
-    return {
-        "check": "prop_glgu",
-        "params": {"n_max": n_max, "q_list": list(q_list)},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {"cases": cases,
-                   "equality_beyond_trivial_steinberg_22": [list(p) for p in extra]},
-    }
+    return _record("prop_glgu", {"n_max": n_max, "q_list": list(q_list)}, failures,
+                   {"cases": cases,
+                    "equality_beyond_trivial_steinberg_22": [list(p) for p in extra]})
 
 
 def check_lemma_bracket_ratios(s_max: int, q_list: tuple[int, ...],
@@ -199,13 +186,8 @@ def check_lemma_bracket_ratios(s_max: int, q_list: tuple[int, ...],
                 plus_le = (q ** a + 1) * (q ** (b - 1) + 1) <= (q ** b + 1) * (q ** (a - 1) + 1)
                 if plus_le != (a <= b):
                     failures.append({"iff": "plus", "a": a, "b": b, "q": q})
-    return {
-        "check": "lemma_bracket_ratios",
-        "params": {"s_max": s_max, "q_list": list(q_list), "grid_max": grid_max},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("lemma_bracket_ratios",
+                   {"s_max": s_max, "q_list": list(q_list), "grid_max": grid_max}, failures)
 
 
 def check_lemma_products(q_max: int, m: int) -> dict:
@@ -213,13 +195,8 @@ def check_lemma_products(q_max: int, m: int) -> dict:
     bad = {q: {k: v for k, v in checks.items() if not v}
            for q, checks in report["per_q"].items()
            if not all(checks.values())}
-    return {
-        "check": "lemma_products",
-        "params": {"q_max": q_max, "m": m},
-        "verdict": "pass" if report["ok"] else "fail",
-        "witness": bad or None,
-        "values": {"q_checked": list(report["per_q"])},
-    }
+    return _record("lemma_products", {"q_max": q_max, "m": m}, [bad] if bad else [],
+                   {"q_checked": list(report["per_q"])})
 
 
 def check_oracle_sym_squares(n_max: int) -> dict:
@@ -229,13 +206,7 @@ def check_oracle_sym_squares(n_max: int) -> dict:
         total = sum(partitions.sym_degree(lam) ** 2 for lam in partitions.partitions_of(n))
         if total != math.factorial(n):
             failures.append({"n": n, "total": total})
-    return {
-        "check": "oracle_sym_squares",
-        "params": {"n_max": n_max},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("oracle_sym_squares", {"n_max": n_max}, failures)
 
 
 def check_oracle_alt_squares(n_max: int) -> dict:
@@ -244,13 +215,7 @@ def check_oracle_alt_squares(n_max: int) -> dict:
     for n in range(2, n_max + 1):
         if symmetric.alt_degrees(n).total != math.factorial(n) // 2:
             failures.append({"n": n})
-    return {
-        "check": "oracle_alt_squares",
-        "params": {"n_max": n_max},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("oracle_alt_squares", {"n_max": n_max}, failures)
 
 
 def check_oracle_branching(n_max: int) -> dict:
@@ -262,13 +227,7 @@ def check_oracle_branching(n_max: int) -> dict:
                         for r in removable)
             if total != partitions.sym_degree(lam):
                 failures.append({"lam": lam.parts})
-    return {
-        "check": "oracle_branching",
-        "params": {"n_max": n_max},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("oracle_branching", {"n_max": n_max}, failures)
 
 
 def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
@@ -307,13 +266,10 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
         except ArithmeticError:
             failures.append({"lam": lam.parts, "move": repr(picked)})
         done += 1
-    return {
-        "check": "octuple_closed_form",
-        "params": {"count": count, "n_max": n_max, "seed": seed},
-        "verdict": "pass" if done >= count and not failures else "fail",
-        "witness": failures[0] if failures else (None if done >= count else {"done": done}),
-        "values": {"verified": done},
-    }
+    if done < count:
+        failures.append({"done": done})
+    return _record("octuple_closed_form", {"count": count, "n_max": n_max, "seed": seed},
+                   failures, {"verified": done})
 
 
 def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> dict:
@@ -328,13 +284,7 @@ def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> dict:
             if not (b <= maxdegree.seitz_bound(spec)
                     and low_i.hi <= c <= up_i.lo):
                 failures.append({"n": n, "q": q, "b": b})
-    return {
-        "check": "bgl_brackets",
-        "params": {"n_max": n_max, "q_list": list(q_list)},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("bgl_brackets", {"n_max": n_max, "q_list": list(q_list)}, failures)
 
 
 def check_poly_brackets(q_list: tuple[int, ...], bound: int) -> dict:
@@ -354,13 +304,7 @@ def check_poly_brackets(q_list: tuple[int, ...], bound: int) -> dict:
                     and not (3 * q ** d <= 4 * d * nds):
                 failures.append({"q": q, "d": d, "which": "poly2-lower"})
             d += 1
-    return {
-        "check": "poly_brackets",
-        "params": {"q_list": list(q_list), "bound": bound},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("poly_brackets", {"q_list": list(q_list), "bound": bound}, failures)
 
 
 EPSILON_FRONTIER = (
@@ -385,13 +329,7 @@ def check_epsilon_certificates() -> dict:
         if got != expected:
             failures.append({"family": fam, "n": n, "q": q,
                              "expected": expected, "got": got})
-    return {
-        "check": "epsilon_certificates",
-        "params": {"rows": len(EPSILON_FRONTIER)},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {},
-    }
+    return _record("epsilon_certificates", {"rows": len(EPSILON_FRONTIER)}, failures)
 
 
 def check_merge_ratios(n_max: int) -> dict:
@@ -406,13 +344,7 @@ def check_merge_ratios(n_max: int) -> dict:
                 maxdegree.merge_ratio_sl_n_2(t)
             except ArithmeticError:
                 failures.append({"type": t.blocks})
-    return {
-        "check": "merge_ratios",
-        "params": {"n_max": n_max},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {"types": count},
-    }
+    return _record("merge_ratios", {"n_max": n_max}, failures, {"types": count})
 
 
 def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
@@ -459,13 +391,8 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
                     failures.append({"family": fam, "n": n, "q": q,
                                      "symbol": [cls.symbol.X, cls.symbol.Y],
                                      "error": error})
-    return {
-        "check": "stclass_chains",
-        "params": {"rank_max": rank_max, "q_list": list(q_list)},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {"chains": chains},
-    }
+    return _record("stclass_chains", {"rank_max": rank_max, "q_list": list(q_list)}, failures,
+                   {"chains": chains})
 
 
 def check_ratio_witness(n_min: int, n_max: int) -> dict:
@@ -479,13 +406,8 @@ def check_ratio_witness(n_min: int, n_max: int) -> dict:
             count += 1
             if symmetric.ratio_witness(lam, excluded, Fraction(1, 100)) is None:
                 failures.append({"lam": lam.parts})
-    return {
-        "check": "ratio_witness",
-        "params": {"n_min": n_min, "n_max": n_max},
-        "verdict": "pass" if not failures else "fail",
-        "witness": failures[0] if failures else None,
-        "values": {"shapes": count},
-    }
+    return _record("ratio_witness", {"n_min": n_min, "n_max": n_max}, failures,
+                   {"shapes": count})
 
 
 def check_epsilon_an(n_min: int, n_max: int) -> dict:

@@ -8,7 +8,8 @@ parity selecting the type.  The degree formula divides q^{a(S)} |G|_{q'} by
 (q^len - 1) over hooks and (q^len + 1) over cohooks of positive length;
 length-0 cohooks are excluded, which is the normalization that makes the
 trivial character evaluate to 1 and the Steinberg symbol to the full q-part
-of the group order.
+of the group order.  Every group order |G|_{q'} here, of GL/GU and BC/D/2D
+alike, is read from the one table maxdegree.order_pprime.
 
 Symbols are enumerated on plain row tuples: each bipartition (alpha, beta)
 of the right size gives the rows of one reduced symbol directly, so no
@@ -47,6 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .maxdegree import order_pprime
 from .partitions import (
     Partition,
     _partition_tuples,
@@ -82,12 +84,13 @@ def _hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=200_000)
 def _degree_gl(parts: tuple[int, ...], q: int) -> int:
-    """q^a prod_{i <= n} (q^i - 1) / prod_h (q^h - 1) over the hook lengths h.
+    """q^a |GL_n(q)|_{q'} / prod_h (q^h - 1) over the hook lengths h.
 
     Also the GU kernel: at -q the value is the GU_n(q) degree up to sign
-    (Ennola duality), so q may be negative.
+    (Ennola duality), so q may be negative, and the numerator is then
+    |GU_n(q)|_{q'}, the GL bracket at -q in absolute value.
     """
-    num = math.prod(q ** i - 1 for i in range(1, sum(parts) + 1))
+    num = order_pprime("GL" if q > 0 else "GU", sum(parts), abs(q))
     quot, rem = divmod(num, math.prod(q ** h - 1 for h in _hook_lengths(parts)))
     if rem:  # the quotient is a character degree, so this cannot fail
         raise ArithmeticError(f"non-integral type A degree for {parts}, q={q}")
@@ -262,24 +265,6 @@ def canonicalize(sym: Symbol) -> SymbolClass:
     return SymbolClass(Symbol._from_valid_rows(x, y))
 
 
-@lru_cache(maxsize=4096)
-def _order_pprime_symbol(fam: str, n: int, q: int) -> int:
-    """q'-part of the classical group order for the symbol families."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    if fam == "BC":
-        out = 1
-        for i in range(1, n + 1):
-            out *= q ** (2 * i) - 1
-        return out
-    if fam in ("D", "2D"):
-        out = q ** n - 1 if fam == "D" else q ** n + 1
-        for i in range(1, n):
-            out *= q ** (2 * i) - 1
-        return out
-    raise ValueError(f"not a symbol family: {fam}")
-
-
 def symbol_two_power(sym: Symbol) -> int:
     """Power of 2 dividing the hook/cohook denominator normalization.
 
@@ -320,14 +305,14 @@ class _DegreePlan(NamedTuple):
         """Largest entry of the rows, which bounds every hook and cohook length."""
         return max(self.x[-1:] + self.y[-1:], default=0)
 
-    def evaluate(self, q: int, order_pprime: int,
+    def evaluate(self, q: int, order: int,
                  tables: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
-        """The degree at q, given |G|_{q'} = _order_pprime_symbol(fam, rank, q)
+        """The degree at q, given order = |G|_{q'} = order_pprime(fam, rank, q)
         and tables = _factor_tables(q, top) for some top >= self.top."""
         minus_tab, plus_tab = tables
         den = (math.prod(map(minus_tab.__getitem__, self.minus), start=1 << self.two_power)
                * math.prod(map(plus_tab.__getitem__, self.plus)))
-        quot, rem = divmod(q ** self.a * order_pprime, den)
+        quot, rem = divmod(q ** self.a * order, den)
         if rem != 0:
             raise ArithmeticError(
                 f"non-integral symbol degree for {Symbol._from_valid_rows(self.x, self.y)}, q={q}")
@@ -370,7 +355,7 @@ def degree_symbol(sym: Symbol, q: int) -> int:
         raise ValueError("q must be >= 2")
     canon = canonicalize(sym).symbol
     plan = _symbol_plan(canon.X, canon.Y)
-    return plan.evaluate(q, _order_pprime_symbol(plan.fam, plan.rank, q),
+    return plan.evaluate(q, order_pprime(plan.fam, plan.rank, q),
                          _factor_tables(q, plan.top))
 
 
@@ -489,13 +474,6 @@ def _symbol_exponent(x: tuple[int, ...], y: tuple[int, ...]) -> int:
             - _binomial_tail(m))
 
 
-def _order_pprime_partition(fam: str, n: int, q: int) -> int:
-    """|prod_{i <= n} (Q^i - 1)| at Q = q for GL and Q = -q for GU: the
-    q'-part of |GL_n(q)| or |GU_n(q)|."""
-    signed = q if fam == "GL" else -q
-    return abs(math.prod(signed ** i - 1 for i in range(1, n + 1)))
-
-
 # One label of a runner-up search: (-e, tie key, s, label), where the degree
 # at q is at most |G|_{q'} q^e 2^s; a list of them is sorted on (-e, tie key).
 _Entry = tuple[int, object, int, object]
@@ -555,7 +533,7 @@ def _steinberg_max_partitions(n: int, q_list: tuple[int, ...], fam: str) -> list
     entries = _partition_entries(n)
     out = []
     for q in q_list:
-        runner, runner_degree = _runner_up(entries, q, _order_pprime_partition(fam, n, q), deg)
+        runner, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), deg)
         out.append(_steinberg_outcome(deg(st_label, q), runner, runner_degree))
     return out
 
@@ -570,11 +548,11 @@ def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tu
         plan = plans.get(i)
         if plan is None:
             plan = plans[i] = _build_plan(*labels[i], fam, n)
-        return plan.evaluate(q, _order_pprime_symbol(fam, n, q), _factor_tables(q, plan.top))
+        return plan.evaluate(q, order_pprime(fam, n, q), _factor_tables(q, plan.top))
 
     out = []
     for q in q_list:
-        i, runner_degree = _runner_up(entries, q, _order_pprime_symbol(fam, n, q), evaluate)
+        i, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), evaluate)
         runner = None if i is None else SymbolClass(Symbol._from_valid_rows(*labels[i][:2]))
         out.append(_steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
     return out

@@ -157,7 +157,8 @@ def test_main_entry_direct():
 
 
 # sha256 of the whole stdout of commands the benchmark runs (perfbench/golden/
-# holds them record by record): report bytes are part of the certificate
+# holds them record by record), and of wider ones: report bytes are part of
+# the certificate
 PINNED_OUTPUTS = [
     (("verify", "all", "--q", "2,3,4", "--n", "1..6", "--jobs", "1"),
      "de9ce695fdbc010aa162ba0adfa97f9ed9df176dd7ba6de22dec2a6a38980144"),
@@ -174,6 +175,16 @@ PINNED_OUTPUTS = [
     (("verify", "steinberg", "--family", "GL,GU,BC,D,2D", "--q", "2,3,5,7", "--n", "13..16",
       "--jobs", "1"),
      "66d949e915c3707238d531b283c53df9647959b08fd6d8991a0cfb8bed9c7efc"),
+    # group orders beyond the benchmark's n <= 2 bounds rows: the st, seitz and c columns
+    (("bounds", "--family", "A,2A,B,C,D,2D", "--q", "2,3,4,5,7,8,9", "--n", "1..12",
+      "--format", "csv"),
+     "5a7d1abb77dfcf4ff0395497b83f9f8aef0f77e0eb83ae1e47c705e694b866a7"),
+    (("verify", "all", "--q", "2,3,4,5", "--n", "1..10", "--jobs", "1"),
+     "c17a98dd77307462d115c40461a993ba4faf1f0f14afe13659ede9ad8954b221"),
+    (("bmax", "gl", "--n", "12", "--q", "3"),
+     "37dea71373bc9557c544e40b07d05c012a9de39864880c35d00e5492d6bfa6f1"),
+    (("degree", "gu", "--n", "9", "--q", "3", "--format", "csv"),
+     "d58f67a9c6a5f1026235ab8cb48e5a116e52d9371977356ced228a5063923a85"),
 ]
 
 

@@ -23,7 +23,7 @@ from lie_degrees.maxdegree import (
     gl_degree_of_type,
     merge_ratio_sl_n_2,
     order_parts,
-    poly_budget,
+    order_pprime,
     prime_power,
     seitz_bound,
 )
@@ -58,6 +58,108 @@ def orbit_oracle(q, d):
 # ---------------------------------------------------------------------------
 # group orders and the minimal-torus bound
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# the q'-order table against the hand-written formulas it replaced
+# ---------------------------------------------------------------------------
+
+def _order_parts_reference(family, n, q):
+    """(|G|_p, |G|_{p'}) written out per family, as order_parts had it."""
+    if family == "A":
+        pprime = 1
+        for i in range(2, n + 1):
+            pprime *= q ** i - 1
+        return q ** (n * (n - 1) // 2), pprime
+    if family == "2A":
+        pprime = 1
+        for i in range(2, n + 1):
+            pprime *= q ** i - (-1) ** i
+        return q ** (n * (n - 1) // 2), pprime
+    if family in ("B", "C"):
+        pprime = 1
+        for i in range(1, n + 1):
+            pprime *= q ** (2 * i) - 1
+        return q ** (n * n), pprime
+    pprime = q ** n - (1 if family == "D" else -1)
+    for i in range(1, n):
+        pprime *= q ** (2 * i) - 1
+    return q ** (n * (n - 1)), pprime
+
+
+def _symbol_order_reference(family, n, q):
+    """|G|_{q'} of the symbol families BC, D, 2D, as the degree formula had it."""
+    if family == "BC":
+        out = 1
+        for i in range(1, n + 1):
+            out *= q ** (2 * i) - 1
+        return out
+    out = q ** n - 1 if family == "D" else q ** n + 1
+    for i in range(1, n):
+        out *= q ** (2 * i) - 1
+    return out
+
+
+def _partition_order_reference(family, n, q):
+    """|prod_{i <= n} (Q^i - 1)| at Q = q (GL) or Q = -q (GU)."""
+    signed = q if family == "GL" else -q
+    return abs(math.prod(signed ** i - 1 for i in range(1, n + 1)))
+
+
+def _block_denominator_reference(q, d, k):
+    """prod_{i <= k} (q^{i d} - 1), the denominator of a GL_k(q^d) block's weight."""
+    den = 1
+    for i in range(1, k + 1):
+        den *= q ** (i * d) - 1
+    return den
+
+
+ORDER_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def test_order_table_matches_the_written_out_formulas():
+    for q in ORDER_QS:
+        for n in range(1, 13):
+            for family in maxdegree.FAMILIES:
+                if family in ("D", "2D") and n < 2:
+                    continue
+                expected = _order_parts_reference(family, n, q)
+                assert order_parts(GroupSpec(family, n, q)) == expected, (family, n, q)
+                assert order_pprime(family, n, q) == expected[1]
+            for family in ("BC", "D", "2D"):
+                assert order_pprime(family, n, q) == _symbol_order_reference(family, n, q)
+        for n in range(13):
+            for family in ("GL", "GU"):
+                assert order_pprime(family, n, q) == _partition_order_reference(family, n, q)
+        for d in range(1, 5):
+            for k in range(1, 13):
+                den = _block_denominator_reference(q, d, k)
+                assert maxdegree._block_weight(q, d, k) == Fraction(
+                    q ** (d * k * (k - 1) // 2), den)
+
+
+def test_named_group_orders():
+    def order(family, n, q):
+        p_part, pprime = order_parts(GroupSpec(family, n, q))
+        return p_part * pprime
+
+    assert order("A", 3, 2) == 168                   # SL_3(2)
+    assert order("2A", 3, 3) == 6048                 # SU_3(3)
+    assert 2 ** 3 * order_pprime("GU", 3, 2) == 648  # GU_3(2)
+    assert order("C", 2, 2) == 720                   # Sp_4(2)
+    assert order("D", 4, 2) == 174_182_400           # Spin+_8(2)
+
+
+def test_order_table_refuses_rank_below_one():
+    for family in ("A", "2A", "B", "C", "BC", "D", "2D"):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            order_pprime(family, 0, 2)
+    for family in ("GL", "GU"):  # GL_0 = GU_0 = 1, but no negative sizes
+        assert order_pprime(family, 0, 3) == 1
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            order_pprime(family, -1, 2)
+    with pytest.raises(ValueError, match="unknown family"):
+        order_pprime("E", 6, 2)
+
 
 def test_order_parts_examples():
     assert order_parts(GroupSpec("A", 3, 2)) == (8, 21)      # |SL_3(2)| = 168
@@ -127,15 +229,13 @@ def test_count_nondual_examples():
 
 def test_poly_budget_brackets():
     for q in (2, 3, 5):
-        budget = poly_budget(q, 12)
         for d in range(1, 13):
-            assert budget.n(d) == count_irred(q, d)
-            assert budget.n_star(d) == count_irred_nondual(q, d)
+            n_d, n_star = count_irred(q, d), count_irred_nondual(q, d)
             if d >= 3:
-                assert 3 * q ** d <= 4 * d * budget.n(d) < 4 * q ** d
+                assert 3 * q ** d <= 4 * d * n_d < 4 * q ** d
             if (d >= 3 and q >= 3) or (d >= 5 and q == 2):
-                assert 3 * q ** d <= 4 * d * budget.n_star(d)
-            assert d * budget.n_star(d) < q ** d
+                assert 3 * q ** d <= 4 * d * n_star
+            assert d * n_star < q ** d
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])

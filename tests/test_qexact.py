@@ -30,13 +30,15 @@ def test_bracket_examples():
     assert bracket((1,), 2) == 1
     assert bracket((2, 3), 2) == 3 * 7
     assert bracket((1, 2, 3), 3) == 2 * 8 * 26
+    assert bracket((1, 2, 3), -2) == (-3) * 3 * (-9)  # |GU_3(2)|_{2'} at -q
 
 
 def test_bracket_validation():
     with pytest.raises(ValueError):
         bracket((2, 2), 2)
-    with pytest.raises(ValueError):
-        bracket((1,), 1)
+    for q in (1, 0, -1):
+        with pytest.raises(ValueError):
+            bracket((1,), q)
 
 
 def test_bracket_ratio_examples():

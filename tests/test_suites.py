@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lie_degrees import maxdegree, suites, symmetric, unipotent
+from lie_degrees import maxdegree, qexact, suites, symmetric, unipotent
 
 
 def test_fmt_rational():
@@ -271,6 +271,48 @@ def test_check_prop_dominance_includes_q2_pair():
     record = suites.check_prop_dominance(10, (3, 4, 5))
     assert record["verdict"] == "pass"
     assert record["values"]["q2_smallest_counterexample"] == [[[2, 2, 2], [3, 2, 1]]]
+
+
+def test_check_anchor_degrees_fail_record(monkeypatch):
+    monkeypatch.setattr(unipotent, "degree_gl", lambda lam, q: sum(lam.parts) * q)
+    assert suites.check_anchor_degrees() == {
+        "check": "anchor_degrees", "params": {}, "verdict": "fail",
+        "witness": {"got": [12, 12], "expected": [5952, 6480]},
+        "values": {"deg_222": 12, "deg_321": 12},
+    }
+
+
+def test_check_prop_dominance_fail_record_when_only_q2_is_wrong(monkeypatch):
+    cases = suites.check_prop_dominance(6, (3,))["values"]["cases"]
+    degree = unipotent.degree_gl
+    # at q = 2 only: deg (3,2,1) drops to 5000, below 5952 = deg (2,2,2) and
+    # above the degrees of the shapes dominating (3,2,1) (at most 1240), so the
+    # known pair is no longer a violation and no new one appears; q = 3 is untouched
+    monkeypatch.setattr(unipotent, "degree_gl",
+                        lambda lam, q: 5000 if (q, lam.parts) == (2, (3, 2, 1)) else degree(lam, q))
+    assert suites.check_prop_dominance(6, (3,)) == {
+        "check": "prop_dominance", "params": {"n_max": 6, "q_list": [3]},
+        "verdict": "fail", "witness": {"q2_violations": []},
+        "values": {"cases": cases, "q2_smallest_counterexample": []},
+    }
+
+
+def test_check_lemma_products_fail_record_names_the_failing_q(monkeypatch):
+    report = {"ok": False, "per_q": {2: {"poly_lower": True, "alternating": False},
+                                     3: {"poly_lower": True, "alternating": True}}}
+    monkeypatch.setattr(qexact, "product_bound_suite", lambda q_max, m: report)
+    assert suites.check_lemma_products(3, 40) == {
+        "check": "lemma_products", "params": {"q_max": 3, "m": 40}, "verdict": "fail",
+        "witness": {2: {"alternating": False}}, "values": {"q_checked": [2, 3]},
+    }
+
+
+def test_check_octuple_closed_form_fail_record_when_too_few_are_verified(monkeypatch):
+    monkeypatch.setattr(symmetric, "downup_moves", lambda parts: [])  # nothing to pick
+    assert suites.check_octuple_closed_form(3, 20, 1) == {
+        "check": "octuple_closed_form", "params": {"count": 3, "n_max": 20, "seed": 1},
+        "verdict": "fail", "witness": {"done": 0}, "values": {"verified": 0},
+    }
 
 
 def test_check_prop_glgu_equalities():

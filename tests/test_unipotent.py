@@ -31,7 +31,7 @@ from lie_degrees.unipotent import (
     symbol_two_power,
     verify_steinberg_max,
 )
-from lie_degrees.maxdegree import GroupSpec, order_parts
+from lie_degrees.maxdegree import GroupSpec, order_parts, order_pprime
 
 
 # independent partition-count oracle for bipartition counts
@@ -75,6 +75,13 @@ def test_degree_gu_closed_forms(q):
         assert degree_gu(Partition((1,) * n), q) == q ** (n * (n - 1) // 2)
     assert degree_gu(Partition((2, 2)), q) == degree_gl(Partition((2, 2)), q)
     assert degree_gu(Partition((2, 1)), q) == q * (q - 1)
+
+
+def test_empty_partition_has_degree_one():
+    # GL_0(q) = GU_0(q) = 1: the order table's empty bracket, not its rank check
+    for q in (2, 3):
+        assert degree_gl(Partition(()), q) == 1
+        assert degree_gu(Partition(()), q) == 1
 
 
 def _ref_degree_gu(lam, q):
@@ -635,8 +642,8 @@ def test_partition_order_is_the_pprime_part_of_gl_and_gu():
         for q in SEARCH_QS:
             _, sl = order_parts(GroupSpec("A", n, q))
             _, su = order_parts(GroupSpec("2A", n, q))
-            assert unipotent._order_pprime_partition("GL", n, q) == (q - 1) * sl
-            assert unipotent._order_pprime_partition("GU", n, q) == (q + 1) * su
+            assert order_pprime("GL", n, q) == (q - 1) * sl
+            assert order_pprime("GU", n, q) == (q + 1) * su
 
 
 def test_every_degree_is_within_its_search_bound():
@@ -649,13 +656,13 @@ def test_every_degree_is_within_its_search_bound():
         for neg_e, i, s, _ in unipotent._symbol_entries(labels):
             sym = Symbol(*labels[i][:2])
             for q in SEARCH_QS:
-                order = unipotent._order_pprime_symbol(fam, n, q)
+                order = order_pprime(fam, n, q)
                 assert within(degree_symbol(sym, q), order, neg_e, s, q), (sym, q)
     for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
         for n in range(1, 15):
             for neg_e, _, s, lam in unipotent._partition_entries(n):
                 for q in SEARCH_QS:
-                    order = unipotent._order_pprime_partition(fam, n, q)
+                    order = order_pprime(fam, n, q)
                     assert within(deg(lam, q), order, neg_e, s, q), (fam, lam, q)
 
 
@@ -680,7 +687,7 @@ def _unpruned_steinberg_max(n, q_list, fam):
     top = max((plan.top for plan in plans), default=0)
     out = []
     for q in q_list:
-        order = unipotent._order_pprime_symbol(fam, n, q)
+        order = order_pprime(fam, n, q)
         tables = unipotent._factor_tables(q, top)
         runner, runner_degree = None, -1
         for plan in plans:
