@@ -1,67 +1,52 @@
 """Exact character-degree computations for symmetric groups and finite
-classical groups, with certified verification of degree bounds."""
+classical groups, with certified verification of degree bounds.
 
-from .partitions import (
-    Dominance,
-    HookTable,
-    Node,
-    Partition,
-    addable_removable,
-    beta_set,
-    dominance,
-    hooks,
-    odd_hook_sequence,
-    partition_from_beta_set,
-    partitions_of,
-    sym_degree,
-    transpose,
-)
-from .symmetric import (
-    DegreeMultiset,
-    DownUpMove,
-    OctupleMove,
-    alt_degrees,
-    downup_neighborhood,
-    epsilon_of,
-    octuple_ratio,
-    ratio_witness,
-    sym_degrees,
-)
-from .qexact import (
-    RationalInterval,
-    bracket,
-    bracket_ratio_bounds,
-    euler_interval,
-    one_plus_interval,
-    product_bound_suite,
-)
-from .unipotent import (
-    Symbol,
-    SymbolClass,
-    SymbolStats,
-    a_value_gl,
-    canonicalize,
-    degree_gl,
-    degree_gu,
-    degree_symbol,
-    enumerate_symbols,
-    stclass_chain,
-    steinberg_symbol,
-    symbol_stats,
-    verify_steinberg_max,
-)
-from .maxdegree import (
-    CentralizerTypeGL,
-    CertVerdict,
-    GroupSpec,
-    b_gl_exact,
-    bound_bracket,
-    count_irred,
-    count_irred_nondual,
-    epsilon_certificate,
-    merge_ratio_sl_n_2,
-    order_parts,
-    seitz_bound,
-)
+Importing the package loads none of its modules: each public name below is
+imported from its module on first access (PEP 562), so a program that uses
+only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
+"""
 
+import importlib
+
+# module -> the public names it defines
+_EXPORTS = {
+    "partitions": (
+        "Dominance", "HookTable", "Node", "Partition", "addable_removable",
+        "beta_set", "dominance", "hooks", "odd_hook_sequence",
+        "partition_from_beta_set", "partitions_of", "sym_degree", "transpose",
+    ),
+    "symmetric": (
+        "DegreeMultiset", "DownUpMove", "OctupleMove", "alt_degrees",
+        "downup_neighborhood", "epsilon_of", "octuple_ratio", "ratio_witness",
+        "sym_degrees",
+    ),
+    "qexact": (
+        "RationalInterval", "bracket", "bracket_ratio_bounds", "euler_interval",
+        "one_plus_interval", "product_bound_suite",
+    ),
+    "unipotent": (
+        "Symbol", "SymbolClass", "SymbolStats", "a_value_gl", "canonicalize",
+        "degree_gl", "degree_gu", "degree_symbol", "enumerate_symbols",
+        "stclass_chain", "steinberg_symbol", "symbol_stats", "verify_steinberg_max",
+    ),
+    "maxdegree": (
+        "CentralizerTypeGL", "CertVerdict", "GroupSpec", "b_gl_exact",
+        "bound_bracket", "count_irred", "count_irred_nondual",
+        "epsilon_certificate", "merge_ratio_sl_n_2", "order_parts", "seitz_bound",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,7 +1,12 @@
 """Command-line surface: exact degrees, verification sweeps, tables.
 
 Exit codes: 0 all asserted checks pass, 1 a check failed (witness in the
-report), 2 usage or configuration error.
+report), 2 usage or configuration error, 3 internal error (an arithmetic
+self-check of the program failed; a bug, not a bad input).
+
+Start-up is most of the cost of a short command, so this module imports
+nothing from the package at load time: each command imports the modules it
+runs, and calls them as module.function.
 """
 
 from __future__ import annotations
@@ -10,11 +15,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import maxdegree, partitions, suites, symmetric, unipotent
-
 
 def parse_partition(text: str) -> partitions.Partition:
     """Parse '3,2,1' or power notation '2^3,1' into a partition."""
+    from . import partitions
     parts: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -40,28 +44,42 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator a ValueError like any other
+    malformed number (Fraction raises ZeroDivisionError for it)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_fraction_set(text: str) -> set[Fraction]:
-    return {Fraction(x) for x in text.split(",") if x.strip()}
+    return {parse_fraction(x) for x in text.split(",") if x.strip()}
 
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        suites.write_atomic(args.out, text)
+        from . import tables
+        tables.write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_degree(args) -> int:
     if args.n is not None:  # table mode: all labels of the given rank
+        from . import tables
         fam = {"sym": "sym", "gl": "gl", "gu": "gu"}.get(args.kind)
         if fam is None:
             fam = args.symbol_family or "BC"
-        header, rows = suites.degrees_table(fam, args.n, args.q)
-        _emit(args, suites.render_table(header, rows, args.format, "degrees"))
+        header, rows = tables.degrees_table(fam, args.n, args.q)
+        _emit(args, tables.render_table(header, rows, args.format, "degrees"))
         return 0
     if args.kind == "sym":
+        from . import partitions
         print(partitions.sym_degree(parse_partition(args.partition)))
-    elif args.kind in ("gl", "gu"):
+        return 0
+    from . import unipotent
+    if args.kind in ("gl", "gu"):
         lam = parse_partition(args.partition)
         deg = unipotent.degree_gl if args.kind == "gl" else unipotent.degree_gu
         print(deg(lam, args.q))
@@ -73,6 +91,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
     n_min, n_max = parse_range(args.n)
     cfg = suites.SuiteConfig(
         families=tuple(args.family.split(",")) if args.family else ("GL", "GU", "BC", "D", "2D"),
@@ -93,6 +112,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bmax(args) -> int:
+    from . import maxdegree
     b, witness = maxdegree.b_gl_exact(args.n, args.q)
     print(b)
     print("witness:", " x ".join(f"GL_{k}(q^{d})" for k, d in witness.blocks))
@@ -100,14 +120,15 @@ def cmd_bmax(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import tables
     n_min, n_max = parse_range(args.n)
     rows_all: list[list] = []
     header: list[str] = []
     for fam in args.family.split(","):
         for q in parse_int_list(args.q):
-            header, rows = suites.bounds_table(fam, n_min, n_max, q)
+            header, rows = tables.bounds_table(fam, n_min, n_max, q)
             rows_all.extend(rows)
-    _emit(args, suites.render_table(header, rows_all, args.format, "bounds"))
+    _emit(args, tables.render_table(header, rows_all, args.format, "bounds"))
     return 0
 
 
@@ -115,22 +136,26 @@ def cmd_epsilon(args) -> int:
     if args.kind == "an":
         n_min, n_max = parse_range(args.n)
         if n_min == n_max and not args.out and args.format == "json":
+            from . import symmetric
             eps = symmetric.epsilon_of(symmetric.alt_degrees(n_min))
             print(f"{eps.numerator}/{eps.denominator}")
             return 0
-        header, rows = suites.epsilon_table(n_min, n_max)
-        _emit(args, suites.render_table(header, rows, args.format, "epsilon"))
+        from . import tables
+        header, rows = tables.epsilon_table(n_min, n_max)
+        _emit(args, tables.render_table(header, rows, args.format, "epsilon"))
         return 0
     # cert
+    from . import maxdegree
     spec = maxdegree.GroupSpec(args.family, args.rank, args.q)
     print(maxdegree.epsilon_certificate(spec).value)
     return 0
 
 
 def cmd_ratio_search(args) -> int:
+    from . import partitions, symmetric
     lam = parse_partition(args.partition)
     witness = symmetric.ratio_witness(lam, parse_fraction_set(args.exclude),
-                                      Fraction(args.delta))
+                                      parse_fraction(args.delta))
     if witness is None:
         print("no witness found")
         return 1
@@ -187,6 +212,7 @@ def _bounds_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _epsilon_arguments(p: argparse.ArgumentParser) -> None:
+    from . import maxdegree
     ksub = p.add_subparsers(dest="kind", required=True)
     pa = ksub.add_parser("an", help="epsilon(A_n) from the exact degree list")
     pa.add_argument("--n", default="5..20", help="single n prints the exact rational")
@@ -248,9 +274,12 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a self-check failed: no input is at fault
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

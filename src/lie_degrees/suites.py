@@ -1,4 +1,4 @@
-"""Named verification checks, suite runner and table emitters.
+"""Named verification checks and the suite runner.
 
 Each check returns a plain dict record {check, params, verdict, witness,
 values}; verdict is "pass"/"fail" for asserted checks and "report" for
@@ -10,39 +10,13 @@ explicitly requested.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import maxdegree, partitions, qexact, symmetric, unipotent
-
-SCHEMA = "lie-degrees-report/1"
-
-
-def fmt_rational(x: Fraction) -> dict:
-    """Exact p/q string plus a 15-significant-digit decimal annotation."""
-    x = Fraction(x)
-    with localcontext() as ctx:
-        ctx.prec = 15
-        dec = Decimal(x.numerator) / Decimal(x.denominator)
-    return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": str(dec)}
-
-
-def json_safe_ints(obj):
-    """obj with every int of absolute value >= 2^53 turned into its decimal
-    string, through dicts, lists and tuples, so JSON readers that parse
-    numbers as doubles lose no digits (bools are ints below 2^53)."""
-    if isinstance(obj, dict):
-        return {k: json_safe_ints(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe_ints(v) for v in obj]
-    if isinstance(obj, int) and abs(obj) >= 2 ** 53:
-        return str(obj)
-    return obj
+from .tables import SCHEMA, fmt_rational, json_safe_ints, render_table
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +414,6 @@ class SuiteConfig:
     q_list: tuple[int, ...] = (2, 3)
     truncation_m: int = 40
     parallelism: int = 1
-    out: str | None = None
     fmt: str = "json"
     timing: bool = False
 
@@ -544,22 +517,18 @@ class SuiteReport:
         return json.dumps(json_safe_ints(doc), indent=2, sort_keys=True, default=str) + "\n"
 
     def to_csv(self, timing: bool = False) -> str:
-        import csv
-        import io
-        buf = io.StringIO()
-        fields = ["check", "params", "verdict", "witness"]
+        header = ["check", "params", "verdict", "witness"]
         if timing:
-            fields.append("wall_ms")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
+            header.append("wall_ms")
+        rows = []
         for c in self.checks:
             row = [c["check"], json.dumps(c["params"], sort_keys=True, default=str),
                    c["verdict"],
                    json.dumps(c["witness"], sort_keys=True, default=str)]
             if timing:
                 row.append(round(1000 * c.get("_elapsed", 0), 3))
-            writer.writerow(row)
-        return buf.getvalue()
+            rows.append(row)
+        return render_table(header, rows, "csv", "report")
 
 
 def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
@@ -567,6 +536,7 @@ def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
     tasks = _suite_tasks(cfg, selection)
     jobs = int(os.environ.get("LIE_DEGREES_THREADS", cfg.parallelism) or 1)
     if jobs > 1 and len(tasks) > 1:
+        import multiprocessing
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             records = pool.map(_run_task, tasks)
     else:
@@ -579,106 +549,3 @@ def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
         "truncation_m": cfg.truncation_m,
     }
     return SuiteReport(config=config, checks=records)
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write text to path through a unique temporary file in the same directory.
-
-    The data is flushed to disk before the rename, and the temporary file is
-    removed if anything fails, so path holds either its old or its new content.
-    """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp makes 0600, open() would not
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
-        raise
-
-
-# ---------------------------------------------------------------------------
-# machine-readable tables
-# ---------------------------------------------------------------------------
-
-def degrees_table(family: str, n: int, q: int | None) -> tuple[list[str], list[list]]:
-    if family == "sym":
-        header = ["partition", "degree"]
-        rows = [[",".join(map(str, lam.parts)), partitions.sym_degree(lam)]
-                for lam in partitions.partitions_of(n)]
-        return header, rows
-    if family in ("gl", "gu"):
-        if q is None:
-            raise ValueError("gl/gu tables need q")
-        deg = unipotent.degree_gl if family == "gl" else unipotent.degree_gu
-        header = ["partition", "a_value", "degree"]
-        rows = [[",".join(map(str, lam.parts)), unipotent.a_value_gl(lam),
-                 deg(lam, q)] for lam in partitions.partitions_of(n)]
-        return header, rows
-    if family in ("BC", "D", "2D"):
-        if q is None:
-            raise ValueError("symbol tables need q")
-        header = ["X", "Y", "defect", "multiplicity", "degree"]
-        rows = []
-        for cls in unipotent.enumerate_symbols(n, family):
-            sym = cls.symbol
-            rows.append([",".join(map(str, sym.X)), ",".join(map(str, sym.Y)),
-                         unipotent.symbol_defect(sym), cls.multiplicity,
-                         unipotent.degree_symbol(sym, q)])
-        return header, rows
-    raise ValueError(f"unknown degrees table family {family!r}")
-
-
-def bounds_table(family: str, n_min: int, n_max: int, q: int) -> tuple[list[str], list[list]]:
-    header = ["family", "n", "q", "lower", "c", "upper",
-              "lower_decimal", "c_decimal", "upper_decimal", "seitz", "st"]
-    rows = []
-    lo_rank = max(n_min, 2) if family in ("D", "2D") else n_min
-    for n in range(lo_rank, n_max + 1):
-        spec = maxdegree.GroupSpec(family, n, q)
-        lower, upper = maxdegree.bound_bracket(spec)
-        st, _ = maxdegree.order_parts(spec)
-        lo_f, up_f = fmt_rational(lower), fmt_rational(upper)
-        if family == "A" and maxdegree.prime_power(q):
-            b, _w = maxdegree.b_gl_exact(n, q)
-            c_f = fmt_rational(Fraction(b, st))
-        else:
-            c_f = {"ratio": "", "decimal": ""}
-        rows.append([family, n, q, lo_f["ratio"], c_f["ratio"], up_f["ratio"],
-                     lo_f["decimal"], c_f["decimal"], up_f["decimal"],
-                     maxdegree.seitz_bound(spec), st])
-    return header, rows
-
-
-def epsilon_table(n_min: int, n_max: int) -> tuple[list[str], list[list]]:
-    header = ["n", "b", "epsilon", "epsilon_decimal"]
-    rows = []
-    for n in range(max(n_min, 2), n_max + 1):
-        degs = symmetric.alt_degrees(n)
-        eps = symmetric.epsilon_of(degs)
-        f = fmt_rational(eps)
-        rows.append([n, degs.b, f["ratio"], f["decimal"]])
-    return header, rows
-
-
-def render_table(header: list[str], rows: list[list], fmt: str, kind: str) -> str:
-    if fmt == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    doc = {"schema": SCHEMA, "kind": kind, "columns": header,
-           "rows": json_safe_ints(rows)}
-    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"

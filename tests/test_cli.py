@@ -125,6 +125,23 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
 
 
+def test_zero_denominators_are_usage_errors(capsys):
+    assert main(["ratio-search", "--partition", "3,1", "--exclude", "2,1/0"]) == 2
+    assert main(["ratio-search", "--partition", "3,1", "--delta", "1/0"]) == 2
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n" * 2
+
+
+def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
+    from lie_degrees import maxdegree
+
+    def contradiction(n, q):
+        raise ArithmeticError(f"non-integral b(GL_{n}({q}))")
+
+    monkeypatch.setattr(maxdegree, "b_gl_exact", contradiction)
+    assert main(["bmax", "gl", "--n", "3", "--q", "2"]) == 3
+    assert capsys.readouterr().err == "internal error: non-integral b(GL_3(2))\n"
+
+
 def test_command_parser_matches_the_full_parser():
     full = build_parser()
     [subs] = [a.choices for a in full._actions if isinstance(a, argparse._SubParsersAction)]
@@ -185,6 +202,9 @@ PINNED_OUTPUTS = [
      "37dea71373bc9557c544e40b07d05c012a9de39864880c35d00e5492d6bfa6f1"),
     (("degree", "gu", "--n", "9", "--q", "3", "--format", "csv"),
      "d58f67a9c6a5f1026235ab8cb48e5a116e52d9371977356ced228a5063923a85"),
+    # the csv report: one writer for reports and tables
+    (("verify", "all", "--q", "2,3", "--n", "1..5", "--format", "csv", "--jobs", "1"),
+     "14498d5c4af6cc02abb6250f4afd27c8ddf6db613c89ba4a713f1584310d12e4"),
 ]
 
 

@@ -452,7 +452,7 @@ def test_integrality_check_survives_python_O():
 
 
 def test_bracket_intervals_are_computed_once_per_bracket(monkeypatch):
-    from lie_degrees import qexact, suites
+    from lie_degrees import qexact, tables
 
     maxdegree._bracket_intervals.cache_clear()
     qexact._ln_base.cache_clear()
@@ -461,7 +461,7 @@ def test_bracket_intervals_are_computed_once_per_bracket(monkeypatch):
     monkeypatch.setattr(qexact, "ln_interval", lambda x, terms=28: seen.append(x) or ln(x, terms))
     for family in ("A", "2A", "B", "C", "D", "2D"):      # the bounds-table command
         for q in (2, 3, 4, 5):
-            suites.bounds_table(family, 1, 2, q)
+            tables.bounds_table(family, 1, 2, q)
     # 244 before the memo: 40 brackets, of which 24 are distinct
     assert maxdegree._bracket_intervals.cache_info().misses == 24
     assert len(seen) < 244, len(seen)

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from lie_degrees import maxdegree, qexact, suites, symmetric, unipotent
+from lie_degrees import maxdegree, qexact, suites, symmetric, tables, unipotent
 
 
 def test_fmt_rational():
-    f = suites.fmt_rational(Fraction(7, 5))
+    f = tables.fmt_rational(Fraction(7, 5))
     assert f == {"ratio": "7/5", "decimal": "1.4"}
-    f = suites.fmt_rational(Fraction(1, 3))
+    f = tables.fmt_rational(Fraction(1, 3))
     assert f["ratio"] == "1/3" and f["decimal"].startswith("0.3333333333333")
 
 
@@ -336,7 +336,7 @@ def test_run_suite_selection_and_exit_semantics():
     assert {c["check"] for c in report.checks} == {"steinberg"}
     assert len(report.checks) == 5  # one record per configured family
     doc = json.loads(report.to_json())
-    assert doc["schema"] == suites.SCHEMA
+    assert doc["schema"] == tables.SCHEMA
     assert doc["summary"] == {"pass": 5, "fail": 0, "report": 0}
     assert "wall_ms" not in json.dumps(doc)
 
@@ -369,36 +369,36 @@ def test_suite_config_validation():
 
 def test_write_atomic(tmp_path):
     path = tmp_path / "out.json"
-    suites.write_atomic(str(path), "hello\n")
+    tables.write_atomic(str(path), "hello\n")
     assert path.read_text() == "hello\n"
     assert not os.path.exists(str(path) + ".tmp")
-    suites.write_atomic(str(path), "again\n")
+    tables.write_atomic(str(path), "again\n")
     assert path.read_text() == "again\n"
     with pytest.raises(TypeError):
-        suites.write_atomic(str(path), None)  # the write fails part-way
+        tables.write_atomic(str(path), None)  # the write fails part-way
     assert path.read_text() == "again\n"
     assert list(tmp_path.glob("*.tmp")) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 def test_degrees_table_paper_row():
-    header, rows = suites.degrees_table("gl", 6, 2)
+    header, rows = tables.degrees_table("gl", 6, 2)
     assert header == ["partition", "a_value", "degree"]
     assert ["2,2,2", 6, 5952] in rows
     assert ["3,2,1", 4, 6480] in rows
 
 
 def test_degrees_table_symbols_and_sym():
-    header, rows = suites.degrees_table("BC", 2, 2)
+    header, rows = tables.degrees_table("BC", 2, 2)
     assert sorted(r[-1] for r in rows) == [1, 1, 5, 5, 9, 16]
-    header, rows = suites.degrees_table("sym", 5, None)
+    header, rows = tables.degrees_table("sym", 5, None)
     assert sorted(r[-1] for r in rows) == [1, 1, 4, 4, 5, 5, 6]
 
 
 def test_bounds_table_brackets_hold():
     from fractions import Fraction
 
-    header, rows = suites.bounds_table("A", 1, 12, 2)
+    header, rows = tables.bounds_table("A", 1, 12, 2)
     assert header[3:6] == ["lower", "c", "upper"]
     for row in rows:
         lower, c, upper = (Fraction(row[3]), Fraction(row[4]), Fraction(row[5]))
@@ -408,7 +408,7 @@ def test_bounds_table_brackets_hold():
 
 
 def test_epsilon_table():
-    header, rows = suites.epsilon_table(5, 8)
+    header, rows = tables.epsilon_table(5, 8)
     assert rows[0][:3] == [5, 5, "7/5"]
     assert rows[3][:2] == [8, 70]
 
@@ -430,7 +430,27 @@ def test_report_json_stringifies_huge_ints_and_leaves_bools():
     assert json.loads(report.to_json())["config"] == {"q_list": [2, 3]}
 
 
+def test_report_csv_quotes_params_and_witness():
+    report = suites.SuiteReport(config={}, checks=[
+        {"check": "steinberg", "params": {"family": "GL", "q_list": [2, 3]},
+         "verdict": "fail", "witness": {"n": 4, "runner_up": "(2, 2)"}, "values": {},
+         "_elapsed": 0.0125},
+        {"check": "epsilon_an", "params": {}, "verdict": "report", "witness": None,
+         "values": {}},
+    ])
+    assert report.to_csv() == (
+        'check,params,verdict,witness\n'
+        'steinberg,"{""family"": ""GL"", ""q_list"": [2, 3]}",fail,'
+        '"{""n"": 4, ""runner_up"": ""(2, 2)""}"\n'
+        'epsilon_an,{},report,null\n')
+    assert report.to_csv(timing=True) == (
+        'check,params,verdict,witness,wall_ms\n'
+        'steinberg,"{""family"": ""GL"", ""q_list"": [2, 3]}",fail,'
+        '"{""n"": 4, ""runner_up"": ""(2, 2)""}",12.5\n'
+        'epsilon_an,{},report,null,0\n')
+
+
 def test_render_table_json_stringifies_huge_ints():
-    text = suites.render_table(["v"], [[2 ** 80]], "json", "t")
+    text = tables.render_table(["v"], [[2 ** 80]], "json", "t")
     doc = json.loads(text)
     assert doc["rows"][0][0] == str(2 ** 80)
