@@ -211,8 +211,12 @@ def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_bounds)
 
 
+# maxdegree.FAMILIES, written out so that building a parser loads no
+# arithmetic module (a test checks that the two agree)
+EPSILON_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
+
+
 def _epsilon_arguments(p: argparse.ArgumentParser) -> None:
-    from . import maxdegree
     ksub = p.add_subparsers(dest="kind", required=True)
     pa = ksub.add_parser("an", help="epsilon(A_n) from the exact degree list")
     pa.add_argument("--n", default="5..20", help="single n prints the exact rational")
@@ -220,7 +224,7 @@ def _epsilon_arguments(p: argparse.ArgumentParser) -> None:
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_epsilon, kind="an")
     pc = ksub.add_parser("cert", help="epsilon > 1 certificate for a classical family")
-    pc.add_argument("--family", required=True, choices=list(maxdegree.FAMILIES))
+    pc.add_argument("--family", required=True, choices=list(EPSILON_FAMILIES))
     pc.add_argument("--rank", type=int, required=True)
     pc.add_argument("--q", type=int, required=True)
     pc.set_defaults(func=cmd_epsilon, kind="cert")

@@ -184,29 +184,37 @@ def addable_removable(lam: Partition) -> tuple[set[Node], set[Node]]:
     return set(addable_nodes(lam.parts)), set(removable_nodes(lam.parts))
 
 
-def add_node(lam: Partition, node: Node) -> Partition:
-    """lam with the node added; it must be addable: j = lam_i + 1, and
-    i = 1 or lam_{i-1} >= j (lam_{l+1} = 0 for the row below the last)."""
+def _with_node(parts: tuple[int, ...], node: Node) -> tuple[int, ...]:
+    """parts with the node added; it must be addable: j = parts_i + 1, and
+    i = 1 or parts_{i-1} >= j (parts_{l+1} = 0 for the row below the last)."""
     i, j = node
-    parts = lam.parts
     l = len(parts)
     if (not 1 <= i <= l + 1 or j != (parts[i - 1] if i <= l else 0) + 1
             or (i > 1 and parts[i - 2] < j)):
-        raise ValueError(f"{node} is not addable to {lam}")
-    return Partition._from_valid_parts(parts[:i - 1] + (j,) + parts[i:])
+        raise ValueError(f"{node} is not addable to Partition{parts}")
+    return parts[:i - 1] + (j,) + parts[i:]
+
+
+def _without_node(parts: tuple[int, ...], node: Node) -> tuple[int, ...]:
+    """parts with the node removed; it must be removable: j = parts_i, and
+    i = l or parts_{i+1} < j."""
+    i, j = node
+    l = len(parts)
+    if not 1 <= i <= l or parts[i - 1] != j or (i < l and parts[i] >= j):
+        raise ValueError(f"{node} is not removable from Partition{parts}")
+    if j == 1:  # only the last row can end in column 1 at a corner
+        return parts[:-1]
+    return parts[:i - 1] + (j - 1,) + parts[i:]
+
+
+def add_node(lam: Partition, node: Node) -> Partition:
+    """lam with the node added; it must be addable (see _with_node)."""
+    return Partition._from_valid_parts(_with_node(lam.parts, node))
 
 
 def remove_node(lam: Partition, node: Node) -> Partition:
-    """lam with the node removed; it must be removable: j = lam_i, and
-    i = l or lam_{i+1} < j."""
-    i, j = node
-    parts = lam.parts
-    l = len(parts)
-    if not 1 <= i <= l or parts[i - 1] != j or (i < l and parts[i] >= j):
-        raise ValueError(f"{node} is not removable from {lam}")
-    if j == 1:  # only the last row can end in column 1 at a corner
-        return Partition._from_valid_parts(parts[:-1])
-    return Partition._from_valid_parts(parts[:i - 1] + (j - 1,) + parts[i:])
+    """lam with the node removed; it must be removable (see _without_node)."""
+    return Partition._from_valid_parts(_without_node(lam.parts, node))
 
 
 def formal_hook_length(lam: Partition, node: Node) -> int:

@@ -205,6 +205,9 @@ def check_oracle_branching(n_max: int) -> dict:
 
 
 def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
+    """octuple_ratio's closed form on count random octuples: a random shape
+    with 8 <= n <= n_max, its down-up moves shuffled, and the first pair among
+    the first eight in four distinct rows and four distinct columns."""
     import random
     rng = random.Random(seed)
     done = 0
@@ -212,29 +215,25 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
     failures = []
     while done < count and attempts < 100 * count:
         attempts += 1
-        n = rng.randint(8, n_max)
+        # randrange(a, b + 1) is what randint(a, b) calls: the same draws
+        rem = rng.randrange(8, n_max + 1)
         parts = []
-        rem, prev = n, n
-        while rem:
-            p = rng.randint(1, min(prev, rem))
+        prev = rem
+        while rem:  # each part is at most the one before: no sort needed
+            p = rng.randrange(1, min(prev, rem) + 1)
             parts.append(p)
             rem -= p
             prev = p
-        lam = partitions.Partition(tuple(sorted(parts, reverse=True)))
-        moves = symmetric.downup_moves(lam.parts)
+        parts = tuple(parts)
+        moves = symmetric.downup_moves(parts)
         rng.shuffle(moves)
-        picked = None
-        for m1 in moves[:8]:
-            for m2 in moves[:8]:
-                (r1, a1), (r2, a2) = m1, m2
-                if (len({r1.i, a1.i, r2.i, a2.i}) == 4
-                        and len({r1.j, a1.j, r2.j, a2.j}) == 4):
-                    picked = (symmetric.DownUpMove(*m1), symmetric.DownUpMove(*m2))
-                    break
-            if picked:
-                break
+        picked = _octuple_pair(moves[:8])
         if not picked:
             continue
+        lam = partitions.Partition._from_valid_parts(parts)
+        (r1, a1), (r2, a2) = picked
+        picked = (symmetric.DownUpMove(partitions.Node(*r1), partitions.Node(*a1)),
+                  symmetric.DownUpMove(partitions.Node(*r2), partitions.Node(*a2)))
         try:
             symmetric.octuple_ratio(lam, symmetric.OctupleMove(*picked))
         except ArithmeticError:
@@ -244,6 +243,22 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
         failures.append({"done": done})
     return _record("octuple_closed_form", {"count": count, "n_max": n_max, "seed": seed},
                    failures, {"verified": done})
+
+
+def _octuple_pair(moves: list) -> tuple | None:
+    """The first (m1, m2) of ((ri, rj), (ai, aj)) moves, m1 outer and m2
+    inner, whose four nodes lie in four distinct rows and columns."""
+    for m1 in moves:
+        (r1i, r1j), (a1i, a1j) = m1
+        if r1i == a1i or r1j == a1j:
+            continue
+        for m2 in moves:
+            (r2i, r2j), (a2i, a2j) = m2
+            if (r2i != a2i and r2i != r1i and r2i != a1i and a2i != r1i and a2i != a1i
+                    and r2j != a2j and r2j != r1j and r2j != a1j
+                    and a2j != r1j and a2j != a1j):
+                return m1, m2
+    return None
 
 
 def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> dict:
@@ -537,8 +552,10 @@ def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
     jobs = int(os.environ.get("LIE_DEGREES_THREADS", cfg.parallelism) or 1)
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing
+        # one task at a time: the default chunks deal fixed runs of tasks, so
+        # one worker can be left with several long checks while the other idles
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            records = pool.map(_run_task, tasks)
+            records = pool.map(_run_task, tasks, chunksize=1)
     else:
         records = [_run_task(t) for t in tasks]
     config = {

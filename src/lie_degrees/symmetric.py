@@ -6,9 +6,19 @@ Octuple moves combine two coordinate-disjoint down-up moves; the degree ratio
 they produce has a closed form in two hook lengths of Delta, which is checked
 against the direct hook-product ratio on every call.
 
-The sweeps (ratio witnesses, degree lists) walk plain part tuples and score
-each diagram with the cached `partitions._sym_degree`; a `Partition` or a
-`DownUpMove` is built only for what a function returns or validates.
+What is built, and when:
+- The moves come from one generator, `_corners`, on integer (row, column)
+  pairs: for each removable corner, the nodes addable once it is gone,
+  derived from the addable nodes of the whole diagram, not recomputed.
+  `downup_moves` returns them as plain ((ri, rj), (ai, aj)) pairs;
+  `downup_neighborhood` builds a `DownUpMove` and a `Partition` per move.
+- `ratio_witness` scores each neighbour as a part tuple with the cached
+  `partitions._sym_degree`, tests ratios in integers, and sorts the
+  neighbours only when the farthest one from ratio 1 is not a witness; it
+  builds one `Partition`, for the witness it returns.
+- `octuple_ratio` forms its three moved diagrams as part tuples.
+- `alt_degrees` walks part tuples and builds a conjugate only for diagrams
+  whose first row is as long as their first column.
 """
 
 from __future__ import annotations
@@ -23,13 +33,10 @@ from .partitions import (
     _column_heights,
     _partition_tuples,
     _sym_degree,
-    add_node,
-    addable_nodes,
+    _with_node,
+    _without_node,
     formal_hook_length,
     hook_product,
-    remove_node,
-    removable_nodes,
-    sym_degree,
 )
 
 
@@ -53,19 +60,36 @@ class OctupleMove:
             raise ValueError("octuple coordinates must be pairwise distinct in i and in j")
 
 
+def _downup_parts(parts: tuple[int, ...], move: DownUpMove) -> tuple[int, ...]:
+    """parts after the move; ValueError unless it is a down-up move of parts."""
+    return _with_node(_without_node(parts, move.remove), move.add)
+
+
 def apply_downup(lam: Partition, move: DownUpMove) -> Partition:
-    return add_node(remove_node(lam, move.remove), move.add)
+    return Partition._from_valid_parts(_downup_parts(lam.parts, move))
 
 
-def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
-    """All (move, Gamma) with Gamma obtained by removing then adding a node."""
-    if lam.n < 1:
-        raise ValueError("need a non-empty partition")
+def _corners(parts: tuple[int, ...]) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """(i, p, adds) for each removable corner (i, p) of the diagram, top row
+    first, with adds the (row, column) nodes addable to the diagram without
+    that corner, top row first.
+
+    The diagram's addable nodes are (1, p_1 + 1) and (i + 1, p_{i+1} + 1) for
+    each corner row i (p_{l+1} = 0).  Removing the corner (i, p) makes (i, p)
+    addable in place of row i's node, and keeps row i + 1's node only when
+    p_{i+1} < p - 1; the other rows are untouched.
+    """
+    if not parts:
+        return []
+    padded = parts + (0,)
+    rows = [i for i in range(1, len(parts) + 1) if padded[i] < padded[i - 1]]
+    adds = [(1, parts[0] + 1)] + [(i + 1, padded[i] + 1) for i in rows]
     out = []
-    for rem in removable_nodes(lam.parts):
-        mid = remove_node(lam, rem)
-        for add in addable_nodes(mid.parts):
-            out.append((DownUpMove(rem, add), add_node(mid, add)))
+    for c, i in enumerate(rows):  # adds[c + 1] is row i + 1's node
+        p = padded[i - 1]
+        above = adds[:c] if adds[c][0] == i else adds[:c + 1]
+        here = [(i, p), adds[c + 1]] if padded[i] < p - 1 else [(i, p)]
+        out.append((i, p, above + here + adds[c + 2:]))
     return out
 
 
@@ -74,13 +98,23 @@ def _removed(parts: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     return parts[:-1] if j == 1 else parts[:i - 1] + (j - 1,) + parts[i:]
 
 
-def downup_moves(parts: tuple[int, ...]) -> list[tuple[Node, Node]]:
-    """The (remove, add) node pairs of downup_neighborhood's moves, in the
-    same order, without building the moves or the diagrams they lead to."""
+def downup_moves(parts: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The ((ri, rj), (ai, aj)) node pairs of downup_neighborhood's moves, in
+    the same order, without building the moves or the diagrams they lead to."""
+    return [((i, p), add) for i, p, adds in _corners(parts) for add in adds]
+
+
+def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
+    """All (move, Gamma) with Gamma obtained by removing then adding a node."""
+    if lam.n < 1:
+        raise ValueError("need a non-empty partition")
     out = []
-    for rem in removable_nodes(parts):
-        mid = _removed(parts, *rem)
-        out += [(rem, add) for add in addable_nodes(mid)]
+    for i, p, adds in _corners(lam.parts):
+        rem = Node(i, p)
+        mid = _removed(lam.parts, i, p)
+        for ai, aj in adds:
+            out.append((DownUpMove(rem, Node(ai, aj)),
+                        Partition._from_valid_parts(mid[:ai - 1] + (aj,) + mid[ai:])))
     return out
 
 
@@ -106,11 +140,12 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
     two remove/add meets contributes h^2/(h^2-1).  Raises ArithmeticError when
     the closed form and the direct ratio differ.
     """
-    d12 = apply_downup(lam, move.first)  # validates move.first against lam
-    d34 = apply_downup(lam, move.second)
-    d1234 = apply_downup(d12, move.second)
-    num = hook_product(lam.parts) * hook_product(d1234.parts)
-    den = hook_product(d12.parts) * hook_product(d34.parts)
+    parts = lam.parts
+    d12 = _downup_parts(parts, move.first)  # validates move.first against lam
+    d34 = _downup_parts(parts, move.second)
+    d1234 = _downup_parts(d12, move.second)
+    num = hook_product(parts) * hook_product(d1234)
+    den = hook_product(d12) * hook_product(d34)
 
     a_node = Node(min(move.first.add.i, move.second.add.i),
                   min(move.first.add.j, move.second.add.j))
@@ -131,49 +166,78 @@ def octuple_ratio(lam: Partition, move: OctupleMove) -> Fraction:
     return Fraction(num, den)
 
 
+def _rational(x) -> Fraction | int:
+    """x as an exact rational: ints and Fractions as they are, anything else
+    (a string, a float) through Fraction."""
+    return x if type(x) in (int, Fraction) else Fraction(x)
+
+
 def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> Partition | None:
     """Search for Gamma of the same size with deg(Gamma)/deg(lam) in [delta, oo) \\ excluded.
 
-    Scans the down-up neighbourhood ordered by |ratio - 1| descending, then all
-    octuple combinations in enumeration order; returns the first hit or None.
+    Scans the down-up neighbourhood ordered by |ratio - 1| descending (ties by
+    parts), then all octuple combinations in enumeration order; returns the
+    first hit or None.
     """
-    delta = Fraction(delta)
+    delta = _rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    excluded = {Fraction(s) for s in excluded}
     parts = lam.parts
     if not parts:
         raise ValueError("need a non-empty partition")
     base = _sym_degree(parts)
+    # d/base >= delta iff d >= low; d/base = s iff d = s * base, an integer
+    low = -(-delta.numerator * base // delta.denominator)
+    banned = set()
+    for s in excluded:
+        s = _rational(s)
+        d, rest = divmod(s.numerator * base, s.denominator)
+        if not rest:
+            banned.add(d)
 
-    def hit(d: int) -> bool:  # d/base >= delta, and d/base not excluded
-        return (d * delta.denominator >= delta.numerator * base
-                and Fraction(d, base) not in excluded)
-
-    # |d/base - 1| = |d - base|/base with base > 0 fixed: integer keys; no two
-    # entries share (remove, add), so the trailing degree is never compared
-    scored = []
-    for rem in removable_nodes(parts):
-        mid = _removed(parts, *rem)
-        for add in addable_nodes(mid):
-            i, j = add
-            gamma = mid[:i - 1] + (j,) + mid[i:]
-            d = _sym_degree(gamma)
-            scored.append((-abs(d - base), gamma, rem, add, d))
+    # |d/base - 1| = |d - base|/base with base > 0 fixed: integer keys.  Every
+    # corner's own re-addition gives lam back, which is listed once; the other
+    # moves lead to distinct diagrams, so the trailing degree is never compared.
+    corners = _corners(parts)
+    scored = [(0, parts, base)]
+    for i, p, adds in corners:
+        mid = _removed(parts, i, p)
+        for ai, aj in adds:
+            if ai != i:
+                gamma = mid[:ai - 1] + (aj,) + mid[ai:]
+                d = _sym_degree(gamma)
+                scored.append((-abs(d - base), gamma, d))
+    _, gamma, d = min(scored)
+    if d >= low and d not in banned:
+        return Partition._from_valid_parts(gamma)
     scored.sort()
-    for _, gamma, _, _, d in scored:
-        if hit(d):
+    for _, gamma, d in scored:
+        if d >= low and d not in banned:
             return Partition._from_valid_parts(gamma)
-    moves = [DownUpMove(*m) for m in downup_moves(parts)]
-    for m1 in moves:
-        for m2 in moves:
-            i_coords = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
-            j_coords = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
-            if len(i_coords) != 4 or len(j_coords) != 4:
+
+    # octuples: two moves in four distinct rows and four distinct columns.  A
+    # move shares a row or a column between its own two nodes only when it
+    # puts its corner back, so those are dropped and the two moves compared.
+    # The second stays a down-up move after the first: each row moves by one.
+    moves = [(i, p, ai, aj) for i, p, adds in corners for ai, aj in adds if ai != i]
+    padded = [*parts, 0]
+    for ri, rj, ai, aj in moves:
+        for si, sj, bi, bj in moves:
+            if si == ri or si == ai or bi == ri or bi == ai:
                 continue
-            gamma = apply_downup(apply_downup(lam, m1), m2)
-            if hit(sym_degree(gamma)):
-                return gamma
+            if sj == rj or sj == aj or bj == rj or bj == aj:
+                continue
+            rows = padded.copy()
+            rows[ri - 1] -= 1
+            rows[ai - 1] += 1
+            rows[si - 1] -= 1
+            rows[bi - 1] += 1
+            while not rows[-1]:
+                rows.pop()
+            gamma = tuple(rows)
+            d = _sym_degree(gamma)
+            if d >= low and d not in banned:
+                return Partition._from_valid_parts(gamma)
     return None
 
 
@@ -228,22 +292,30 @@ def alt_degrees(n: int) -> DegreeMultiset:
     """All A_n irreducible degrees with multiplicity.
 
     Self-conjugate diagrams split into two characters of half degree; a
-    non-self-conjugate transpose pair restricts to a single character.
+    non-self-conjugate transpose pair restricts to a single character, counted
+    at its lexicographically larger member.  The conjugate's first part is the
+    number of rows, so the conjugate is built only when the two are equal.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     counts: dict[int, int] = {}
     for parts in _partition_tuples(n, n):
-        conj = tuple(_column_heights(parts))
-        if parts == conj:
-            half, odd = divmod(_sym_degree(parts), 2)
-            if odd:
-                raise ArithmeticError("self-conjugate degree must be even: "
-                                      f"{Partition._from_valid_parts(parts)}")
-            counts[half] = counts.get(half, 0) + 2
-        elif parts > conj:  # count each transpose pair once
-            d = _sym_degree(parts)
-            counts[d] = counts.get(d, 0) + 1
+        rows = len(parts)
+        if parts[0] < rows:  # the conjugate is the larger member
+            continue
+        if parts[0] == rows:
+            conj = tuple(_column_heights(parts))
+            if parts < conj:
+                continue
+            if parts == conj:
+                half, odd = divmod(_sym_degree(parts), 2)
+                if odd:
+                    raise ArithmeticError("self-conjugate degree must be even: "
+                                          f"{Partition._from_valid_parts(parts)}")
+                counts[half] = counts.get(half, 0) + 2
+                continue
+        d = _sym_degree(parts)
+        counts[d] = counts.get(d, 0) + 1
     return DegreeMultiset.from_dict(counts)
 
 

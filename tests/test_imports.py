@@ -34,9 +34,21 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import lie_degrees") == set()
 
 
-def test_building_the_parser_loads_only_cli_and_the_order_modules():
+def test_building_the_parser_loads_only_cli():
     loaded = loaded_after("import lie_degrees.cli as c; c.build_parser()")
-    assert loaded <= {"cli", "maxdegree", "qexact"}, loaded
+    assert loaded == {"cli"}, loaded
+
+
+def test_the_parser_offers_every_group_family():
+    from lie_degrees import cli, maxdegree
+
+    assert cli.EPSILON_FAMILIES == maxdegree.FAMILIES
+
+
+def test_epsilon_an_loads_only_the_young_diagram_modules():
+    loaded = loaded_after("import lie_degrees.cli as c\n"
+                          "c.main(['epsilon', 'an', '--n', '7'])")
+    assert loaded == {"cli", "partitions", "symmetric"}, loaded
 
 
 def test_bounds_loads_no_check_graph():

@@ -9,6 +9,7 @@ from lie_degrees import qexact
 from lie_degrees.qexact import (
     RationalInterval,
     alternating_product,
+    alternating_products,
     bracket,
     bracket_ratio_bounds,
     euler_interval,
@@ -143,6 +144,21 @@ def test_alternating_product_bounds():
         for n in range(1, 51):
             p = alternating_product(q, n)
             assert 1 < p <= Fraction(3, 2)
+
+
+def test_running_alternating_products_equal_the_direct_ones():
+    for q in range(2, 8):
+        assert list(alternating_products(q, 50)) == [alternating_product(q, n)
+                                                     for n in range(1, 51)]
+    assert list(alternating_products(2, 0)) == []
+
+
+def test_product_bound_suite_fails_on_a_product_above_three_halves(monkeypatch):
+    monkeypatch.setattr(qexact, "alternating_products",
+                        lambda q, n_max: iter([Fraction(5, 4), Fraction(8, 5)]))
+    report = product_bound_suite(3)
+    assert not report["ok"]
+    assert [checks["alternating"] for checks in report["per_q"].values()] == [False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ _ASSERTS_UNDER_O = textwrap.dedent("""
 
     one = Partition((1,))
     raises(lambda: symmetric._cross_hook(one, Node(1, 1), Node(3, 3)), "cross cell Node(i=1, j=3)")
-    symmetric.apply_downup = lambda lam, move: lam  # lets moves off the diagram through
+    symmetric._downup_parts = lambda parts, move: parts  # lets moves off the diagram through
     far = OctupleMove(DownUpMove(Node(5, 5), Node(6, 6)), DownUpMove(Node(7, 7), Node(8, 8)))
     raises(lambda: symmetric.octuple_ratio(one, far), "meet Node(i=6, j=6)")
 """)

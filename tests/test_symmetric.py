@@ -10,9 +10,12 @@ from lie_degrees.partitions import (
     Node,
     Partition,
     add_node,
+    addable_nodes,
     addable_removable,
     formal_hook_length,
     partitions_of,
+    removable_nodes,
+    remove_node,
     sym_degree,
     transpose,
 )
@@ -207,6 +210,82 @@ def test_witness_matches_fraction_keyed_reference(excluded, delta):
         assert octuple_hits > 0  # the octuple scan is exercised too
 
 
+def sorted_scan_ratio_witness(lam, excluded, delta):
+    """The ratio witness search that sorts the whole neighbourhood and keeps
+    every (remove, add) pair, including each corner's own re-addition, kept
+    as a reference for the min-first scan."""
+    excluded = {Fraction(s) for s in excluded}
+    base = sym_degree(lam)
+
+    def hit(d):
+        return Fraction(d, base) >= delta and Fraction(d, base) not in excluded
+
+    scored = []
+    for rem in removable_nodes(lam.parts):
+        mid = remove_node(lam, rem)
+        for add in addable_nodes(mid.parts):
+            gamma = add_node(mid, add)
+            d = sym_degree(gamma)
+            scored.append((-abs(d - base), gamma.parts, rem, add, d))
+    scored.sort()
+    for _, parts, _, _, d in scored:
+        if hit(d):
+            return Partition(parts)
+    moves = [m for m, _ in downup_neighborhood(lam)]
+    for m1 in moves:
+        for m2 in moves:
+            i_coords = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
+            j_coords = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
+            if len(i_coords) == 4 and len(j_coords) == 4:
+                gamma = apply_downup(apply_downup(lam, m1), m2)
+                if hit(sym_degree(gamma)):
+                    return gamma
+    return None
+
+
+def _farthest_ratio(lam):
+    """The degree ratio of the neighbour farthest from ratio 1 (ties by parts)."""
+    base = sym_degree(lam)
+    _, gamma = min((-abs(sym_degree(g) - base), g.parts) for _, g in downup_neighborhood(lam))
+    return Fraction(sym_degree(Partition(gamma)), base)
+
+
+@pytest.mark.parametrize("setting", ["standard", "sort", "octuple", "none"])
+def test_witness_matches_the_sorted_scan(setting):
+    """Every shape with n <= 14, in four settings: the farthest neighbour is
+    the usual witness; excluding its ratio sends the scan down the sorted
+    list; a ratio of at least 3 often needs an octuple (36 shapes); and no
+    diagram of n <= 14 has a degree a million times another's."""
+    neighbour_hits = sorted_hits = octuple_hits = 0
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            excluded, delta = {
+                "standard": (STANDARD_EXCLUDED, Fraction(1, 100)),
+                "sort": ({_farthest_ratio(lam)}, Fraction(1, 100)),
+                "octuple": (set(), Fraction(3)),
+                "none": (set(), Fraction(10 ** 6)),
+            }[setting]
+            expected = sorted_scan_ratio_witness(lam, excluded, delta)
+            assert ratio_witness(lam, excluded, delta) == expected, lam
+            if expected is None:
+                continue
+            ratio = Fraction(sym_degree(expected), sym_degree(lam))
+            if expected not in dict(downup_neighborhood(lam)).values():
+                octuple_hits += 1
+            elif ratio == _farthest_ratio(lam):
+                neighbour_hits += 1
+            else:
+                sorted_hits += 1
+    if setting == "standard":
+        assert neighbour_hits > 100
+    if setting == "sort":
+        assert sorted_hits > 100
+    if setting == "octuple":
+        assert octuple_hits > 20
+    if setting == "none":
+        assert neighbour_hits == sorted_hits == octuple_hits == 0
+
+
 def test_witness_column_20():
     lam = Partition((1,) * 20)
     gamma = ratio_witness(lam, STANDARD_EXCLUDED, Fraction(1, 100))
@@ -276,7 +355,7 @@ def reference_alt_degrees(n):
 def test_degree_lists_match_the_partition_based_reference():
     for n in range(0, 21):
         assert sym_degrees(n) == reference_sym_degrees(n)
-    for n in range(2, 21):
+    for n in range(2, 31):
         assert alt_degrees(n) == reference_alt_degrees(n)
 
 
