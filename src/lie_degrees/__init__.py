@@ -25,7 +25,7 @@ _EXPORTS = {
         "one_plus_interval", "product_bound_suite",
     ),
     "unipotent": (
-        "Symbol", "SymbolClass", "SymbolStats", "a_value_gl", "canonicalize",
+        "Symbol", "SymbolStats", "a_value_gl", "canonicalize",
         "degree_gl", "degree_gu", "degree_symbol", "enumerate_symbols",
         "stclass_chain", "steinberg_symbol", "symbol_stats", "verify_steinberg_max",
     ),

@@ -91,19 +91,17 @@ def cmd_degree(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import suites
+    from . import suites, unipotent
     n_min, n_max = parse_range(args.n)
     cfg = suites.SuiteConfig(
-        families=tuple(args.family.split(",")) if args.family else ("GL", "GU", "BC", "D", "2D"),
+        families=tuple(args.family.split(",")) if args.family else unipotent.FAMILIES,
         n_min=n_min, n_max=n_max,
         q_list=parse_int_list(args.q),
         truncation_m=args.truncation,
         parallelism=args.jobs,
-        fmt=args.format,
-        timing=args.timing,
     )
     report = suites.run_suite(cfg, args.what)
-    text = report.to_csv(cfg.timing) if cfg.fmt == "csv" else report.to_json(cfg.timing)
+    text = report.to_csv(args.timing) if args.format == "csv" else report.to_json(args.timing)
     _emit(args, text)
     if args.out:
         for c in report.checks:

@@ -29,6 +29,12 @@ from .qexact import (
 FAMILIES = ("A", "2A", "B", "C", "D", "2D")
 
 
+def min_rank(family: str) -> int:
+    """Smallest rank of the family's groups: 2 for D and 2D (rank 1 would be
+    the torus Spin^{+-}_2), 1 for every other family of either vocabulary."""
+    return 2 if family in ("D", "2D") else 1
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     family: str
@@ -40,8 +46,8 @@ class GroupSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise ValueError("rank must be >= 1")
-        if self.family in ("D", "2D") and self.n < 2:
-            raise ValueError(f"family {self.family} needs rank >= 2")
+        if self.n < min_rank(self.family):
+            raise ValueError(f"family {self.family} needs rank >= {min_rank(self.family)}")
         if self.q < 2:
             raise ValueError("q must be >= 2")
 

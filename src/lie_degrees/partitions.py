@@ -43,10 +43,6 @@ class Partition:
             raise ValueError(f"parts must be positive: {ps}")
 
     @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(parts))
-
-    @classmethod
     def _from_valid_parts(cls, parts: tuple[int, ...]) -> "Partition":
         """Build from an int tuple already known to be weakly decreasing and
         positive, skipping the validation in __post_init__."""
@@ -125,10 +121,6 @@ def hooks(lam: Partition) -> HookTable:
     lengths = hook_lengths(lam.parts)
     nodes = (Node(i, j) for i, p in enumerate(lam.parts, start=1) for j in range(1, p + 1))
     return HookTable(dict(zip(nodes, lengths)), math.prod(lengths))
-
-
-def hook_multiset(lam: Partition) -> tuple[int, ...]:
-    return tuple(sorted(hooks(lam).lengths.values()))
 
 
 def hook_product(parts: tuple[int, ...]) -> int:

@@ -38,14 +38,12 @@ def _record(check: str, params: dict, failures: list, values: dict | None = None
 def check_steinberg(family: str, n_min: int, n_max: int, q_list: tuple[int, ...]) -> dict:
     failures = []
     cases = 0
-    lo = max(n_min, 2) if family in ("D", "2D") else n_min
-    for n in range(lo, n_max + 1):
+    for n in range(max(n_min, maxdegree.min_rank(family)), n_max + 1):
         results = unipotent.verify_steinberg_max(n, q_list, family)
         for q, (ok, runner, gap) in zip(q_list, results):
             cases += 1
             if not ok:
-                label = runner.symbol if hasattr(runner, "symbol") else runner
-                failures.append({"n": n, "q": q, "runner_up": repr(label),
+                failures.append({"n": n, "q": q, "runner_up": repr(runner),
                                  "gap": fmt_rational(gap)})
     return _record("steinberg",
                    {"family": family, "n_min": n_min, "n_max": n_max, "q_list": list(q_list)},
@@ -85,6 +83,23 @@ def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> dict:
                    {"cases": cases})
 
 
+def _dominance_violations(n: int, q: int) -> tuple[int, list[tuple]]:
+    """(pairs, violations) over the partitions of n: pairs counts the (mu, nu)
+    with nu strictly dominating mu, and violations lists the parts of those
+    with degree_gl(nu, q) >= degree_gl(mu, q)."""
+    parts_list = list(partitions.partitions_of(n))
+    degs = {lam.parts: unipotent.degree_gl(lam, q) for lam in parts_list}
+    pairs = 0
+    violations = []
+    for mu in parts_list:
+        for nu in parts_list:
+            if mu is not nu and partitions.dominance(nu, mu) == partitions.Dominance.GREATER:
+                pairs += 1
+                if degs[nu.parts] >= degs[mu.parts]:
+                    violations.append((mu.parts, nu.parts))
+    return pairs, violations
+
+
 def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> dict:
     """Strict dominance forces strictly smaller GL degree for q >= 3; for
     q = 2 the violations up to n = 6 are exactly the known smallest pair."""
@@ -94,25 +109,11 @@ def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> dict:
         if q < 3:
             raise ValueError("monotonicity sweep is for q >= 3")
         for n in range(1, n_max + 1):
-            parts_list = list(partitions.partitions_of(n))
-            degs = {lam.parts: unipotent.degree_gl(lam, q) for lam in parts_list}
-            for mu in parts_list:
-                for nu in parts_list:
-                    if mu is nu:
-                        continue
-                    if partitions.dominance(nu, mu) == partitions.Dominance.GREATER:
-                        cases += 1
-                        if degs[nu.parts] >= degs[mu.parts]:
-                            failures.append({"mu": mu.parts, "nu": nu.parts, "q": q, "n": n})
-    q2_violations = []
-    for n in range(1, 7):
-        parts_list = list(partitions.partitions_of(n))
-        degs = {lam.parts: unipotent.degree_gl(lam, 2) for lam in parts_list}
-        for mu in parts_list:
-            for nu in parts_list:
-                if mu is not nu and partitions.dominance(nu, mu) == partitions.Dominance.GREATER \
-                        and degs[nu.parts] >= degs[mu.parts]:
-                    q2_violations.append([list(mu.parts), list(nu.parts)])
+            pairs, violations = _dominance_violations(n, q)
+            cases += pairs
+            failures += [{"mu": mu, "nu": nu, "q": q, "n": n} for mu, nu in violations]
+    q2_violations = [[list(mu), list(nu)] for n in range(1, 7)
+                     for mu, nu in _dominance_violations(n, 2)[1]]
     if q2_violations != [[[2, 2, 2], [3, 2, 1]]]:
         failures.append({"q2_violations": q2_violations})
     return _record("prop_dominance", {"n_max": n_max, "q_list": list(q_list)}, failures,
@@ -340,14 +341,14 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
     """Every non-Steinberg symbol class of rank <= rank_max has a chain of
     strictly increasing degree to a Steinberg symbol at each q.
 
-    The chains are read from one step forest per (rank, parity, q), which D
-    and 2D share, so each class's step is taken once per q.  The degrees
-    along a chain are those of its symbols as stored, one degree_symbol call
-    per distinct (rows, q).
+    Every chain is walked through one step memo, which D and 2D share and
+    which lasts for this call, so each class's step is taken once per q.  The
+    degrees along a chain are those of its symbols as stored, one
+    degree_symbol call per distinct (rows, q).
     """
     failures = []
     chains = 0
-    forests: dict[tuple, dict] = {}
+    steps: dict[tuple, tuple | ArithmeticError] = {}
     degrees: dict[tuple, int] = {}
 
     def degree(sym: unipotent.Symbol, q: int) -> int:
@@ -356,19 +357,15 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
             degrees[key] = unipotent.degree_symbol(sym, q)
         return degrees[key]
 
-    for fam in ("BC", "D", "2D"):
-        parity = "BC" if fam == "BC" else "even"
-        for n in range(2 if fam != "BC" else 1, rank_max + 1):
-            targets = unipotent._steinberg_classes(n, parity)
-            for cls in unipotent.enumerate_symbols(n, fam):
-                if (cls.symbol.X, cls.symbol.Y) in targets:
+    for fam in unipotent.SYMBOL_FAMILIES:
+        for n in range(maxdegree.min_rank(fam), rank_max + 1):
+            targets = unipotent._steinberg_classes(n, "BC" if fam == "BC" else "even")
+            for sym in unipotent.enumerate_symbols(n, fam):
+                if (sym.X, sym.Y) in targets:
                     continue
                 for q in q_list:
-                    forest = forests.get((n, parity, q))
-                    if forest is None:
-                        forest = forests[n, parity, q] = unipotent._chain_forest(n, parity, q)
                     try:
-                        chain = unipotent._forest_chain(forest, cls.symbol, targets)
+                        chain = unipotent._walk_chain(sym, q, steps)
                         degs = [degree(s, q) for s in chain]
                     except ArithmeticError as exc:
                         error = str(exc)
@@ -378,7 +375,7 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
                             continue
                         error = f"degrees {degs} along the chain do not increase"
                     failures.append({"family": fam, "n": n, "q": q,
-                                     "symbol": [cls.symbol.X, cls.symbol.Y],
+                                     "symbol": [sym.X, sym.Y],
                                      "error": error})
     return _record("stclass_chains", {"rank_max": rank_max, "q_list": list(q_list)}, failures,
                    {"chains": chains})
@@ -423,22 +420,18 @@ def check_epsilon_an(n_min: int, n_max: int) -> dict:
 
 @dataclass
 class SuiteConfig:
-    families: tuple[str, ...] = ("GL", "GU", "BC", "D", "2D")
+    families: tuple[str, ...] = unipotent.FAMILIES
     n_min: int = 1
     n_max: int = 10
     q_list: tuple[int, ...] = (2, 3)
     truncation_m: int = 40
     parallelism: int = 1
-    fmt: str = "json"
-    timing: bool = False
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("invalid rank range")
         if any(q < 2 for q in self.q_list) or not self.q_list:
             raise ValueError("q values must be >= 2")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:

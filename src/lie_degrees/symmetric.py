@@ -93,11 +93,6 @@ def _corners(parts: tuple[int, ...]) -> list[tuple[int, int, list[tuple[int, int
     return out
 
 
-def _removed(parts: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    """parts with the removable node (i, j) taken away."""
-    return parts[:-1] if j == 1 else parts[:i - 1] + (j - 1,) + parts[i:]
-
-
 def downup_moves(parts: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """The ((ri, rj), (ai, aj)) node pairs of downup_neighborhood's moves, in
     the same order, without building the moves or the diagrams they lead to."""
@@ -111,7 +106,7 @@ def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
     out = []
     for i, p, adds in _corners(lam.parts):
         rem = Node(i, p)
-        mid = _removed(lam.parts, i, p)
+        mid = _without_node(lam.parts, rem)
         for ai, aj in adds:
             out.append((DownUpMove(rem, Node(ai, aj)),
                         Partition._from_valid_parts(mid[:ai - 1] + (aj,) + mid[ai:])))
@@ -201,7 +196,7 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
     corners = _corners(parts)
     scored = [(0, parts, base)]
     for i, p, adds in corners:
-        mid = _removed(parts, i, p)
+        mid = _without_node(parts, (i, p))
         for ai, aj in adds:
             if ai != i:
                 gamma = mid[:ai - 1] + (aj,) + mid[ai:]
@@ -258,9 +253,6 @@ class DegreeMultiset:
         if any(m < 1 for m in d.values()):
             raise ValueError("multiplicities must be positive")
         return cls(tuple(sorted(d.items())))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
 
     @cached_property
     def b(self) -> int:

@@ -2,8 +2,9 @@
 
 The degree, bounds and epsilon tables the CLI prints, the exact rational and
 big-integer formats of reports and tables, and the atomic file write behind
---out.  Only maxdegree is imported here; the Young-diagram and symbol modules
-are imported by the tables that use them, so `bounds` never loads them.
+--out.  No module of the package is imported at load time: each table imports
+the modules it uses, so `bounds` never loads the Young-diagram or symbol
+modules, and `epsilon an` never loads maxdegree.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import os
 import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
-
-from . import maxdegree
 
 SCHEMA = "lie-degrees-report/1"
 
@@ -96,26 +95,25 @@ def degrees_table(family: str, n: int, q: int | None) -> tuple[list[str], list[l
         rows = [[",".join(map(str, lam.parts)), unipotent.a_value_gl(lam),
                  deg(lam, q)] for lam in partitions.partitions_of(n)]
         return header, rows
-    if family in ("BC", "D", "2D"):
+    if family in unipotent.SYMBOL_FAMILIES:
         if q is None:
             raise ValueError("symbol tables need q")
         header = ["X", "Y", "defect", "multiplicity", "degree"]
-        rows = []
-        for cls in unipotent.enumerate_symbols(n, family):
-            sym = cls.symbol
-            rows.append([",".join(map(str, sym.X)), ",".join(map(str, sym.Y)),
-                         unipotent.symbol_defect(sym), cls.multiplicity,
-                         unipotent.degree_symbol(sym, q)])
+        rows = [[",".join(map(str, sym.X)), ",".join(map(str, sym.Y)),
+                 unipotent.symbol_defect(sym), sym.multiplicity,
+                 unipotent.degree_symbol(sym, q)]
+                for sym in unipotent.enumerate_symbols(n, family)]
         return header, rows
     raise ValueError(f"unknown degrees table family {family!r}")
 
 
 def bounds_table(family: str, n_min: int, n_max: int, q: int) -> tuple[list[str], list[list]]:
+    from . import maxdegree
+
     header = ["family", "n", "q", "lower", "c", "upper",
               "lower_decimal", "c_decimal", "upper_decimal", "seitz", "st"]
     rows = []
-    lo_rank = max(n_min, 2) if family in ("D", "2D") else n_min
-    for n in range(lo_rank, n_max + 1):
+    for n in range(max(n_min, maxdegree.min_rank(family)), n_max + 1):
         spec = maxdegree.GroupSpec(family, n, q)
         lower, upper = maxdegree.bound_bracket(spec)
         st, _ = maxdegree.order_parts(spec)

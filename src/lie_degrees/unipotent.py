@@ -32,11 +32,12 @@ first time some q evaluates it, and none is kept after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class, and its next step depends only on the current class and q
-(_chain_step).  So _chain_forest takes that step once per non-Steinberg class
-of one rank and defect parity at one q -- D and 2D together, since chains
-cross between them -- and keeps the successor or the error; a chain from any
-class is then read from the forest (_forest_chain), with the same symbols
-and the same errors as stclass_chain.
+(_chain_step).  The walker (_walk_chain) reads each step from a memo keyed on
+(canonical rows, q), and fills it from _chain_step on a miss, keeping the
+successor or the ArithmeticError raised.  stclass_chain passes a fresh memo;
+a check that walks the chains of every class passes one memo for all of them,
+so each class's step is taken once per q -- D and 2D share it, since chains
+cross between them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .maxdegree import order_pprime
+from .maxdegree import min_rank, order_pprime
 from .partitions import (
     Partition,
     _partition_tuples,
@@ -154,24 +155,13 @@ class Symbol:
     def degenerate(self) -> bool:
         return self.X == self.Y
 
-    def __repr__(self) -> str:
-        return f"Symbol({self.X}, {self.Y})"
-
-
-@dataclass(frozen=True)
-class SymbolClass:
-    """Canonical representative of a shift-and-swap equivalence class."""
-
-    symbol: Symbol
-
-    @property
-    def degenerate(self) -> bool:
-        return self.symbol.degenerate
-
     @property
     def multiplicity(self) -> int:
         # degenerate classes carry two unipotent characters (type D only)
         return 2 if self.degenerate else 1
+
+    def __repr__(self) -> str:
+        return f"Symbol({self.X}, {self.Y})"
 
 
 @dataclass(frozen=True)
@@ -248,8 +238,9 @@ def family_of_defect(defect: int) -> str:
     return "D" if defect % 4 == 0 else "2D"
 
 
-def canonicalize(sym: Symbol) -> SymbolClass:
-    """Reduced representative: strip common 0-shifts, longer row first.
+def canonicalize(sym: Symbol) -> Symbol:
+    """Reduced representative of the shift-and-swap class: strip common
+    0-shifts, longer row first.
 
     Equal-length rows are ordered with the lexicographically larger first,
     so e.g. ((0,2),(0,1)) reduces to ((1),(0)).
@@ -262,7 +253,7 @@ def canonicalize(sym: Symbol) -> SymbolClass:
         y = tuple(v - 1 for v in y[1:])
     if (len(y), y) > (len(x), x):
         x, y = y, x
-    return SymbolClass(Symbol._from_valid_rows(x, y))
+    return Symbol._from_valid_rows(x, y)
 
 
 def symbol_two_power(sym: Symbol) -> int:
@@ -353,18 +344,21 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    canon = canonicalize(sym).symbol
+    canon = canonicalize(sym)
     plan = _symbol_plan(canon.X, canon.Y)
     return plan.evaluate(q, order_pprime(plan.fam, plan.rank, q),
                          _factor_tables(q, plan.top))
 
 
+# smallest defect of a symbol of the family; the others step by 2 (BC) or 4
+_MIN_DEFECT = {"BC": 1, "D": 0, "2D": 2}
+
+
 def _defects_for(fam: str, n: int) -> Iterator[int]:
-    start = {"BC": 1, "D": 0, "2D": 2}[fam]
-    d = start
+    d = _MIN_DEFECT[fam]
     while d * d // 4 <= n:
         yield d
-        d += 4 if fam in ("D", "2D") else 2
+        d += 2 if d % 2 else 4
 
 
 _Label = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -408,50 +402,42 @@ def _symbol_labels(n: int, fam: str) -> list[_Label]:
     return labels
 
 
-def enumerate_symbols(n: int, fam: str) -> list[SymbolClass]:
-    """All symbol classes of the given rank whose defect matches the family,
-    sorted on (defect, X, Y)."""
-    return [SymbolClass(Symbol._from_valid_rows(x, y)) for x, y, _, _ in _symbol_labels(n, fam)]
+def enumerate_symbols(n: int, fam: str) -> list[Symbol]:
+    """The reduced symbol of every class of the given rank whose defect
+    matches the family, sorted on (defect, X, Y)."""
+    return [Symbol._from_valid_rows(x, y) for x, y, _, _ in _symbol_labels(n, fam)]
 
 
 def steinberg_symbol(n: int, fam: str) -> Symbol:
-    """Symbol of the Steinberg character: ((1..x),(0..y)) with rank n.
-
-    BC: y = x = n.  D: y = x - 1, x = n (n >= 2).  2D: y = x + 1, x = n - 1
-    (n >= 2).  The degree is q^{n^2} for BC and q^{n(n-1)} for D/2D.
+    """Symbol of the Steinberg character of rank n: X = (1..x) and
+    Y = (0..x+d-1), with d the family's smallest defect and x = n - d // 2
+    (BC: d = 1, D: d = 0, 2D: d = 2).  The degree is q^{n^2} for BC and
+    q^{n(n-1)} for D/2D.
     """
-    if fam == "BC":
-        if n < 1:
-            raise ValueError("BC needs rank >= 1")
-        return Symbol(tuple(range(1, n + 1)), tuple(range(0, n + 1)))
-    if fam == "D":
-        if n < 2:
-            raise ValueError("D needs rank >= 2")
-        return Symbol(tuple(range(1, n + 1)), tuple(range(0, n)))
-    if fam == "2D":
-        if n < 2:
-            raise ValueError("2D needs rank >= 2")
-        return Symbol(tuple(range(1, n)), tuple(range(0, n + 1)))
-    raise ValueError(f"no Steinberg symbol for family {fam!r}")
+    if fam not in _MIN_DEFECT:
+        raise ValueError(f"no Steinberg symbol for family {fam!r}")
+    if n < min_rank(fam):
+        raise ValueError(f"{fam} needs rank >= {min_rank(fam)}")
+    d = _MIN_DEFECT[fam]
+    x = n - d // 2
+    return Symbol(tuple(range(1, x + 1)), tuple(range(0, x + d)))
 
 
 _Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _canonical_rows(sym: Symbol) -> _Rows:
-    cls = canonicalize(sym).symbol
-    return cls.X, cls.Y
+    canon = canonicalize(sym)
+    return canon.X, canon.Y
 
 
 @lru_cache(maxsize=256)
 def _steinberg_classes(n: int, parity: str) -> frozenset[_Rows]:
     """Canonical rows of the Steinberg classes acceptable for a chain endpoint,
     for defect parity "BC" (odd) or "even" (D and 2D)."""
-    if parity == "BC":
-        fams: tuple[str, ...] = ("BC",)
-    else:
-        fams = ("D", "2D") if n >= 2 else ()
-    return frozenset(_canonical_rows(steinberg_symbol(n, fam)) for fam in fams)
+    fams = ("BC",) if parity == "BC" else ("D", "2D")
+    return frozenset(_canonical_rows(steinberg_symbol(n, fam))
+                     for fam in fams if n >= min_rank(fam))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +525,7 @@ def _steinberg_max_partitions(n: int, q_list: tuple[int, ...], fam: str) -> list
 
 
 def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
-    st = canonicalize(steinberg_symbol(n, fam)).symbol
+    st = canonicalize(steinberg_symbol(n, fam))
     labels = [label for label in _symbol_labels(n, fam) if label[:2] != (st.X, st.Y)]
     entries = _symbol_entries(labels)
     plans: dict[int, _DegreePlan] = {}  # built for the labels some q evaluates
@@ -553,7 +539,7 @@ def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tu
     out = []
     for q in q_list:
         i, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), evaluate)
-        runner = None if i is None else SymbolClass(Symbol._from_valid_rows(*labels[i][:2]))
+        runner = None if i is None else Symbol._from_valid_rows(*labels[i][:2])
         out.append(_steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
     return out
 
@@ -634,7 +620,7 @@ def _exchange_candidates(sym: Symbol) -> Iterator[Symbol]:
 def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
     """The hole-filling move: shift so 0 is in both rows, turn 0 into 1 in the
     0-but-not-1 row, and pull the topmost length-1 hook b+1 -> b."""
-    shifted = canonicalize(sym).symbol.shifted()
+    shifted = canonicalize(sym).shifted()
     for cand in (shifted, shifted.swapped()):
         x, y = cand.X, cand.Y
         if 1 in x:
@@ -668,7 +654,7 @@ def _chain_step(rows: _Rows, q: int, n: int, parity: str) -> _Step:
     cur_degree = degree_symbol(cur_cls, q)
     seen = {rows}
     for cand in _chain_candidates(cur_cls):
-        c_cls = canonicalize(cand).symbol
+        c_cls = canonicalize(cand)
         key = (c_cls.X, c_cls.Y)
         if key in seen:
             continue
@@ -684,15 +670,36 @@ def _chain_step(rows: _Rows, q: int, n: int, parity: str) -> _Step:
         "this would contradict Steinberg maximality")
 
 
-def _walk_chain(sym: Symbol, rows: _Rows, targets: frozenset, step,
-                max_steps: int) -> list[Symbol]:
-    """sym (with canonical rows `rows`) followed by the candidates that
-    step(rows) -> (candidate, its canonical rows) chooses, up to a target class."""
+def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | ArithmeticError],
+                max_steps: int = _MAX_STEPS) -> list[Symbol]:
+    """sym followed by the candidates that _chain_step chooses at q, up to a
+    Steinberg class of its rank and defect parity.
+
+    Each step is read from memo, keyed on (canonical rows, q), or taken by
+    _chain_step and stored there with the ArithmeticError it raised, if any.
+    A stored error is shared by every chain through its class, so it is
+    re-raised without its traceback, which would otherwise grow on each raise.
+    """
+    n = symbol_rank(sym)
+    parity = "BC" if symbol_defect(sym) % 2 == 1 else "even"
+    targets = _steinberg_classes(n, parity)
+    rows = _canonical_rows(sym)
+    if rows in targets:
+        raise ValueError(f"{sym} already labels the Steinberg character")
     chain = [sym]
     for _ in range(max_steps):
         if rows in targets:
             return chain
-        cand, rows = step(rows)
+        out = memo.get((rows, q))
+        if out is None:
+            try:
+                out = memo[rows, q] = _chain_step(rows, q, n, parity)
+            except ArithmeticError as exc:
+                memo[rows, q] = exc
+                raise
+        elif isinstance(out, ArithmeticError):
+            raise out.with_traceback(None)
+        cand, rows = out
         chain.append(cand)
     raise ArithmeticError(f"chain from {sym} did not terminate in {max_steps} steps")
 
@@ -708,47 +715,7 @@ def stclass_chain(sym: Symbol, q: int, max_steps: int = _MAX_STEPS) -> list[Symb
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    n = symbol_rank(sym)
-    parity = "BC" if symbol_defect(sym) % 2 == 1 else "even"
-    targets = _steinberg_classes(n, parity)
-    rows = _canonical_rows(sym)
-    if rows in targets:
-        raise ValueError(f"{sym} already labels the Steinberg character")
-    return _walk_chain(sym, rows, targets, lambda r: _chain_step(r, q, n, parity), max_steps)
-
-
-def _chain_forest(n: int, parity: str, q: int) -> dict[_Rows, _Step | ArithmeticError]:
-    """The step of stclass_chain at q from every non-Steinberg class of rank n
-    and defect parity "BC" (odd) or "even" (D and 2D together, since chains
-    cross between them), keyed on canonical rows: the (candidate, canonical
-    rows) that _chain_step chooses, or the ArithmeticError it raises."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    targets = _steinberg_classes(n, parity)
-    forest: dict[_Rows, _Step | ArithmeticError] = {}
-    for fam in ("BC",) if parity == "BC" else ("D", "2D"):
-        for x, y, _, _ in _symbol_labels(n, fam):
-            if (x, y) in targets:
-                continue
-            try:
-                forest[(x, y)] = _chain_step((x, y), q, n, parity)
-            except ArithmeticError as exc:
-                forest[(x, y)] = exc
-    return forest
-
-
-def _forest_chain(forest: dict, sym: Symbol, targets: frozenset) -> list[Symbol]:
-    """stclass_chain(sym, q) read from _chain_forest(n, parity, q): the same
-    symbols, and the same ArithmeticError where a step on the way raised one."""
-    def step(rows: _Rows) -> _Step:
-        out = forest.get(rows)
-        if out is None:
-            raise ArithmeticError(f"{Symbol._from_valid_rows(*rows)} is not a class of the forest")
-        if isinstance(out, ArithmeticError):
-            raise out.with_traceback(None)  # shared by every chain through this class
-        return out
-
-    return _walk_chain(sym, _canonical_rows(sym), targets, step, _MAX_STEPS)
+    return _walk_chain(sym, q, {}, max_steps)
 
 
 def _chain_candidates(cls_symbol: Symbol) -> Iterator[Symbol]:

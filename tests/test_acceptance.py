@@ -261,18 +261,18 @@ def test_criterion_11_chains_reach_steinberg():
     for fam in ("BC", "D", "2D"):
         for n in range(1 if fam == "BC" else 2, 9):
             targets = unipotent._steinberg_classes(n, "BC" if fam == "BC" else "even")
-            for cls in unipotent.enumerate_symbols(n, fam):
-                if (cls.symbol.X, cls.symbol.Y) in targets:
+            for sym in unipotent.enumerate_symbols(n, fam):
+                if (sym.X, sym.Y) in targets:
                     continue
                 for q in (2, 3):
                     try:
-                        chain = unipotent.stclass_chain(cls.symbol, q)
+                        chain = unipotent.stclass_chain(sym, q)
                     except ArithmeticError as exc:
-                        failures.append((fam, n, q, cls.symbol, str(exc)))
+                        failures.append((fam, n, q, sym, str(exc)))
                         continue
                     degs = [unipotent.degree_symbol(s, q) for s in chain]
                     if not all(a < b for a, b in zip(degs, degs[1:])):
-                        failures.append((fam, n, q, cls.symbol, "not increasing"))
+                        failures.append((fam, n, q, sym, "not increasing"))
                     chains += 1
     _report(11, "every non-Steinberg symbol class of rank <= 8 reaches a Steinberg "
                 "symbol through strictly increasing degrees (q in {2,3})",

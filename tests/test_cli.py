@@ -162,7 +162,8 @@ def test_command_parser_matches_the_full_parser():
 
 
 def test_usage_errors_in_a_command_exit_2(capsys):
-    for argv in (["verify", "everything"], ["bmax", "gl", "--n", "3"], ["degree", "gl", "--bogus"]):
+    for argv in (["verify", "everything"], ["verify", "all", "--format", "xml"],
+                 ["bmax", "gl", "--n", "3"], ["degree", "gl", "--bogus"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

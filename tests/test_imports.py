@@ -51,6 +51,12 @@ def test_epsilon_an_loads_only_the_young_diagram_modules():
     assert loaded == {"cli", "partitions", "symmetric"}, loaded
 
 
+def test_epsilon_an_table_loads_no_order_module():
+    loaded = loaded_after("import lie_degrees.cli as c\n"
+                          "c.main(['epsilon', 'an', '--n', '5..7', '--format', 'csv'])")
+    assert loaded == {"cli", "tables", "partitions", "symmetric"}, loaded
+
+
 def test_bounds_loads_no_check_graph():
     loaded = loaded_after("import lie_degrees.cli as c\n"
                           "c.main(['bounds', '--family', 'A', '--n', '1..2', '--q', '2'])")
@@ -82,6 +88,27 @@ def test_package_exports_are_the_module_attributes():
         assert getattr(lie_degrees, name) is getattr(module, name), name
         assert name in names
     assert lie_degrees.Partition((2, 1)) == lie_degrees.partitions.Partition((2, 1))
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracer.py wraps these names with getattr; it is read, not run
+    import ast
+    import importlib
+
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    [traced] = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TRACED"]
+    assert traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"lie_degrees.{layer}")
+        for qualname in names:
+            owner = module
+            for attr in qualname.split("."):
+                owner = getattr(owner, attr)
+            assert callable(owner), f"{layer}.{qualname}"
 
 
 def test_unknown_package_attribute_raises():

@@ -170,10 +170,10 @@ def test_symbol_hooks_and_cohooks():
 
 
 def test_canonicalize_examples():
-    assert canonicalize(Symbol((0, 2), (0, 1))).symbol == Symbol((1,), (0,))
-    assert canonicalize(Symbol((3,), ())).symbol == canonicalize(Symbol((), (3,))).symbol
+    assert canonicalize(Symbol((0, 2), (0, 1))) == Symbol((1,), (0,))
+    assert canonicalize(Symbol((3,), ())) == canonicalize(Symbol((), (3,)))
     cls = canonicalize(Symbol((1,), (0,)))
-    assert canonicalize(cls.symbol) == cls  # idempotent
+    assert canonicalize(cls) == cls  # idempotent
 
 
 symbol_row = st.sets(st.integers(0, 12), max_size=6).map(lambda s: tuple(sorted(s)))
@@ -187,7 +187,7 @@ def test_canonical_rows_are_valid_and_stable(x, y):
     sym = Symbol(x, y)
     for variant in (sym, sym.shifted(), sym.swapped(), sym.shifted().swapped()):
         assert _check_row(variant.X) == variant.X and _check_row(variant.Y) == variant.Y
-        canon = canonicalize(variant).symbol
+        canon = canonicalize(variant)
         assert _check_row(canon.X) == canon.X and _check_row(canon.Y) == canon.Y
         assert Symbol(canon.X, canon.Y) == canon
         assert canonicalize(canon) == canonicalize(variant)
@@ -210,7 +210,7 @@ def test_class_invariants_under_shift_and_swap():
             assert st.a == base.a
             assert symbol_two_power(v) == symbol_two_power(sym)
             assert degree_symbol(v, 3) == degree_symbol(sym, 3)
-            assert canonicalize(v).symbol == canonicalize(sym).symbol or \
+            assert canonicalize(v) == canonicalize(sym) or \
                 symbol_defect(sym) == 0  # defect-0 swap may pick either row order
         assert degree_symbol(sym.shifted(), 2) == degree_symbol(sym, 2)
 
@@ -227,8 +227,8 @@ def test_family_of_defect():
 
 def _class_degrees(n, fam, q):
     out = []
-    for cls in enumerate_symbols(n, fam):
-        out.extend([degree_symbol(cls.symbol, q)] * cls.multiplicity)
+    for sym in enumerate_symbols(n, fam):
+        out.extend([degree_symbol(sym, q)] * sym.multiplicity)
     return sorted(out)
 
 
@@ -284,9 +284,9 @@ def test_principal_series_specialize_to_weyl_dimensions():
                           for k in range(n + 1)
                           for a in partitions_of(k)
                           for b in partitions_of(n - k))
-        got = sorted(_degree_at_one(c.symbol, n)
+        got = sorted(_degree_at_one(c, n)
                      for c in enumerate_symbols(n, "BC")
-                     if symbol_defect(c.symbol) == 1)
+                     if symbol_defect(c) == 1)
         assert got == expected, (n, got, expected)
         assert sum(d * d for d in got) == 2 ** n * factorial(n)
 
@@ -304,8 +304,8 @@ def test_principal_series_specialize_to_weyl_dimensions():
                         expected.append(dim)
         got = []
         for c in enumerate_symbols(n, "D"):
-            if symbol_defect(c.symbol) == 0:
-                got.extend([_degree_at_one(c.symbol, n)] * c.multiplicity)
+            if symbol_defect(c) == 0:
+                got.extend([_degree_at_one(c, n)] * c.multiplicity)
         assert sorted(got) == sorted(expected), (n, sorted(got), sorted(expected))
 
 
@@ -322,7 +322,7 @@ def test_trivial_character_everywhere():
     for fam in ("BC", "D", "2D"):
         for n in range(2, 8):
             ones = [c for c in enumerate_symbols(n, fam)
-                    if degree_symbol(c.symbol, 3) == 1]
+                    if degree_symbol(c, 3) == 1]
             assert len(ones) == 1
 
 
@@ -348,6 +348,20 @@ def test_steinberg_symbols():
         steinberg_symbol(3, "GL")
 
 
+def test_steinberg_symbol_rows_per_family():
+    # the rows written out per family: BC ((1..n), (0..n)), D ((1..n), (0..n-1)),
+    # 2D ((1..n-1), (0..n))
+    for n in range(1, 13):
+        assert steinberg_symbol(n, "BC") == Symbol(tuple(range(1, n + 1)), tuple(range(n + 1)))
+    for n in range(2, 13):
+        assert steinberg_symbol(n, "D") == Symbol(tuple(range(1, n + 1)), tuple(range(n)))
+        assert steinberg_symbol(n, "2D") == Symbol(tuple(range(1, n)), tuple(range(n + 1)))
+    for n, fam in ((0, "BC"), (-1, "BC"), (1, "D"), (0, "D"), (1, "2D"), (0, "2D")):
+        floor = 1 if fam == "BC" else 2
+        with pytest.raises(ValueError, match=f"{fam} needs rank >= {floor}"):
+            steinberg_symbol(n, fam)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -361,7 +375,7 @@ def test_defect_one_count_is_bipartition_number():
     p = _p_table(12)
     for n in range(1, 13):
         classes = [c for c in enumerate_symbols(n, "BC")
-                   if symbol_defect(c.symbol) == 1]
+                   if symbol_defect(c) == 1]
         expected = sum(p[k] * p[n - k] for k in range(n + 1))
         assert len(classes) == expected
 
@@ -369,8 +383,8 @@ def test_defect_one_count_is_bipartition_number():
 def test_enumeration_ranks_and_defects():
     for fam, residues in (("BC", {1, 3}), ("D", {0}), ("2D", {2})):
         for cls in enumerate_symbols(5, fam):
-            assert symbol_rank(cls.symbol) == 5
-            d = symbol_defect(cls.symbol)
+            assert symbol_rank(cls) == 5
+            d = symbol_defect(cls)
             assert (d % 4 if fam != "BC" else d % 2) in ({0} if fam == "D" else
                                                          {2} if fam == "2D" else {1})
 
@@ -396,9 +410,9 @@ def _ref_enumerate_symbols(n, fam):
                     sym = Symbol(beta_set(alpha, b0 + d), beta_set(beta, b0))
                     assert symbol_rank(sym) == n and symbol_defect(sym) == d
                     cls = canonicalize(sym)
-                    seen[(cls.symbol.X, cls.symbol.Y)] = cls
+                    seen[(cls.X, cls.Y)] = cls
     return sorted(seen.values(),
-                  key=lambda c: (symbol_defect(c.symbol), c.symbol.X, c.symbol.Y))
+                  key=lambda c: (symbol_defect(c), c.X, c.Y))
 
 
 def _ref_degree_plan(canon):
@@ -419,7 +433,7 @@ def test_enumeration_and_plans_match_reference():
             classes = enumerate_symbols(n, fam)
             assert classes == _ref_enumerate_symbols(n, fam), (fam, n)
             labels = _symbol_labels(n, fam)
-            assert [(x, y) for x, y, _, _ in labels] == [(c.symbol.X, c.symbol.Y) for c in classes]
+            assert [(x, y) for x, y, _, _ in labels] == [(c.X, c.Y) for c in classes]
             for x, y, alpha, beta in labels:
                 plan = _build_plan(x, y, alpha, beta, fam, n)
                 assert _plan_key(plan) == _ref_degree_plan(Symbol(x, y)), (x, y)
@@ -432,7 +446,7 @@ def test_built_rows_are_valid_and_canonical():
             for x, y, alpha, beta in _symbol_labels(n, fam):
                 sym = Symbol(x, y)  # the validating constructor
                 assert (sym.X, sym.Y) == (x, y)
-                assert canonicalize(sym).symbol == sym
+                assert canonicalize(sym) == sym
                 assert beta_set(Partition(alpha), len(x)) == x
                 assert beta_set(Partition(beta), len(y)) == y
 
@@ -453,7 +467,7 @@ def test_tuple_plan_matches_symbol_stats_plan(alpha, beta, d):
         return
     plan = _build_plan(x, y, alpha, beta, family_of_defect(d), rank)
     assert _plan_key(plan) == _ref_degree_plan(sym)
-    assert _plan_key(plan) == _ref_degree_plan(canonicalize(sym).symbol)
+    assert _plan_key(plan) == _ref_degree_plan(canonicalize(sym))
 
 
 _ENUMERATION_UNDER_O = textwrap.dedent("""
@@ -499,13 +513,13 @@ def test_steinberg_max_matches_brute_force_per_q():
     for fam in ("BC", "D", "2D"):
         for n in range(1 if fam == "BC" else 2, 9):
             classes = enumerate_symbols(n, fam)
-            st_sym = canonicalize(steinberg_symbol(n, fam)).symbol
+            st_sym = canonicalize(steinberg_symbol(n, fam))
             results = verify_steinberg_max(n, qs, fam)
             assert len(results) == len(qs)
             for q, (ok, runner, gap) in zip(qs, results):
                 st_degree = degree_symbol(st_sym, q)
-                others = [c for c in classes if c.symbol != st_sym]
-                degs = [degree_symbol(c.symbol, q) for c in others]
+                others = [c for c in classes if c != st_sym]
+                degs = [degree_symbol(c, q) for c in others]
                 best = max(degs)
                 expected = others[degs.index(best)]  # first maximum in enumeration order
                 assert ok == (st_degree > best)
@@ -545,14 +559,14 @@ def test_sum_of_squares_envelope():
         for n in range(2, 9):
             for q in (2, 3):
                 p_part, pprime = order_parts(GroupSpec(family_spec, n, q))
-                total = sum(degree_symbol(c.symbol, q) ** 2 * c.multiplicity
+                total = sum(degree_symbol(c, q) ** 2 * c.multiplicity
                             for c in enumerate_symbols(n, fam))
                 assert total <= p_part * pprime
 
 
 def test_chain_cuspidal_first_step():
     chain = stclass_chain(Symbol((0, 1, 2, 3), ()), 2)
-    assert canonicalize(chain[1]).symbol == canonicalize(Symbol((0, 1, 2), (3,))).symbol
+    assert canonicalize(chain[1]) == canonicalize(Symbol((0, 1, 2), (3,)))
 
 
 def test_chain_from_trivial_character():
@@ -584,22 +598,21 @@ def test_chain_rejects_a_move_that_changes_the_rank(monkeypatch):
 
 
 def test_forest_chains_match_stclass_chain():
-    # every class of rank <= 7 in BC, D and 2D: the chain read from the shared
-    # per-(rank, parity, q) forest is the chain stclass_chain builds step by step
-    forests = {}
+    # every class of rank <= 7 in BC, D and 2D: the chain walked through one
+    # shared step memo (as check_stclass_chains walks it) is the chain
+    # stclass_chain builds with a fresh memo
+    memo = {}
     walked = 0
     for fam in ("BC", "D", "2D"):
         parity = "BC" if fam == "BC" else "even"
         for n in range(1 if fam == "BC" else 2, 8):
             targets = unipotent._steinberg_classes(n, parity)
-            for cls in enumerate_symbols(n, fam):
-                if (cls.symbol.X, cls.symbol.Y) in targets:
+            for sym in enumerate_symbols(n, fam):
+                if (sym.X, sym.Y) in targets:
                     continue
                 for q in (2, 3, 5):
-                    if (n, parity, q) not in forests:
-                        forests[n, parity, q] = unipotent._chain_forest(n, parity, q)
-                    chain = unipotent._forest_chain(forests[n, parity, q], cls.symbol, targets)
-                    assert chain == stclass_chain(cls.symbol, q)
+                    chain = unipotent._walk_chain(sym, q, memo)
+                    assert chain == stclass_chain(sym, q)
                     walked += 1
     starts = sum(len(enumerate_symbols(n, fam)) - 1
                  for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, 8))
@@ -611,7 +624,7 @@ def test_steinberg_classes_are_cached_frozensets():
         got = unipotent._steinberg_classes(4, parity)
         assert isinstance(got, frozenset) and got is unipotent._steinberg_classes(4, parity)
     assert unipotent._steinberg_classes(4, "even") == {
-        (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)).symbol for f in ("D", "2D"))}
+        (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)) for f in ("D", "2D"))}
     assert unipotent._steinberg_classes(1, "even") == frozenset()
 
 
@@ -681,7 +694,7 @@ def _unpruned_steinberg_max(n, q_list, fam):
                     runner, runner_degree = lam, d
             out.append(unipotent._steinberg_outcome(deg(st_label, q), runner, runner_degree))
         return out
-    st = canonicalize(steinberg_symbol(n, fam)).symbol
+    st = canonicalize(steinberg_symbol(n, fam))
     plans = [_build_plan(x, y, alpha, beta, fam, n)
              for x, y, alpha, beta in _symbol_labels(n, fam) if (x, y) != (st.X, st.Y)]
     top = max((plan.top for plan in plans), default=0)
@@ -695,7 +708,7 @@ def _unpruned_steinberg_max(n, q_list, fam):
             if d > runner_degree:
                 runner, runner_degree = plan, d
         if runner is not None:
-            runner = unipotent.SymbolClass(Symbol(runner.x, runner.y))
+            runner = Symbol(runner.x, runner.y)
         out.append(unipotent._steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
     return out
 
