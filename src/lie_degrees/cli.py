@@ -68,9 +68,7 @@ def _emit(args, text: str) -> None:
 def cmd_degree(args) -> int:
     if args.n is not None:  # table mode: all labels of the given rank
         from . import tables
-        fam = {"sym": "sym", "gl": "gl", "gu": "gu"}.get(args.kind)
-        if fam is None:
-            fam = args.symbol_family or "BC"
+        fam = (args.symbol_family or "BC") if args.kind == "symbol" else args.kind
         header, rows = tables.degrees_table(fam, args.n, args.q)
         _emit(args, tables.render_table(header, rows, args.format, "degrees"))
         return 0
@@ -185,7 +183,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truncation", type=int, default=40,
                    help="series truncation order for product enclosures")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (env LIE_DEGREES_THREADS overrides)")
+                   help="worker processes (the report bytes are the same for any value)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="write the report to this path (atomic)")
     p.add_argument("--timing", action="store_true",

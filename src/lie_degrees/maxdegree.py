@@ -367,7 +367,7 @@ def merge_ratio_sl_n_2(t: CentralizerTypeGL) -> Fraction:
 # logarithmic brackets for c(G) = b(G)/|G|_p
 # ---------------------------------------------------------------------------
 
-def bound_bracket_intervals(spec: GroupSpec, terms: int = 28) -> tuple[RationalInterval, RationalInterval]:
+def bound_bracket_intervals(spec: GroupSpec) -> tuple[RationalInterval, RationalInterval]:
     """Certified enclosures (lower, upper) of the c(G) bracket for the family.
 
     A:   max(1, (1/4) log_q((n-1)(1-1/q) + q^2)^{3/4})
@@ -380,38 +380,37 @@ def bound_bracket_intervals(spec: GroupSpec, terms: int = 28) -> tuple[RationalI
          <= c <= 8 (1+log_q(2n+1))^{1.27}
     """
     kind = spec.family if spec.family in ("A", "2A") else "BCD"
-    return _bracket_intervals(kind, spec.n, spec.q, terms)
+    return _bracket_intervals(kind, spec.n, spec.q)
 
 
 @lru_cache(maxsize=4096)
-def _bracket_intervals(kind: str, n: int, q: int,
-                       terms: int) -> tuple[RationalInterval, RationalInterval]:
+def _bracket_intervals(kind: str, n: int, q: int) -> tuple[RationalInterval, RationalInterval]:
     """bound_bracket_intervals for "A", "2A" or "BCD" (one bracket for
     B, C, D and 2D), cached: the intervals are frozen."""
     one = RationalInterval.point(1)
     if kind == "A":
         lo_arg = Fraction(n - 1) * (1 - Fraction(1, q)) + q * q
-        lower = pow_interval(log_base_interval(lo_arg, q, terms), Fraction(3, 4), terms) * Fraction(1, 4)
-        upper = pow_interval(log_base_interval(n * (q - 1) + q, q, terms), Fraction(254, 100), terms) * 13
+        lower = pow_interval(log_base_interval(lo_arg, q), Fraction(3, 4)) * Fraction(1, 4)
+        upper = pow_interval(log_base_interval(n * (q - 1) + q, q), Fraction(254, 100)) * 13
     elif kind == "2A":
         lo_arg = Fraction(n - 1) * (1 - Fraction(1, q * q)) + q ** 4
-        lower = pow_interval(log_base_interval(lo_arg, q, terms), Fraction(2, 5), terms) * Fraction(1, 4)
-        upper = pow_interval(log_base_interval(n * (q * q - 1) + q * q, q, terms), Fraction(127, 100), terms) * 2
+        lower = pow_interval(log_base_interval(lo_arg, q), Fraction(2, 5)) * Fraction(1, 4)
+        upper = pow_interval(log_base_interval(n * (q * q - 1) + q * q, q), Fraction(127, 100)) * 2
     else:
         if q % 2 == 1:
-            lower = pow_interval(log_base_interval(Fraction(4 * n + 25, 3), q, terms), Fraction(3, 8), terms) * Fraction(1, 5)
+            lower = pow_interval(log_base_interval(Fraction(4 * n + 25, 3), q), Fraction(3, 8)) * Fraction(1, 5)
             const = 38
         else:
-            lower = pow_interval(log_base_interval(n + 17, q, terms), Fraction(3, 8), terms) * Fraction(1, 5)
+            lower = pow_interval(log_base_interval(n + 17, q), Fraction(3, 8)) * Fraction(1, 5)
             const = 8
-        upper = pow_interval(log_base_interval(2 * n + 1, q, terms) + one, Fraction(127, 100), terms) * const
+        upper = pow_interval(log_base_interval(2 * n + 1, q) + one, Fraction(127, 100)) * const
     lower_clamped = RationalInterval(max(lower.lo, Fraction(1)), max(lower.hi, Fraction(1)))
     return lower_clamped, upper
 
 
-def bound_bracket(spec: GroupSpec, terms: int = 28) -> tuple[Fraction, Fraction]:
+def bound_bracket(spec: GroupSpec) -> tuple[Fraction, Fraction]:
     """Outer enclosure (lower.lo, upper.hi) of the family's c(G) bracket."""
-    lower, upper = bound_bracket_intervals(spec, terms)
+    lower, upper = bound_bracket_intervals(spec)
     return lower.lo, upper.hi
 
 

@@ -10,7 +10,6 @@ explicitly requested.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -359,7 +358,7 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
 
     for fam in unipotent.SYMBOL_FAMILIES:
         for n in range(maxdegree.min_rank(fam), rank_max + 1):
-            targets = unipotent._steinberg_classes(n, "BC" if fam == "BC" else "even")
+            targets = unipotent._steinberg_classes(n, fam)
             for sym in unipotent.enumerate_symbols(n, fam):
                 if (sym.X, sym.Y) in targets:
                     continue
@@ -435,65 +434,43 @@ class SuiteConfig:
 
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:
+    """(check function, arguments) of each check the selection runs, in
+    report order; the functions are module-level, so a pool pickles them."""
     tasks: list[tuple] = []
     if selection in ("steinberg", "all"):
         for fam in cfg.families:
-            tasks.append(("steinberg", (fam, cfg.n_min, cfg.n_max, cfg.q_list)))
+            tasks.append((check_steinberg, (fam, cfg.n_min, cfg.n_max, cfg.q_list)))
     if selection in ("props", "all"):
-        tasks.append(("anchor_degrees", ()))
-        tasks.append(("prop_compgl", (min(cfg.n_max, 20), cfg.q_list)))
-        tasks.append(("prop_dominance", (min(cfg.n_max, 14),
-                                         tuple(q for q in cfg.q_list if q >= 3) or (3, 4, 5))))
-        tasks.append(("prop_glgu", (min(cfg.n_max, 25), cfg.q_list)))
+        tasks.append((check_anchor_degrees, ()))
+        tasks.append((check_prop_compgl, (min(cfg.n_max, 20), cfg.q_list)))
+        tasks.append((check_prop_dominance, (min(cfg.n_max, 14),
+                                             tuple(q for q in cfg.q_list if q >= 3) or (3, 4, 5))))
+        tasks.append((check_prop_glgu, (min(cfg.n_max, 25), cfg.q_list)))
     if selection in ("lemmas", "all"):
-        tasks.append(("lemma_bracket_ratios", (12, cfg.q_list)))
-        tasks.append(("lemma_products", (max(cfg.q_list), cfg.truncation_m)))
+        tasks.append((check_lemma_bracket_ratios, (12, cfg.q_list)))
+        tasks.append((check_lemma_products, (max(cfg.q_list), cfg.truncation_m)))
     if selection == "all":
-        tasks.append(("oracle_sym_squares", (min(cfg.n_max, 20),)))
-        tasks.append(("oracle_alt_squares", (min(cfg.n_max, 20),)))
-        tasks.append(("oracle_branching", (min(cfg.n_max, 30),)))
-        tasks.append(("octuple_closed_form", (1000, 60, 20260810)))
-        tasks.append(("bgl_brackets", (min(cfg.n_max, 40),
-                                       tuple(q for q in cfg.q_list
-                                             if maxdegree.prime_power(q)))))
-        tasks.append(("poly_brackets", (tuple(q for q in cfg.q_list
-                                              if maxdegree.prime_power(q)), 2 ** 16)))
-        tasks.append(("epsilon_certificates", ()))
-        tasks.append(("merge_ratios", (min(cfg.n_max, 12),)))
-        tasks.append(("stclass_chains", (min(cfg.n_max, 8), cfg.q_list)))
-        tasks.append(("ratio_witness", (15, 18)))
-        tasks.append(("epsilon_an", (5, min(cfg.n_max + 10, 20))))
+        tasks.append((check_oracle_sym_squares, (min(cfg.n_max, 20),)))
+        tasks.append((check_oracle_alt_squares, (min(cfg.n_max, 20),)))
+        tasks.append((check_oracle_branching, (min(cfg.n_max, 30),)))
+        tasks.append((check_octuple_closed_form, (1000, 60, 20260810)))
+        prime_powers = tuple(q for q in cfg.q_list if maxdegree.prime_power(q))
+        tasks.append((check_bgl_brackets, (min(cfg.n_max, 40), prime_powers)))
+        tasks.append((check_poly_brackets, (prime_powers, 2 ** 16)))
+        tasks.append((check_epsilon_certificates, ()))
+        tasks.append((check_merge_ratios, (min(cfg.n_max, 12),)))
+        tasks.append((check_stclass_chains, (min(cfg.n_max, 8), cfg.q_list)))
+        tasks.append((check_ratio_witness, (15, 18)))
+        tasks.append((check_epsilon_an, (5, min(cfg.n_max + 10, 20))))
     if not tasks:
         raise ValueError(f"unknown suite selection {selection!r}")
     return tasks
 
 
-_CHECKS = {
-    "steinberg": check_steinberg,
-    "anchor_degrees": check_anchor_degrees,
-    "prop_compgl": check_prop_compgl,
-    "prop_dominance": check_prop_dominance,
-    "prop_glgu": check_prop_glgu,
-    "lemma_bracket_ratios": check_lemma_bracket_ratios,
-    "lemma_products": check_lemma_products,
-    "oracle_sym_squares": check_oracle_sym_squares,
-    "oracle_alt_squares": check_oracle_alt_squares,
-    "oracle_branching": check_oracle_branching,
-    "octuple_closed_form": check_octuple_closed_form,
-    "bgl_brackets": check_bgl_brackets,
-    "poly_brackets": check_poly_brackets,
-    "epsilon_certificates": check_epsilon_certificates,
-    "merge_ratios": check_merge_ratios,
-    "stclass_chains": check_stclass_chains,
-    "ratio_witness": check_ratio_witness,
-    "epsilon_an": check_epsilon_an,
-}
-
-
 def _run_task(task: tuple) -> dict:
-    name, args = task
+    check, args = task
     started = time.monotonic()
-    record = _CHECKS[name](*args)
+    record = check(*args)
     record["_elapsed"] = time.monotonic() - started
     return record
 
@@ -542,12 +519,11 @@ class SuiteReport:
 def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
     """Run the selected checks; deterministic output for any parallelism."""
     tasks = _suite_tasks(cfg, selection)
-    jobs = int(os.environ.get("LIE_DEGREES_THREADS", cfg.parallelism) or 1)
-    if jobs > 1 and len(tasks) > 1:
+    if cfg.parallelism > 1 and len(tasks) > 1:
         import multiprocessing
         # one task at a time: the default chunks deal fixed runs of tasks, so
         # one worker can be left with several long checks while the other idles
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+        with multiprocessing.Pool(min(cfg.parallelism, len(tasks))) as pool:
             records = pool.map(_run_task, tasks, chunksize=1)
     else:
         records = [_run_task(t) for t in tasks]

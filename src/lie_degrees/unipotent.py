@@ -1,24 +1,26 @@
 """Unipotent character degrees of the finite classical groups.
 
-GL_n(q) and GU_n(q) degrees come from the quantized hook formula on partitions:
-one checked integer division, which at -q gives the GU degree up to sign
-(Ennola duality).  Types B/C, D and 2D are parametrized by symbols: pairs of
-strictly increasing sequences up to shift-and-swap equivalence, with defect
-parity selecting the type.  The degree formula divides q^{a(S)} |G|_{q'} by
-(q^len - 1) over hooks and (q^len + 1) over cohooks of positive length;
-length-0 cohooks are excluded, which is the normalization that makes the
-trivial character evaluate to 1 and the Steinberg symbol to the full q-part
-of the group order.  Every group order |G|_{q'} here, of GL/GU and BC/D/2D
-alike, is read from the one table maxdegree.order_pprime.
+Every degree here has one shape, q^a |G|_{q'} / (2^c prod(q^h - 1)
+prod(q^k + 1)) (Carter, Finite Groups of Lie Type, 13.8), and one evaluator,
+the degree plan (_DegreePlan): the q-independent data of a label, evaluated
+at each q against one table of q^k - 1 and q^k + 1 with one checked exact
+division.  GL_n(q) and GU_n(q) unipotent characters are labelled by
+partitions: h runs over the hook lengths, with no k and c = 0, and a GU
+degree is the GL formula at -q in absolute value (Ennola duality), a sign
+the plan applies itself.  Types B/C, D and 2D are labelled by symbols: pairs
+of strictly increasing sequences up to shift-and-swap equivalence, with
+defect parity selecting the type; h runs over the hooks and k over the
+cohooks of positive length.  Length-0 cohooks are excluded, which is the
+normalization that makes the trivial character evaluate to 1 and the
+Steinberg symbol to the full q-part of the group order.  Every group order
+|G|_{q'} here is read from the one table maxdegree.order_pprime.
 
 Symbols are enumerated on plain row tuples: each bipartition (alpha, beta)
 of the right size gives the rows of one reduced symbol directly, so no
-canonicalization or de-duplication is needed.  The q-independent part of the
-degree formula (family, rank, a-value, power of 2, hook lengths of alpha and
-beta, positive cohook lengths) is a degree plan, built from those tuples by
-the same row-level formulas that symbol_stats uses, and evaluated for each q
-against one table of q^k - 1 and q^k + 1 with one checked exact division.
-degree_symbol caches the plan per canonical row pair.
+canonicalization or de-duplication is needed.  A symbol's plan is built from
+those tuples by the same row-level formulas that symbol_stats uses;
+degree_symbol caches the plan per canonical row pair, and degree_gl and
+degree_gu cache the degree per (parts, family, q).
 
 The Steinberg sweep (verify_steinberg_max) looks for the exact runner-up at
 each q without evaluating most labels.  With e = a - sum(hook lengths) -
@@ -27,8 +29,10 @@ sum(positive cohook lengths), the exponent key, and s = (number of hooks) -
 (q >= 2, h, k >= 1) give degree <= |G|_{q'} q^e 2^s.  The labels of a rank
 are sorted once on (-e, tie key); at each q the walk skips a label whose
 bound, compared in integers, is below the best degree so far, and stops once
-the bound with the largest slack is.  A symbol label's plan is built the
-first time some q evaluates it, and none is kept after the sweep.
+the bound with the largest slack is.  One walk serves every family, which
+picks only its labels, their search entries and the runner-up's type; a
+label's plan is built the first time some q evaluates it, and none is kept
+after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class, and its next step depends only on the current class and q
@@ -57,7 +61,6 @@ from .partitions import (
     beta_parts,
     beta_row,
     hook_lengths,
-    partitions_of,
 )
 
 FAMILIES = ("GL", "GU", "BC", "D", "2D")
@@ -65,7 +68,7 @@ SYMBOL_FAMILIES = ("BC", "D", "2D")
 
 
 # ---------------------------------------------------------------------------
-# type A: quantized hook formula
+# type A: partition labels
 # ---------------------------------------------------------------------------
 
 def _a_value(parts: tuple[int, ...]) -> int:
@@ -84,32 +87,24 @@ def _hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=200_000)
-def _degree_gl(parts: tuple[int, ...], q: int) -> int:
-    """q^a |GL_n(q)|_{q'} / prod_h (q^h - 1) over the hook lengths h.
-
-    Also the GU kernel: at -q the value is the GU_n(q) degree up to sign
-    (Ennola duality), so q may be negative, and the numerator is then
-    |GU_n(q)|_{q'}, the GL bracket at -q in absolute value.
-    """
-    num = order_pprime("GL" if q > 0 else "GU", sum(parts), abs(q))
-    quot, rem = divmod(num, math.prod(q ** h - 1 for h in _hook_lengths(parts)))
-    if rem:  # the quotient is a character degree, so this cannot fail
-        raise ArithmeticError(f"non-integral type A degree for {parts}, q={q}")
-    return q ** _a_value(parts) * quot
+def _partition_degree(parts: tuple[int, ...], fam: str, q: int) -> int:
+    """The GL or GU degree at q of the partition with these parts, from its
+    plan; kept per (parts, family, q), since the checks ask for it again."""
+    return _build_plan(parts, fam, sum(parts)).evaluate(q)
 
 
 def degree_gl(lam: Partition, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) labelled by lam."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return _degree_gl(lam.parts, q)
+    return _partition_degree(lam.parts, "GL", q)
 
 
 def degree_gu(lam: Partition, q: int) -> int:
     """Degree of the unipotent character of GU_n(q) labelled by lam."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return abs(_degree_gl(lam.parts, -q))
+    return _partition_degree(lam.parts, "GU", q)
 
 
 # ---------------------------------------------------------------------------
@@ -267,59 +262,72 @@ def symbol_two_power(sym: Symbol) -> int:
     return _rows_two_power(sym.X, sym.Y)
 
 
+# ---------------------------------------------------------------------------
+# degree plans: the one evaluator of every unipotent degree
+# ---------------------------------------------------------------------------
+
 @lru_cache(maxsize=1024)
 def _factor_tables(q: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(q^k - 1) and (q^k + 1) for k = 0..top."""
+    """(q^k - 1) and (q^k + 1) for k = 0..top; q is negative for GU."""
     powers = [q ** k for k in range(top + 1)]
     return tuple(p - 1 for p in powers), tuple(p + 1 for p in powers)
 
 
 class _DegreePlan(NamedTuple):
-    """q^a |G|_{q'} / (2^two_power prod(q^h - 1) prod(q^k + 1)) as a function of q.
+    """q^a |G|_{q'} / (2^two_power prod(q^h - 1) prod(q^k + 1)) as a function
+    of q: the degree of the unipotent character of the family and rank that
+    label names.
 
-    h runs over the hook lengths (minus) and k over the positive cohook
-    lengths (plus); fam and rank select the q'-order |G|_{q'}.  x and y are
-    the canonical rows of the symbol.
+    label is the parts of a partition (GL, GU) or the canonical rows (x, y)
+    of a symbol (BC, D, 2D).  h runs over the hook lengths (minus) and k over
+    the positive cohook lengths (plus, empty for a partition), all at most
+    top; fam and rank select the q'-order |G|_{q'}.
     """
 
-    x: tuple[int, ...]
-    y: tuple[int, ...]
+    label: tuple
     fam: str
     rank: int
     a: int
     two_power: int
     minus: tuple[int, ...]
     plus: tuple[int, ...]
+    top: int
 
-    @property
-    def top(self) -> int:
-        """Largest entry of the rows, which bounds every hook and cohook length."""
-        return max(self.x[-1:] + self.y[-1:], default=0)
-
-    def evaluate(self, q: int, order: int,
-                 tables: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
-        """The degree at q, given order = |G|_{q'} = order_pprime(fam, rank, q)
-        and tables = _factor_tables(q, top) for some top >= self.top."""
-        minus_tab, plus_tab = tables
+    def evaluate(self, q: int) -> int:
+        """The degree at q, with |G|_{q'} = order_pprime(fam, rank, q)."""
+        x = -q if self.fam == "GU" else q  # Ennola: GU is the GL formula at -q, up to sign
+        minus_tab, plus_tab = _factor_tables(x, self.top)
         den = (math.prod(map(minus_tab.__getitem__, self.minus), start=1 << self.two_power)
                * math.prod(map(plus_tab.__getitem__, self.plus)))
-        quot, rem = divmod(q ** self.a * order, den)
-        if rem != 0:
-            raise ArithmeticError(
-                f"non-integral symbol degree for {Symbol._from_valid_rows(self.x, self.y)}, q={q}")
-        return quot
+        quot, rem = divmod(x ** self.a * order_pprime(self.fam, self.rank, q), den)
+        if rem != 0:  # the quotient is a character degree, so this cannot fail
+            raise ArithmeticError(f"non-integral {self.fam} degree for {self.labelled()}, q={q}")
+        return abs(quot)
+
+    def labelled(self) -> Partition | Symbol:
+        """The label as the Partition or the Symbol it is."""
+        if self.fam in ("GL", "GU"):
+            return Partition._from_valid_parts(self.label)
+        return Symbol._from_valid_rows(*self.label)
 
 
-def _build_plan(x: tuple[int, ...], y: tuple[int, ...], alpha: tuple[int, ...],
-                beta: tuple[int, ...], fam: str, rank: int) -> _DegreePlan:
-    """Degree plan of the symbol (x, y) whose rows are beta-sets of the
-    partitions alpha and beta; their hooks are the symbol's hooks."""
+def _build_plan(label: tuple, fam: str, rank: int) -> _DegreePlan:
+    """Degree plan of a label of the family: the parts of a partition (GL,
+    GU), or canonical rows (x, y) with the partitions (alpha, beta) whose
+    beta-sets they are, so that the hooks of alpha and beta are the symbol's
+    hooks (BC, D, 2D)."""
+    if fam in ("GL", "GU"):
+        minus = _hook_lengths(label)
+        return _DegreePlan(label, fam, rank, a=_a_value(label), two_power=0, minus=minus,
+                           plus=(), top=max(minus, default=0))
+    x, y, alpha, beta = label
     return _DegreePlan(
-        x, y, fam, rank,
+        (x, y), fam, rank,
         a=_rows_a_value(x, y),
         two_power=_rows_two_power(x, y),
         minus=_hook_lengths(alpha) + _hook_lengths(beta),
         plus=tuple(_cohook_lengths(x, y) + _cohook_lengths(y, x)),
+        top=max(x[-1:] + y[-1:], default=0),
     )
 
 
@@ -329,8 +337,7 @@ def _symbol_plan(x: tuple[int, ...], y: tuple[int, ...]) -> _DegreePlan:
     rank = _rows_rank(x, y)
     if rank < 1:
         raise ValueError(f"symbol must have positive rank: {Symbol._from_valid_rows(x, y)}")
-    return _build_plan(x, y, beta_parts(x), beta_parts(y),
-                       family_of_defect(len(x) - len(y)), rank)
+    return _build_plan((x, y, beta_parts(x), beta_parts(y)), family_of_defect(len(x) - len(y)), rank)
 
 
 def degree_symbol(sym: Symbol, q: int) -> int:
@@ -345,9 +352,7 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     if q < 2:
         raise ValueError("q must be >= 2")
     canon = canonicalize(sym)
-    plan = _symbol_plan(canon.X, canon.Y)
-    return plan.evaluate(q, order_pprime(plan.fam, plan.rank, q),
-                         _factor_tables(q, plan.top))
+    return _symbol_plan(canon.X, canon.Y).evaluate(q)
 
 
 # smallest defect of a symbol of the family; the others step by 2 (BC) or 4
@@ -432,12 +437,12 @@ def _canonical_rows(sym: Symbol) -> _Rows:
 
 
 @lru_cache(maxsize=256)
-def _steinberg_classes(n: int, parity: str) -> frozenset[_Rows]:
-    """Canonical rows of the Steinberg classes acceptable for a chain endpoint,
-    for defect parity "BC" (odd) or "even" (D and 2D)."""
-    fams = ("BC",) if parity == "BC" else ("D", "2D")
-    return frozenset(_canonical_rows(steinberg_symbol(n, fam))
-                     for fam in fams if n >= min_rank(fam))
+def _steinberg_classes(n: int, fam: str) -> frozenset[_Rows]:
+    """Canonical rows of the Steinberg classes of rank n that end a chain from
+    a class of the family: BC's own, or for D and 2D those of both, since
+    chains cross between them."""
+    fams = ("BC",) if fam == "BC" else ("D", "2D")
+    return frozenset(_canonical_rows(steinberg_symbol(n, f)) for f in fams if n >= min_rank(f))
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +467,24 @@ def _symbol_exponent(x: tuple[int, ...], y: tuple[int, ...]) -> int:
 
 # One label of a runner-up search: (-e, tie key, s, label), where the degree
 # at q is at most |G|_{q'} q^e 2^s; a list of them is sorted on (-e, tie key).
-_Entry = tuple[int, object, int, object]
+_Entry = tuple[int, object, int, tuple]
 
 
-def _partition_entries(n: int) -> list[_Entry]:
-    """Search entries of the non-Steinberg partitions of n: s = n (one
-    q^h - 1 per box), and the parts are the tie key and the label."""
-    return sorted((-_partition_exponent(lam.parts), lam.parts, n, lam)
-                  for lam in partitions_of(n) if lam.parts != (1,) * n)
+def _search_entries(n: int, fam: str) -> list[_Entry]:
+    """Search entries of the non-Steinberg labels of rank n in the family.
 
-
-def _symbol_entries(labels: list[_Label]) -> list[_Entry]:
-    """Search entries of symbol labels (x, y, alpha, beta): one q^h - 1 per
-    box of alpha and beta, so s = |alpha| + |beta| - two_power; the index in
-    labels is the tie key and the label."""
-    return sorted((-_symbol_exponent(x, y), i, sum(alpha) + sum(beta) - _rows_two_power(x, y), i)
+    A partition (GL, GU) has one q^h - 1 per box, so s = n, and its parts
+    are the tie key and the label.  A symbol (BC, D, 2D) has one per box of
+    alpha and beta, so s = |alpha| + |beta| - two_power; its label is
+    (x, y, alpha, beta) and the tie key its index in enumeration order.
+    """
+    if fam in ("GL", "GU"):
+        return sorted((-_partition_exponent(parts), parts, n, parts)
+                      for parts in _partition_tuples(n, n) if parts != (1,) * n)
+    st = _canonical_rows(steinberg_symbol(n, fam))
+    labels = [label for label in _symbol_labels(n, fam) if label[:2] != st]
+    return sorted((-_symbol_exponent(x, y), i, sum(alpha) + sum(beta) - _rows_two_power(x, y),
+                   (x, y, alpha, beta))
                   for i, (x, y, alpha, beta) in enumerate(labels))
 
 
@@ -513,37 +521,6 @@ def _steinberg_outcome(st_degree: int, runner, runner_degree: int) -> tuple:
     return st_degree > runner_degree, runner, Fraction(st_degree, runner_degree)
 
 
-def _steinberg_max_partitions(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
-    deg = degree_gl if fam == "GL" else degree_gu
-    st_label = Partition((1,) * n)
-    entries = _partition_entries(n)
-    out = []
-    for q in q_list:
-        runner, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), deg)
-        out.append(_steinberg_outcome(deg(st_label, q), runner, runner_degree))
-    return out
-
-
-def _steinberg_max_symbols(n: int, q_list: tuple[int, ...], fam: str) -> list[tuple]:
-    st = canonicalize(steinberg_symbol(n, fam))
-    labels = [label for label in _symbol_labels(n, fam) if label[:2] != (st.X, st.Y)]
-    entries = _symbol_entries(labels)
-    plans: dict[int, _DegreePlan] = {}  # built for the labels some q evaluates
-
-    def evaluate(i: int, q: int) -> int:
-        plan = plans.get(i)
-        if plan is None:
-            plan = plans[i] = _build_plan(*labels[i], fam, n)
-        return plan.evaluate(q, order_pprime(fam, n, q), _factor_tables(q, plan.top))
-
-    out = []
-    for q in q_list:
-        i, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), evaluate)
-        runner = None if i is None else Symbol._from_valid_rows(*labels[i][:2])
-        out.append(_steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
-    return out
-
-
 def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]:
     """Check the Steinberg label has the strictly largest unipotent degree.
 
@@ -562,8 +539,8 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     n are sorted once on (-e, tie key), the tie key being the parts or the
     enumeration index.  At each q the walk evaluates exactly only the labels
     whose bound, compared in integers with the best degree so far, can still
-    reach it, and stops once the bound with the largest slack cannot.  Symbol
-    plans are built the first time a label is evaluated.
+    reach it, and stops once the bound with the largest slack cannot.  A
+    label's plan is built the first time some q evaluates it.
     """
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
@@ -572,9 +549,25 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
         raise ValueError("q must be >= 2")
     if n < 1:
         raise ValueError("rank must be >= 1")
+    entries = _search_entries(n, fam)
+    plans: dict[tuple, _DegreePlan] = {}  # built for the labels some q evaluates
+
+    def evaluate(label: tuple, q: int) -> int:
+        plan = plans.get(label)
+        if plan is None:
+            plan = plans[label] = _build_plan(label, fam, n)
+        return plan.evaluate(q)
+
     if fam in ("GL", "GU"):
-        return _steinberg_max_partitions(n, q_list, fam)
-    return _steinberg_max_symbols(n, q_list, fam)
+        steinberg, degree = Partition((1,) * n), degree_gl if fam == "GL" else degree_gu
+    else:
+        steinberg, degree = steinberg_symbol(n, fam), degree_symbol
+    out = []
+    for q in q_list:
+        label, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), evaluate)
+        runner = None if label is None else plans[label].labelled()
+        out.append(_steinberg_outcome(degree(steinberg, q), runner, runner_degree))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +638,12 @@ _Step = tuple[Symbol, _Rows]  # a chosen candidate and the canonical rows of its
 _MAX_STEPS = 10_000
 
 
-def _chain_step(rows: _Rows, q: int, n: int, parity: str) -> _Step:
-    """One step of stclass_chain from the class with canonical rows `rows`, of
-    rank n and defect parity "BC" (odd) or "even": the first candidate move,
-    in _chain_candidates order and skipping repeated classes, whose degree at
-    q exceeds the current one, with the canonical rows of its class."""
+def _chain_step(rows: _Rows, q: int, n: int) -> _Step:
+    """One step of stclass_chain from the class of rank n with canonical rows
+    `rows`: the first candidate move, in _chain_candidates order and skipping
+    repeated classes, whose degree at q exceeds the current one, with the
+    canonical rows of its class."""
+    odd = family_of_defect(len(rows[0]) - len(rows[1])) == "BC"
     cur_cls = Symbol._from_valid_rows(*rows)
     cur_degree = degree_symbol(cur_cls, q)
     seen = {rows}
@@ -660,7 +654,7 @@ def _chain_step(rows: _Rows, q: int, n: int, parity: str) -> _Step:
             continue
         seen.add(key)
         if (symbol_rank(c_cls) != n
-                or (symbol_defect(c_cls) % 2 == 1) != (parity == "BC")):
+                or (family_of_defect(symbol_defect(c_cls)) == "BC") != odd):
             raise ArithmeticError(
                 f"move from {cur_cls} to {c_cls} changes the rank or the defect parity")
         if degree_symbol(c_cls, q) > cur_degree:
@@ -673,7 +667,7 @@ def _chain_step(rows: _Rows, q: int, n: int, parity: str) -> _Step:
 def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | ArithmeticError],
                 max_steps: int = _MAX_STEPS) -> list[Symbol]:
     """sym followed by the candidates that _chain_step chooses at q, up to a
-    Steinberg class of its rank and defect parity.
+    Steinberg class of its rank and defect parity (see _steinberg_classes).
 
     Each step is read from memo, keyed on (canonical rows, q), or taken by
     _chain_step and stored there with the ArithmeticError it raised, if any.
@@ -681,8 +675,7 @@ def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | Arith
     re-raised without its traceback, which would otherwise grow on each raise.
     """
     n = symbol_rank(sym)
-    parity = "BC" if symbol_defect(sym) % 2 == 1 else "even"
-    targets = _steinberg_classes(n, parity)
+    targets = _steinberg_classes(n, family_of_defect(symbol_defect(sym)))
     rows = _canonical_rows(sym)
     if rows in targets:
         raise ValueError(f"{sym} already labels the Steinberg character")
@@ -693,7 +686,7 @@ def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | Arith
         out = memo.get((rows, q))
         if out is None:
             try:
-                out = memo[rows, q] = _chain_step(rows, q, n, parity)
+                out = memo[rows, q] = _chain_step(rows, q, n)
             except ArithmeticError as exc:
                 memo[rows, q] = exc
                 raise

@@ -11,13 +11,9 @@ from lie_degrees.cli import COMMANDS, build_parser, command_parser, main, parse_
 from lie_degrees.partitions import Partition
 
 
-def run_cli(*args, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "lie_degrees.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True)
 
 
 def test_parse_partition():
@@ -101,8 +97,8 @@ def test_verify_reports_byte_identical(tmp_path):
     paths = [tmp_path / f"r{i}.json" for i in range(3)]
     run_cli("verify", "props", "--n", "1..6", "--q", "2,3", "--out", str(paths[0]))
     run_cli("verify", "props", "--n", "1..6", "--q", "2,3", "--out", str(paths[1]))
-    run_cli("verify", "props", "--n", "1..6", "--q", "2,3", "--jobs", "3",
-            "--out", str(paths[2]), env={"LIE_DEGREES_THREADS": "2"})
+    run_cli("verify", "props", "--n", "1..6", "--q", "2,3", "--jobs", "2",
+            "--out", str(paths[2]))
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -213,8 +209,7 @@ PINNED_OUTPUTS = [
                          ids=[" ".join(args) for args, _ in PINNED_OUTPUTS])
 def test_benchmarked_command_output_bytes_are_pinned(args, digest):
     import os
-    env = {k: v for k, v in os.environ.items() if k != "LIE_DEGREES_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lie_degrees.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lie_degrees.__file__)))
     proc = subprocess.run([sys.executable, "-m", "lie_degrees.cli", *args],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -22,8 +22,7 @@ def loaded_after(code: str) -> set[str]:
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m.split('.', 1)[-1] for m in sys.modules\n"
         "                        if m.startswith('lie_degrees.') or m == 'multiprocessing')))\n")
-    env = {k: v for k, v in os.environ.items() if k != "LIE_DEGREES_THREADS"}
-    env["PYTHONPATH"] = SRC
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -468,8 +468,8 @@ def test_bracket_intervals_are_computed_once_per_bracket(monkeypatch):
     for n, q in ((2, 2), (3, 3), (5, 4)):
         shared = bound_bracket_intervals(GroupSpec("B", n, q))
         assert all(bound_bracket_intervals(GroupSpec(f, n, q)) is shared for f in ("C", "D", "2D"))
-        assert maxdegree._bracket_intervals.__wrapped__("BCD", n, q, 28) == shared
+        assert maxdegree._bracket_intervals.__wrapped__("BCD", n, q) == shared
         spec = GroupSpec("A", n, q)
-        assert bound_bracket_intervals(spec) == maxdegree._bracket_intervals.__wrapped__("A", n, q, 28)
+        assert bound_bracket_intervals(spec) == maxdegree._bracket_intervals.__wrapped__("A", n, q)
     maxdegree._bracket_intervals.cache_clear()
     qexact._ln_base.cache_clear()

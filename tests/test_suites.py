@@ -147,7 +147,7 @@ def _per_chain_stclass_check(rank_max, q_list):
     chains = 0
     for fam in ("BC", "D", "2D"):
         for n in range(2 if fam != "BC" else 1, rank_max + 1):
-            targets = unipotent._steinberg_classes(n, "BC" if fam == "BC" else "even")
+            targets = unipotent._steinberg_classes(n, fam)
             for sym in unipotent.enumerate_symbols(n, fam):
                 if (sym.X, sym.Y) in targets:
                     continue

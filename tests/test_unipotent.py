@@ -84,6 +84,38 @@ def test_empty_partition_has_degree_one():
         assert degree_gu(Partition(()), q) == 1
 
 
+def test_every_degree_goes_through_the_one_evaluator(monkeypatch):
+    # one plan evaluator for partitions and symbols: each entry point reaches it
+    evaluated = []
+    real_evaluate = unipotent._DegreePlan.evaluate
+
+    def counting_evaluate(plan, q):
+        evaluated.append(plan.fam)
+        return real_evaluate(plan, q)
+
+    monkeypatch.setattr(unipotent._DegreePlan, "evaluate", counting_evaluate)
+    unipotent._partition_degree.cache_clear()
+    degree_gl(Partition((3, 1)), 7)
+    degree_gu(Partition((3, 1)), 7)
+    degree_symbol(Symbol((1, 2), (0,)), 7)
+    assert evaluated == ["GL", "GU", "BC"]
+    for fam in unipotent.FAMILIES:
+        evaluated.clear()
+        verify_steinberg_max(4, (7,), fam)
+        assert fam in evaluated, fam
+
+
+def test_a_broken_gu_order_raises_and_names_the_label(monkeypatch):
+    # |GU_3(3)|_{3'} + 1 is not divisible by the hook product of (2, 1) at -3
+    real_order = unipotent.order_pprime
+    monkeypatch.setattr(unipotent, "order_pprime",
+                        lambda fam, n, q: real_order(fam, n, q) + (fam == "GU"))
+    unipotent._partition_degree.cache_clear()
+    with pytest.raises(ArithmeticError, match=r"GU degree for Partition\(2, 1\), q=3"):
+        degree_gu(Partition((2, 1)), 3)
+    assert degree_gl(Partition((2, 1)), 3) == 12
+
+
 def _ref_degree_gu(lam, q):
     """The GU degree as |(-q)^a prod (-q)^i - 1 / prod (-q)^h - 1| in Fractions,
     with the hooks read from the validating Partition."""
@@ -435,7 +467,7 @@ def test_enumeration_and_plans_match_reference():
             labels = _symbol_labels(n, fam)
             assert [(x, y) for x, y, _, _ in labels] == [(c.X, c.Y) for c in classes]
             for x, y, alpha, beta in labels:
-                plan = _build_plan(x, y, alpha, beta, fam, n)
+                plan = _build_plan((x, y, alpha, beta), fam, n)
                 assert _plan_key(plan) == _ref_degree_plan(Symbol(x, y)), (x, y)
                 assert _plan_key(_symbol_plan(x, y)) == _plan_key(plan)
 
@@ -465,7 +497,7 @@ def test_tuple_plan_matches_symbol_stats_plan(alpha, beta, d):
     rank = symbol_rank(sym)
     if rank < 1:
         return
-    plan = _build_plan(x, y, alpha, beta, family_of_defect(d), rank)
+    plan = _build_plan((x, y, alpha, beta), family_of_defect(d), rank)
     assert _plan_key(plan) == _ref_degree_plan(sym)
     assert _plan_key(plan) == _ref_degree_plan(canonicalize(sym))
 
@@ -604,9 +636,8 @@ def test_forest_chains_match_stclass_chain():
     memo = {}
     walked = 0
     for fam in ("BC", "D", "2D"):
-        parity = "BC" if fam == "BC" else "even"
         for n in range(1 if fam == "BC" else 2, 8):
-            targets = unipotent._steinberg_classes(n, parity)
+            targets = unipotent._steinberg_classes(n, fam)
             for sym in enumerate_symbols(n, fam):
                 if (sym.X, sym.Y) in targets:
                     continue
@@ -620,12 +651,16 @@ def test_forest_chains_match_stclass_chain():
 
 
 def test_steinberg_classes_are_cached_frozensets():
-    for parity in ("BC", "even"):
-        got = unipotent._steinberg_classes(4, parity)
-        assert isinstance(got, frozenset) and got is unipotent._steinberg_classes(4, parity)
-    assert unipotent._steinberg_classes(4, "even") == {
-        (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)) for f in ("D", "2D"))}
-    assert unipotent._steinberg_classes(1, "even") == frozenset()
+    for fam in ("BC", "D", "2D"):
+        got = unipotent._steinberg_classes(4, fam)
+        assert isinstance(got, frozenset) and got is unipotent._steinberg_classes(4, fam)
+    # chains cross between D and 2D, so both end at either Steinberg class
+    for fam in ("D", "2D"):
+        assert unipotent._steinberg_classes(4, fam) == {
+            (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)) for f in ("D", "2D"))}
+        assert unipotent._steinberg_classes(1, fam) == frozenset()
+    bc = canonicalize(steinberg_symbol(4, "BC"))
+    assert unipotent._steinberg_classes(4, "BC") == {(bc.X, bc.Y)}
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +677,7 @@ def _symbol_ranks(n_max):
 def test_exponent_key_is_the_plan_exponent():
     for fam, n in _symbol_ranks(10):
         for x, y, alpha, beta in _symbol_labels(n, fam):
-            plan = _build_plan(x, y, alpha, beta, fam, n)
+            plan = _build_plan((x, y, alpha, beta), fam, n)
             assert unipotent._symbol_exponent(x, y) == plan.a - sum(plan.minus) - sum(plan.plus)
     for n in range(1, 21):
         for parts in _partition_tuples(n, n):
@@ -665,18 +700,26 @@ def test_every_degree_is_within_its_search_bound():
         return degree <= order * Fraction(q) ** -neg_e * Fraction(2) ** s
 
     for fam, n in _symbol_ranks(8):
-        labels = _symbol_labels(n, fam)
-        for neg_e, i, s, _ in unipotent._symbol_entries(labels):
-            sym = Symbol(*labels[i][:2])
+        # the Steinberg symbol is no search entry; its e and s from its plan
+        st = canonicalize(steinberg_symbol(n, fam))
+        plan = _symbol_plan(st.X, st.Y)
+        entries = [(sum(plan.minus) + sum(plan.plus) - plan.a, None,
+                    len(plan.minus) - plan.two_power, (st.X, st.Y))]
+        entries += unipotent._search_entries(n, fam)
+        assert len(entries) == len(_symbol_labels(n, fam))
+        for neg_e, _, s, label in entries:
+            sym = Symbol(*label[:2])
             for q in SEARCH_QS:
                 order = order_pprime(fam, n, q)
                 assert within(degree_symbol(sym, q), order, neg_e, s, q), (sym, q)
     for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
         for n in range(1, 15):
-            for neg_e, _, s, lam in unipotent._partition_entries(n):
+            entries = unipotent._search_entries(n, fam)
+            assert len(entries) == sum(1 for _ in partitions_of(n)) - 1
+            for neg_e, _, s, parts in entries:
                 for q in SEARCH_QS:
                     order = order_pprime(fam, n, q)
-                    assert within(deg(lam, q), order, neg_e, s, q), (fam, lam, q)
+                    assert within(deg(Partition(parts), q), order, neg_e, s, q), (fam, parts, q)
 
 
 def _unpruned_steinberg_max(n, q_list, fam):
@@ -695,20 +738,17 @@ def _unpruned_steinberg_max(n, q_list, fam):
             out.append(unipotent._steinberg_outcome(deg(st_label, q), runner, runner_degree))
         return out
     st = canonicalize(steinberg_symbol(n, fam))
-    plans = [_build_plan(x, y, alpha, beta, fam, n)
-             for x, y, alpha, beta in _symbol_labels(n, fam) if (x, y) != (st.X, st.Y)]
-    top = max((plan.top for plan in plans), default=0)
+    plans = [_build_plan(label, fam, n)
+             for label in _symbol_labels(n, fam) if label[:2] != (st.X, st.Y)]
     out = []
     for q in q_list:
-        order = order_pprime(fam, n, q)
-        tables = unipotent._factor_tables(q, top)
         runner, runner_degree = None, -1
         for plan in plans:
-            d = plan.evaluate(q, order, tables)
+            d = plan.evaluate(q)
             if d > runner_degree:
                 runner, runner_degree = plan, d
         if runner is not None:
-            runner = Symbol(runner.x, runner.y)
+            runner = Symbol(*runner.label)
         out.append(unipotent._steinberg_outcome(degree_symbol(st, q), runner, runner_degree))
     return out
 
@@ -726,13 +766,13 @@ def test_runner_up_search_stops_early(monkeypatch):
     evaluated, built = [], []
     real_evaluate, real_build = unipotent._DegreePlan.evaluate, unipotent._build_plan
 
-    def counting_evaluate(plan, *args):
-        evaluated.append((plan.x, plan.y))
-        return real_evaluate(plan, *args)
+    def counting_evaluate(plan, q):
+        evaluated.append(plan.label)
+        return real_evaluate(plan, q)
 
-    def counting_build(*args):
-        built.append(args[:2])
-        return real_build(*args)
+    def counting_build(label, *args):
+        built.append(label[:2])
+        return real_build(label, *args)
 
     monkeypatch.setattr(unipotent._DegreePlan, "evaluate", counting_evaluate)
     monkeypatch.setattr(unipotent, "_build_plan", counting_build)
