@@ -12,10 +12,30 @@ runs, and calls them as module.function.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
+# Python's limit on the digits of an int read from or written as a string
+# (sys.set_int_max_str_digits) guards parsing against quadratic conversions of
+# hostile input; an integer the program computed, such as the q-part 49^3600
+# of a bounds row, is written in full, so commands run with the limit lifted
+# and each parser below restores it.
+_INPUT_DIGITS = sys.get_int_max_str_digits()
 
+
+@contextlib.contextmanager
+def _int_digits(limit: int):
+    """Run with sys.set_int_max_str_digits(limit) (0: no limit)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@_int_digits(_INPUT_DIGITS)
 def parse_partition(text: str) -> partitions.Partition:
     """Parse '3,2,1' or power notation '2^3,1' into a partition."""
     from . import partitions
@@ -32,6 +52,7 @@ def parse_partition(text: str) -> partitions.Partition:
     return partitions.Partition(tuple(sorted(parts, reverse=True)))
 
 
+@_int_digits(_INPUT_DIGITS)
 def parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -40,10 +61,12 @@ def parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
+@_int_digits(_INPUT_DIGITS)
 def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+@_int_digits(_INPUT_DIGITS)
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with a zero denominator a ValueError like any other
     malformed number (Fraction raises ZeroDivisionError for it)."""
@@ -273,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     else:  # help, or a usage error that lists the commands
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digits(0):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,11 +6,20 @@ number series with an explicit geometric tail bound; logarithms, exponentials
 and fractional powers are enclosed with truncated series plus tail bounds, so
 every verdict produced here is a certificate.
 
-The atanh (for ln) and exp series are summed in integer arithmetic as one
-numerator over one common denominator; the tail bound is put over the same
-denominator and each endpoint is rounded outward once to the 2^-192 grid, so
-no gcd is taken per term.  The squarings that undo exp's argument halving run
-on the integer mantissas at scale 2^192.
+Each enclosure of the atanh (for ln) and exp series is [S - tau, S + tau],
+S the truncated sum and tau the tail bound, rounded outward once to the
+2^-192 grid.  The sum is first taken in fixed point with 64 guard bits, at
+scale 2^256, where every term is one integer product and floor division; each
+kernel proves that the fixed-point S -+ tau is within E = 4T + 8 units of the
+true value (T terms).  When both ends of that +-E window round to the same
+grid point, that point is the endpoint (Ziv's rounding test); otherwise, as
+always at t = 0, exp(0) and other values on the grid, the exact kernel runs:
+the sum as one integer over one common denominator, the tail over the same
+denominator.  Either way the endpoints are the same rationals.  Arguments are
+reduced in integers (ln to [3/4, 3/2] by a power of two found from bit
+lengths, exp halved to |x| <= 1/2), ln's 2 atanh + k ln 2 is added on the
+integer mantissas, and the squarings that undo exp's halving run on the
+mantissas at scale 2^192.
 """
 
 from __future__ import annotations
@@ -268,6 +277,8 @@ def product_bound_suite(q_max: int, m: int = 40, n_max: int = 50) -> dict:
 # ---------------------------------------------------------------------------
 
 _TIDY_BITS = 192
+_GUARD_BITS = 64
+_WORK_BITS = _TIDY_BITS + _GUARD_BITS
 
 
 def _tidy(ival: RationalInterval, bits: int = _TIDY_BITS) -> RationalInterval:
@@ -287,24 +298,74 @@ def _round_out(lo_num: int, hi_num: int, den: int) -> tuple[int, int]:
     return (lo_num << _TIDY_BITS) // den, -((-hi_num << _TIDY_BITS) // den)
 
 
+def _settle(acc: int, tail: int, terms: int) -> tuple[int, int] | None:
+    """Ziv's rounding test on a series summed in fixed point at scale 2^W
+    (W = _WORK_BITS): the mantissas [floor(L 2^192), ceil(H 2^192)] of the
+    enclosure [L, H] = [S - tau, S + tau], or None when the error bound
+    leaves either rounding open.
+
+    acc -+ tail approximate (S -+ tau) 2^W to within E = 4 terms + 8 (each
+    kernel proves its bound); floor and ceiling are monotone, so when both
+    ends of acc - tail +- E floor to one mantissa, so does L 2^W, and likewise
+    for H's ceiling.
+    """
+    err, g = 4 * terms + 8, _GUARD_BITS
+    lo_num, hi_num = acc - tail, acc + tail
+    lo = (lo_num - err) >> g
+    hi = -((err - hi_num) >> g)
+    if (lo_num + err) >> g != lo or -((-hi_num - err) >> g) != hi:
+        return None
+    return lo, hi
+
+
 def _dyadic(lo: int, hi: int) -> RationalInterval:
     scale = 1 << _TIDY_BITS
     return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def _atanh_interval(t: Fraction, terms: int) -> RationalInterval:
-    """Enclosure of atanh(t) = sum t^{2i+1}/(2i+1) for |t| < 1/2.
+def _atanh_fixed(a: int, b: int, terms: int) -> tuple[int, int]:
+    """(sum, tail) for the truncated atanh series S of t = a/b, 0 <= a < b/2,
+    and its tail tau, in fixed point at scale 2^W (W = _WORK_BITS): sum -+
+    tail is within 7T/3 + 1 of (S -+ tau) 2^W.
 
-    With t = a/b the truncated sum is one integer over b^{2T-1} lcm(1, 3, ...,
-    2T-1); the tail |t|^{2T+1}/((2T+1)(1-t^2)) is put over the same
-    denominator and each side is rounded outward once.
+    With P_i = t^{2i+1} 2^W the partial powers are p_0 = floor(a 2^W / b) and
+    p_{i+1} = floor(p_i a^2 / b^2), so d_i = P_i - p_i has d_0 in [0, 1) and
+    d_{i+1} = t^2 d_i + (a fraction in [0, 1)); as t^2 < 1/4, 0 <= d_i < 4/3.
+    The term floor(p_i / (2i+1)) is below P_i / (2i+1) by less than 4/3 + 1,
+    so the sum of T terms is below S 2^W by less than 7T/3.  The tail tau
+    2^W = P_T c with c = b^2 / ((2T+1)(b^2 - a^2)) < 4/9 is taken as
+    floor(p_T c) + 1, which is above P_T c - (4/3) c > P_T c - 1 and at most
+    p_T c + 1 <= P_T c + 1.  The two errors add to less than 7T/3 + 1.
     """
-    t = Fraction(t)
-    a, b = t.numerator, t.denominator
+    a2, b2 = a * a, b * b
+    p = (a << _WORK_BITS) // b
+    acc = 0
+    for i in range(terms):
+        acc += p // (2 * i + 1)
+        p = p * a2 // b2
+    return acc, p * b2 // ((2 * terms + 1) * (b2 - a2)) + 1
+
+
+def _atanh_mantissas(a: int, b: int, terms: int) -> tuple[int, int]:
+    """Mantissas at 2^-_TIDY_BITS of the enclosure of atanh(a/b) = sum
+    t^{2i+1}/(2i+1), t = a/b, b > 0 and |t| < 1/2: the truncated sum S and
+    the tail tau = |t|^{2T+1}/((2T+1)(1-t^2)), rounded outward to
+    [floor((S - tau) 2^192), ceil((S + tau) 2^192)].
+
+    The guarded fixed-point sum (_atanh_fixed, _settle) decides the rounding
+    for |a| (atanh is odd, so -t gives [-hi, -lo]).  When it cannot (always
+    at t = 0), the exact kernel runs: the truncated sum as one integer over
+    b^{2T-1} lcm(1, 3, ..., 2T-1), the tail over the same denominator, each
+    side rounded outward once.
+    """
     if 2 * abs(a) >= b:
-        raise ValueError(f"atanh series needs |t| < 1/2, got {t}")
+        raise ValueError(f"atanh series needs |t| < 1/2, got {Fraction(a, b)}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    guarded = _settle(*_atanh_fixed(abs(a), b, terms), terms)
+    if guarded is not None:
+        lo, hi = guarded
+        return (lo, hi) if a >= 0 else (-hi, -lo)
     a2, b2 = a * a, b * b
     lcm = math.lcm(*range(1, 2 * terms, 2))
     # Horner: acc = sum_i (lcm/(2i+1)) a^{2i} b^{2(T-1-i)}, bpow = b^{2(T-1-i)}
@@ -318,64 +379,116 @@ def _atanh_interval(t: Fraction, terms: int) -> RationalInterval:
     scale = (2 * terms + 1) * (b2 - a2)
     num = a * acc * scale
     tail = abs(a) ** (2 * terms + 1) * lcm
-    return _dyadic(*_round_out(num - tail, num + tail, den * scale))
+    return _round_out(num - tail, num + tail, den * scale)
 
 
-_LN2_CACHE: dict[int, RationalInterval] = {}
+def _atanh_interval(t: Fraction, terms: int) -> RationalInterval:
+    """Enclosure of atanh(t) for |t| < 1/2 (see _atanh_mantissas)."""
+    t = Fraction(t)
+    return _dyadic(*_atanh_mantissas(t.numerator, t.denominator, terms))
+
+
+@lru_cache(maxsize=64)
+def _ln2_mantissas(terms: int) -> tuple[int, int]:
+    """Mantissas of ln 2 = 2 atanh(1/3)."""
+    lo, hi = _atanh_mantissas(1, 3, terms)
+    return 2 * lo, 2 * hi
 
 
 def ln2_interval(terms: int = 28) -> RationalInterval:
-    if terms not in _LN2_CACHE:
-        half = _atanh_interval(Fraction(1, 3), terms)
-        _LN2_CACHE[terms] = half + half
-    return _LN2_CACHE[terms]
+    return _dyadic(*_ln2_mantissas(terms))
+
+
+def _min_shift(small: int, big: int) -> int:
+    """The least k >= 0 with small 2^k >= big, for small > 0."""
+    k = max(0, big.bit_length() - small.bit_length())
+    return k + (small << k < big)
+
+
+def _ln_shift(p: int, r: int) -> int:
+    """The k with x/2^k in [3/4, 3/2] for x = p/r > 0 that halving x while it
+    is above 3/2, then doubling it while it is below 3/4, would count: at x =
+    3 2^j, reduced to 3/2 for x >= 3/2 and to 3/4 for x <= 3/4.  At most one
+    of the two shifts is positive."""
+    return _min_shift(3 * r, 2 * p) - _min_shift(4 * p, 3 * r)
 
 
 def ln_interval(x, terms: int = 28) -> RationalInterval:
-    """Certified enclosure of ln(x) for a positive rational x."""
+    """Certified enclosure of ln(x) for a positive rational x.
+
+    x = p/r is reduced to y = x/2^k in [3/4, 3/2], and ln x = 2 atanh(t) +
+    k ln 2 with t = (y - 1)/(y + 1), |t| <= 1/5, formed in integers; the sum
+    is taken on the 2^-_TIDY_BITS mantissas, so it is already on the grid.
+    """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("ln needs a positive argument")
-    k = 0
-    while x > Fraction(3, 2):
-        x /= 2
-        k += 1
-    while x < Fraction(3, 4):
-        x *= 2
-        k -= 1
-    core = _atanh_interval((x - 1) / (x + 1), terms)
-    out = core + core
+    p, r = x.numerator, x.denominator
+    k = _ln_shift(p, r)
+    if k >= 0:
+        r <<= k
+    else:
+        p <<= -k
+    lo, hi = _atanh_mantissas(p - r, p + r, terms)
+    lo, hi = 2 * lo, 2 * hi
     if k:
-        ln2 = ln2_interval(terms)
-        ends = (k * ln2.lo, k * ln2.hi)
-        out = out + RationalInterval(min(ends), max(ends))
-    return _tidy(out)
+        ln2_lo, ln2_hi = _ln2_mantissas(terms)
+        lo += k * (ln2_lo if k > 0 else ln2_hi)
+        hi += k * (ln2_hi if k > 0 else ln2_lo)
+    return _dyadic(lo, hi)
+
+
+def _exp_fixed(a: int, b: int, terms: int) -> tuple[int, int]:
+    """(sum, tail) for the truncated exp series S of x = a/b, |x| <= 1/2,
+    b > 0, and its tail tau, in fixed point at scale 2^W (W = _WORK_BITS):
+    sum -+ tail is within 2T + 2 of (S -+ tau) 2^W.
+
+    With P_i = x^i 2^W / i! the terms are p_0 = 2^W and p_i = floor(p_{i-1}
+    a / (b i)), so d_i = P_i - p_i has d_0 = 0 and |d_i| < |x|/i |d_{i-1}|
+    + 1 <= |d_{i-1}|/2 + 1, hence |d_i| < 2, and the sum of T + 1 terms is
+    within 2T of S 2^W.  The tail tau 2^W = |P_T| c with c = 2|a|/(b(T+1))
+    is taken as floor(|p_T| c) + 1; as |d_T| c < 1 (d_0 = 0, and c <= 1/2
+    for T >= 1), it is within (-1, 2) of |P_T| c.  The two errors add to
+    less than 2T + 2.
+    """
+    p = acc = 1 << _WORK_BITS
+    for i in range(1, terms + 1):
+        p = p * a // (b * i)
+        acc += p
+    return acc, 2 * abs(p * a) // (b * (terms + 1)) + 1
 
 
 def exp_interval(x, terms: int = 26) -> RationalInterval:
     """Certified enclosure of exp(x) for a rational x.
 
-    x is halved k times to |x| <= 1/2; with x = a/b the sum of x^i/i! for
-    i <= T is one integer over b^T T!, the tail 2|x|^{T+1}/(T+1)! is put over
-    the same denominator, each side is rounded outward once, and the k
-    squarings run on the integer mantissas at scale 2^_TIDY_BITS.
+    x = a/b is halved k times to |x| <= 1/2 (b becomes b 2^k); the sum S of
+    x^i/i! for i <= T and the tail tau = 2|x|^{T+1}/(T+1)! give the
+    enclosure [floor((S - tau) 2^192), ceil((S + tau) 2^192)] / 2^192, and
+    the k squarings run on the integer mantissas at scale 2^_TIDY_BITS.
+
+    The guarded fixed-point sum (_exp_fixed, _settle) decides the rounding;
+    when it cannot (always at x = 0), the exact kernel runs: the sum as one
+    integer over b^T T!, the tail over the same denominator, each side
+    rounded outward once.
     """
     x = Fraction(x)
-    k = 0
-    while abs(x) > Fraction(1, 2):
-        x /= 2
-        k += 1
     a, b = x.numerator, x.denominator
-    # Horner: 1 + x/1 (1 + x/2 (... (1 + x/T))) as num/den, den = b^T T!
-    num = den = 1
-    for j in range(terms, 0, -1):
-        den *= j * b
-        num = num * a + den
-    # tail = 2|a|^{T+1} / (den b (T+1))
-    scale = b * (terms + 1)
-    num *= scale
-    tail = 2 * abs(a) ** (terms + 1)
-    lo, hi = _round_out(num - tail, num + tail, den * scale)
+    k = _min_shift(b, 2 * abs(a))
+    b <<= k
+    guarded = _settle(*_exp_fixed(a, b, terms), terms)
+    if guarded is not None:
+        lo, hi = guarded
+    else:
+        # Horner: 1 + x/1 (1 + x/2 (... (1 + x/T))) as num/den, den = b^T T!
+        num = den = 1
+        for j in range(terms, 0, -1):
+            den *= j * b
+            num = num * a + den
+        # tail = 2|a|^{T+1} / (den b (T+1))
+        scale = b * (terms + 1)
+        num *= scale
+        tail = 2 * abs(a) ** (terms + 1)
+        lo, hi = _round_out(num - tail, num + tail, den * scale)
     if lo <= 0:
         raise ArithmeticError("exp enclosure not positive; raise terms")
     for _ in range(k):

@@ -340,21 +340,15 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
     """Every non-Steinberg symbol class of rank <= rank_max has a chain of
     strictly increasing degree to a Steinberg symbol at each q.
 
-    Every chain is walked through one step memo, which D and 2D share and
-    which lasts for this call, so each class's step is taken once per q.  The
-    degrees along a chain are those of its symbols as stored, one
-    degree_symbol call per distinct (rows, q).
+    Every chain is walked through one step memo and one degree memo, keyed
+    on (canonical rows, q), which D and 2D share and which last for this
+    call, so each class's step is taken, and its degree evaluated, once per q.
+    The degrees along a chain are read from the same degree memo.
     """
     failures = []
     chains = 0
     steps: dict[tuple, tuple | ArithmeticError] = {}
     degrees: dict[tuple, int] = {}
-
-    def degree(sym: unipotent.Symbol, q: int) -> int:
-        key = (sym.X, sym.Y, q)
-        if key not in degrees:
-            degrees[key] = unipotent.degree_symbol(sym, q)
-        return degrees[key]
 
     for fam in unipotent.SYMBOL_FAMILIES:
         for n in range(maxdegree.min_rank(fam), rank_max + 1):
@@ -364,8 +358,9 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
                     continue
                 for q in q_list:
                     try:
-                        chain = unipotent._walk_chain(sym, q, steps)
-                        degs = [degree(s, q) for s in chain]
+                        chain = unipotent._walk_chain(sym, q, steps, degrees)
+                        degs = [unipotent._class_degree(s, unipotent._canonical_rows(s), q, degrees)
+                                for s in chain]
                     except ArithmeticError as exc:
                         error = str(exc)
                     else:

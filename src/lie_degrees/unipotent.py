@@ -38,10 +38,11 @@ A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class, and its next step depends only on the current class and q
 (_chain_step).  The walker (_walk_chain) reads each step from a memo keyed on
 (canonical rows, q), and fills it from _chain_step on a miss, keeping the
-successor or the ArithmeticError raised.  stclass_chain passes a fresh memo;
-a check that walks the chains of every class passes one memo for all of them,
-so each class's step is taken once per q -- D and 2D share it, since chains
-cross between them.
+successor or the ArithmeticError raised; the steps read the class degrees
+from a second memo with the same keys (_class_degree).  stclass_chain passes
+fresh memos; a check that walks the chains of every class passes one pair for
+all of them, so each class's step is taken, and its degree evaluated, once per
+q -- D and 2D share them, since chains cross between them.
 """
 
 from __future__ import annotations
@@ -635,17 +636,28 @@ def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
 
 
 _Step = tuple[Symbol, _Rows]  # a chosen candidate and the canonical rows of its class
+_Degrees = dict[tuple[_Rows, int], int]  # (canonical rows, q) -> degree of the class
 _MAX_STEPS = 10_000
 
 
-def _chain_step(rows: _Rows, q: int, n: int) -> _Step:
+def _class_degree(sym: Symbol, rows: _Rows, q: int, degrees: _Degrees) -> int:
+    """degree_symbol(sym, q) for sym of the class with canonical rows `rows`,
+    read from degrees, or evaluated on sym and stored there."""
+    out = degrees.get((rows, q))
+    if out is None:
+        out = degrees[rows, q] = degree_symbol(sym, q)
+    return out
+
+
+def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees) -> _Step:
     """One step of stclass_chain from the class of rank n with canonical rows
     `rows`: the first candidate move, in _chain_candidates order and skipping
     repeated classes, whose degree at q exceeds the current one, with the
-    canonical rows of its class."""
+    canonical rows of its class.  Degrees come from the memo `degrees` (see
+    _class_degree)."""
     odd = family_of_defect(len(rows[0]) - len(rows[1])) == "BC"
     cur_cls = Symbol._from_valid_rows(*rows)
-    cur_degree = degree_symbol(cur_cls, q)
+    cur_degree = _class_degree(cur_cls, rows, q, degrees)
     seen = {rows}
     for cand in _chain_candidates(cur_cls):
         c_cls = canonicalize(cand)
@@ -657,7 +669,7 @@ def _chain_step(rows: _Rows, q: int, n: int) -> _Step:
                 or (family_of_defect(symbol_defect(c_cls)) == "BC") != odd):
             raise ArithmeticError(
                 f"move from {cur_cls} to {c_cls} changes the rank or the defect parity")
-        if degree_symbol(c_cls, q) > cur_degree:
+        if _class_degree(cand, key, q, degrees) > cur_degree:
             return cand, key
     raise ArithmeticError(
         f"no degree-increasing move from {cur_cls} at q={q}; "
@@ -665,14 +677,15 @@ def _chain_step(rows: _Rows, q: int, n: int) -> _Step:
 
 
 def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | ArithmeticError],
-                max_steps: int = _MAX_STEPS) -> list[Symbol]:
+                degrees: _Degrees, max_steps: int = _MAX_STEPS) -> list[Symbol]:
     """sym followed by the candidates that _chain_step chooses at q, up to a
     Steinberg class of its rank and defect parity (see _steinberg_classes).
 
     Each step is read from memo, keyed on (canonical rows, q), or taken by
-    _chain_step and stored there with the ArithmeticError it raised, if any.
-    A stored error is shared by every chain through its class, so it is
-    re-raised without its traceback, which would otherwise grow on each raise.
+    _chain_step, with its degrees read from and stored in `degrees`, and
+    stored in memo with the ArithmeticError it raised, if any.  A stored
+    error is shared by every chain through its class, so it is re-raised
+    without its traceback, which would otherwise grow on each raise.
     """
     n = symbol_rank(sym)
     targets = _steinberg_classes(n, family_of_defect(symbol_defect(sym)))
@@ -686,7 +699,7 @@ def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | Arith
         out = memo.get((rows, q))
         if out is None:
             try:
-                out = memo[rows, q] = _chain_step(rows, q, n)
+                out = memo[rows, q] = _chain_step(rows, q, n, degrees)
             except ArithmeticError as exc:
                 memo[rows, q] = exc
                 raise
@@ -708,7 +721,7 @@ def stclass_chain(sym: Symbol, q: int, max_steps: int = _MAX_STEPS) -> list[Symb
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    return _walk_chain(sym, q, {}, max_steps)
+    return _walk_chain(sym, q, {}, {}, max_steps)
 
 
 def _chain_candidates(cls_symbol: Symbol) -> Iterator[Symbol]:

@@ -81,6 +81,39 @@ def test_bounds_table():
         assert lower <= c <= upper
 
 
+def _all_digits(n: int) -> str:
+    """str(n) past Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_bounds_writes_integers_past_the_digit_limit():
+    # the q-part of B_60(49) is 49^(60^2), 6,085 digits: beyond the 4,300 that
+    # Python converts by default
+    st = _all_digits(49 ** 3600)
+    assert len(st) == 6085
+    args = ("bounds", "--family", "B", "--q", "49", "--n", "60..60", "--format")
+    r = run_cli(*args, "csv")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[1].split(",")[-1] == st
+    r = run_cli(*args, "json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["rows"][0][-1] == st
+
+
+def test_arguments_keep_the_digit_limit():
+    long_q = "4" + "9" * 5000
+    for args in (("bounds", "--q", long_q), ("bounds", "--n", long_q),
+                 ("degree", "gl", "--partition", long_q)):
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert "Exceeds the limit" in r.stderr
+
+
 def test_verify_report_and_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("verify", "steinberg", "--family", "GL", "--n", "1..6",
@@ -193,6 +226,10 @@ PINNED_OUTPUTS = [
     (("bounds", "--family", "A,2A,B,C,D,2D", "--q", "2,3,4,5,7,8,9", "--n", "1..12",
       "--format", "csv"),
      "5a7d1abb77dfcf4ff0395497b83f9f8aef0f77e0eb83ae1e47c705e694b866a7"),
+    # larger q and n: the ln/exp/pow enclosures on bigger arguments
+    (("bounds", "--family", "A,2A,B,C,D,2D", "--q", "11,13,16,25", "--n", "13..24",
+      "--format", "csv"),
+     "08fd40bc6e446dd75069ed6ba179cb3ff6ed10d33d06b81a54498c019011bfe2"),
     (("verify", "all", "--q", "2,3,4,5", "--n", "1..10", "--jobs", "1"),
      "c17a98dd77307462d115c40461a993ba4faf1f0f14afe13659ede9ad8954b221"),
     (("bmax", "gl", "--n", "12", "--q", "3"),

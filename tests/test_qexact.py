@@ -275,6 +275,134 @@ def test_atanh_kernel_rejects_empty_series():
         qexact._atanh_interval(Fraction(1, 3), 0)
 
 
+# ---------------------------------------------------------------------------
+# guarded fixed-point sums: their error bounds, and the exact fallback
+# ---------------------------------------------------------------------------
+
+_W = qexact._WORK_BITS
+
+
+def _atanh_sum_and_tail(t: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    s = sum(t ** (2 * i + 1) / (2 * i + 1) for i in range(terms))
+    return s, abs(t) ** (2 * terms + 1) / ((2 * terms + 1) * (1 - t * t))
+
+
+def _exp_sum_and_tail(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    s = sum(x ** i / math.factorial(i) for i in range(terms + 1))
+    return s, 2 * abs(x) ** (terms + 1) / math.factorial(terms + 1)
+
+
+def _within(fixed: tuple[int, int], exact: tuple[Fraction, Fraction], bound) -> bool:
+    """fixed = (sum, tail) at scale 2^W, and both sum -+ tail are within bound
+    of (S -+ tau) 2^W, exact = (S, tau)."""
+    (acc, tail), (s, tau) = fixed, exact
+    return all(abs(acc + sign * tail - (s + sign * tau) * 2 ** _W) < bound
+               for sign in (-1, 1))
+
+
+@given(_rationals(lambda b: (b - 1) // 2), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_atanh_fixed_sum_is_within_its_error_bound(t, terms):
+    t = abs(t)
+    fixed = qexact._atanh_fixed(t.numerator, t.denominator, terms)
+    exact = _atanh_sum_and_tail(t, terms)
+    assert _within(fixed, exact, Fraction(7 * terms, 3) + 1)   # the proven bound
+    assert _within(fixed, exact, 4 * terms + 8)                 # E, as _settle uses it
+
+
+@given(_rationals(lambda b: b // 2), st.integers(0, 30))
+@settings(max_examples=150, deadline=None)
+def test_exp_fixed_sum_is_within_its_error_bound(x, terms):
+    fixed = qexact._exp_fixed(x.numerator, x.denominator, terms)
+    exact = _exp_sum_and_tail(x, terms)
+    assert _within(fixed, exact, 2 * terms + 2)
+    assert _within(fixed, exact, 4 * terms + 8)
+
+
+def _settled(fixed: tuple[int, int], terms: int) -> tuple[Fraction, Fraction] | None:
+    out = qexact._settle(*fixed, terms)
+    return None if out is None else (Fraction(out[0], 2 ** 192), Fraction(out[1], 2 ** 192))
+
+
+@given(_rationals(lambda b: (b - 1) // 2), _rationals(lambda b: b // 2), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_guarded_endpoints_are_the_reference_ones(t, x, terms):
+    t = abs(t)
+    atanh = _settled(qexact._atanh_fixed(t.numerator, t.denominator, terms), terms)
+    assert atanh is None or atanh == _ref_atanh_interval(t, terms)
+    exp = _settled(qexact._exp_fixed(x.numerator, x.denominator, terms), terms)
+    assert exp is None or exp == _ref_exp_interval(x, terms)
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+                               Fraction(2 ** 300 + 1, 3 ** 200)])
+def test_guarded_sums_settle_on_ordinary_arguments(t):
+    # the arguments ln 2, ln(3/2), ln(4/3) and a 300-bit one reduce to; the
+    # fallback is for t = 0 and values on the grid
+    for terms in (5, 28):
+        assert _settled(qexact._atanh_fixed(t.numerator, t.denominator, terms), terms) \
+            == _ref_atanh_interval(t, terms)
+        assert _settled(qexact._exp_fixed(-t.numerator, t.denominator, terms), terms) \
+            == _ref_exp_interval(-t, terms)
+
+
+@given(_rationals(lambda b: (b - 1) // 2), _rationals(lambda b: 40 * b), st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_exact_fallback_gives_the_same_endpoints(t, x, terms):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qexact, "_settle", lambda acc, tail, terms: None)
+        atanh = qexact._atanh_interval(t, terms)
+        exp = exp_interval(x, terms)
+    assert (atanh.lo, atanh.hi) == _ref_atanh_interval(t, terms)
+    assert (exp.lo, exp.hi) == _ref_exp_interval(x, terms)
+
+
+def _ref_ln_shift(x: Fraction) -> int:
+    """The power of two that the halving and doubling loops divide x by."""
+    k = 0
+    while x > Fraction(3, 2):
+        x /= 2
+        k += 1
+    while x < Fraction(3, 4):
+        x *= 2
+        k -= 1
+    return k
+
+
+def _ref_ln_interval(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    k = _ref_ln_shift(x)
+    y = x / Fraction(2) ** k
+    lo, hi = _ref_atanh_interval((y - 1) / (y + 1), terms)
+    half_lo, half_hi = _ref_atanh_interval(Fraction(1, 3), terms)
+    ends = (2 * k * half_lo, 2 * k * half_hi)
+    return 2 * lo + min(ends), 2 * hi + max(ends)
+
+
+def test_ln_shift_matches_the_loops_where_two_shifts_fit():
+    # x = 3/2 2^j is 3/2 or 3/4 times a power of two: the loops reduce it to
+    # 3/2 when x >= 3/2 and to 3/4 when x <= 3/4
+    for j in range(-80, 81):
+        for x in (Fraction(3, 2) * Fraction(2) ** j, Fraction(3, 4) * Fraction(2) ** j):
+            assert qexact._ln_shift(x.numerator, x.denominator) == _ref_ln_shift(x), x
+    assert qexact._ln_shift(3, 2) == 0 and qexact._ln_shift(3, 4) == 0
+    assert qexact._ln_shift(3, 1) == 1 and qexact._ln_shift(3, 8) == -1
+
+
+@given(_rationals(lambda b: 2 ** 70 * b), st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_ln_interval_matches_the_loop_reference(x, terms):
+    x = abs(x) or Fraction(1)
+    assert qexact._ln_shift(x.numerator, x.denominator) == _ref_ln_shift(x)
+    ival = ln_interval(x, terms)
+    assert (ival.lo, ival.hi) == _ref_ln_interval(x, terms)
+
+
+@pytest.mark.parametrize("terms", [1, 5, 28])
+def test_ln_of_one_and_exp_of_zero_are_exact_points(terms):
+    assert ln_interval(1, terms) == RationalInterval.point(0)
+    assert exp_interval(0, terms) == RationalInterval.point(1)
+
+
 def _mp_fraction(v) -> Fraction:
     man, exp = v.man_exp           # man_exp drops the sign
     return int(mpmath.sign(v)) * Fraction(man) * Fraction(2) ** exp

@@ -631,9 +631,9 @@ def test_chain_rejects_a_move_that_changes_the_rank(monkeypatch):
 
 def test_forest_chains_match_stclass_chain():
     # every class of rank <= 7 in BC, D and 2D: the chain walked through one
-    # shared step memo (as check_stclass_chains walks it) is the chain
-    # stclass_chain builds with a fresh memo
-    memo = {}
+    # shared step memo and degree memo (as check_stclass_chains walks it) is
+    # the chain stclass_chain builds with fresh ones
+    memo, degrees = {}, {}
     walked = 0
     for fam in ("BC", "D", "2D"):
         for n in range(1 if fam == "BC" else 2, 8):
@@ -642,7 +642,7 @@ def test_forest_chains_match_stclass_chain():
                 if (sym.X, sym.Y) in targets:
                     continue
                 for q in (2, 3, 5):
-                    chain = unipotent._walk_chain(sym, q, memo)
+                    chain = unipotent._walk_chain(sym, q, memo, degrees)
                     assert chain == stclass_chain(sym, q)
                     walked += 1
     starts = sum(len(enumerate_symbols(n, fam)) - 1
