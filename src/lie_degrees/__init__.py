@@ -6,7 +6,9 @@ imported from its module on first access (PEP 562), so a program that uses
 only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
 """
 
+import contextlib
 import importlib
+import sys
 
 # module -> the public names it defines
 _EXPORTS = {
@@ -39,6 +41,18 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+@contextlib.contextmanager
+def _int_digits(limit: int):
+    """Run with sys.set_int_max_str_digits(limit) (0: no limit): the CLI's
+    guard on parsed input, and the renderers' lift for computed integers."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def __getattr__(name: str):

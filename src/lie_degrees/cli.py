@@ -12,27 +12,18 @@ runs, and calls them as module.function.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from fractions import Fraction
+
+from . import _int_digits  # defined in the package's __init__, already loaded
 
 # Python's limit on the digits of an int read from or written as a string
 # (sys.set_int_max_str_digits) guards parsing against quadratic conversions of
 # hostile input; an integer the program computed, such as the q-part 49^3600
 # of a bounds row, is written in full, so commands run with the limit lifted
-# and each parser below restores it.
+# and each parser below restores it.  The renderers in tables and suites lift
+# it the same way, for a library caller.
 _INPUT_DIGITS = sys.get_int_max_str_digits()
-
-
-@contextlib.contextmanager
-def _int_digits(limit: int):
-    """Run with sys.set_int_max_str_digits(limit) (0: no limit)."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 @_int_digits(_INPUT_DIGITS)

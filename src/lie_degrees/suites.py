@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import maxdegree, partitions, qexact, symmetric, unipotent
+from . import _int_digits, maxdegree, partitions, qexact, symmetric, unipotent
 from .tables import SCHEMA, fmt_rational, json_safe_ints, render_table
 
 
@@ -494,20 +494,22 @@ class SuiteReport:
         }
         doc = {"schema": SCHEMA, "config": self.config,
                "checks": checks, "summary": summary}
-        return json.dumps(json_safe_ints(doc), indent=2, sort_keys=True, default=str) + "\n"
+        with _int_digits(0):
+            return json.dumps(json_safe_ints(doc), indent=2, sort_keys=True, default=str) + "\n"
 
     def to_csv(self, timing: bool = False) -> str:
         header = ["check", "params", "verdict", "witness"]
         if timing:
             header.append("wall_ms")
         rows = []
-        for c in self.checks:
-            row = [c["check"], json.dumps(c["params"], sort_keys=True, default=str),
-                   c["verdict"],
-                   json.dumps(c["witness"], sort_keys=True, default=str)]
-            if timing:
-                row.append(round(1000 * c.get("_elapsed", 0), 3))
-            rows.append(row)
+        with _int_digits(0):
+            for c in self.checks:
+                row = [c["check"], json.dumps(c["params"], sort_keys=True, default=str),
+                       c["verdict"],
+                       json.dumps(c["witness"], sort_keys=True, default=str)]
+                if timing:
+                    row.append(round(1000 * c.get("_elapsed", 0), 3))
+                rows.append(row)
         return render_table(header, rows, "csv", "report")
 
 

@@ -15,6 +15,8 @@ import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from . import _int_digits
+
 SCHEMA = "lie-degrees-report/1"
 
 
@@ -41,17 +43,18 @@ def json_safe_ints(obj):
 
 
 def render_table(header: list[str], rows: list[list], fmt: str, kind: str) -> str:
-    if fmt == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    doc = {"schema": SCHEMA, "kind": kind, "columns": header,
-           "rows": json_safe_ints(rows)}
-    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    with _int_digits(0):  # computed ints are written in full
+        if fmt == "csv":
+            import csv
+            import io
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue()
+        doc = {"schema": SCHEMA, "kind": kind, "columns": header,
+               "rows": json_safe_ints(rows)}
+        return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -26,13 +26,15 @@ The Steinberg sweep (verify_steinberg_max) looks for the exact runner-up at
 each q without evaluating most labels.  With e = a - sum(hook lengths) -
 sum(positive cohook lengths), the exponent key, and s = (number of hooks) -
 (power of 2), the slack, the bounds q^h - 1 >= q^h / 2 and q^k + 1 > q^k
-(q >= 2, h, k >= 1) give degree <= |G|_{q'} q^e 2^s.  The labels of a rank
-are sorted once on (-e, tie key); at each q the walk skips a label whose
-bound, compared in integers, is below the best degree so far, and stops once
-the bound with the largest slack is.  One walk serves every family, which
-picks only its labels, their search entries and the runner-up's type; a
-label's plan is built the first time some q evaluates it, and none is kept
-after the sweep.
+(q >= 2, h, k >= 1) give degree <= |G|_{q'} q^e 2^s.  A symbol's e is a
+function of its entry multiset (its Lusztig family), so symbol labels are
+generated a family at a time in two bands of e: the labels of the largest
+e, whose degrees bound the runner-up from below, and those down to the
+least e whose bound can still reach one of them.  At each q the walk starts
+from the best label of the first band, skips a label of the second whose
+bound, compared in integers, is below the best degree so far, and stops
+once the bound with the largest slack is.  A label's plan is built the
+first time some q evaluates it, and none is kept after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class, and its next step depends only on the current class and q
@@ -52,6 +54,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .maxdegree import min_rank, order_pprime
@@ -314,19 +317,18 @@ class _DegreePlan(NamedTuple):
 
 def _build_plan(label: tuple, fam: str, rank: int) -> _DegreePlan:
     """Degree plan of a label of the family: the parts of a partition (GL,
-    GU), or canonical rows (x, y) with the partitions (alpha, beta) whose
-    beta-sets they are, so that the hooks of alpha and beta are the symbol's
-    hooks (BC, D, 2D)."""
+    GU), or canonical rows (x, y), whose hooks are those of the partitions
+    their beta-sets encode (BC, D, 2D)."""
     if fam in ("GL", "GU"):
         minus = _hook_lengths(label)
         return _DegreePlan(label, fam, rank, a=_a_value(label), two_power=0, minus=minus,
                            plus=(), top=max(minus, default=0))
-    x, y, alpha, beta = label
+    x, y = label
     return _DegreePlan(
-        (x, y), fam, rank,
+        label, fam, rank,
         a=_rows_a_value(x, y),
         two_power=_rows_two_power(x, y),
-        minus=_hook_lengths(alpha) + _hook_lengths(beta),
+        minus=_hook_lengths(beta_parts(x)) + _hook_lengths(beta_parts(y)),
         plus=tuple(_cohook_lengths(x, y) + _cohook_lengths(y, x)),
         top=max(x[-1:] + y[-1:], default=0),
     )
@@ -338,7 +340,7 @@ def _symbol_plan(x: tuple[int, ...], y: tuple[int, ...]) -> _DegreePlan:
     rank = _rows_rank(x, y)
     if rank < 1:
         raise ValueError(f"symbol must have positive rank: {Symbol._from_valid_rows(x, y)}")
-    return _build_plan((x, y, beta_parts(x), beta_parts(y)), family_of_defect(len(x) - len(y)), rank)
+    return _build_plan((x, y), family_of_defect(len(x) - len(y)), rank)
 
 
 def degree_symbol(sym: Symbol, q: int) -> int:
@@ -367,12 +369,12 @@ def _defects_for(fam: str, n: int) -> Iterator[int]:
         d += 2 if d % 2 else 4
 
 
-_Label = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _symbol_labels(n: int, fam: str) -> list[_Label]:
+def _symbol_labels(n: int, fam: str) -> list[_Rows]:
     """Canonical rows (x, y) of every symbol class of rank n in the family,
-    with the partitions (alpha, beta) they encode, sorted on (defect, x, y).
+    sorted on (defect, x, y).
 
     For each defect d the bipartitions (alpha, beta) of n - d^2/4 give
     x = beta-set(alpha, b0 + d) and y = beta-set(beta, b0) with
@@ -386,9 +388,9 @@ def _symbol_labels(n: int, fam: str) -> list[_Label]:
     if n < 1:
         raise ValueError("rank must be >= 1")
     row = lru_cache(maxsize=None)(beta_row)  # one per call: no rows outlive the rank
-    labels: list[_Label] = []
+    labels: list[_Rows] = []
     for d in _defects_for(fam, n):
-        block: list[_Label] = []
+        block: list[_Rows] = []
         content = n - d * d // 4
         for a_size in range(content + 1):
             betas = list(_partition_tuples(content - a_size, content - a_size))
@@ -402,8 +404,8 @@ def _symbol_labels(n: int, fam: str) -> list[_Label]:
                     if _rows_rank(x, y) != n or len(x) - len(y) != d:
                         raise ArithmeticError(
                             f"rows {x}, {y} from {alpha}, {beta} are not of rank {n}, defect {d}")
-                    block.append((x, y, alpha, beta))
-        block.sort()  # on (x, y): distinct rows encode distinct classes
+                    block.append((x, y))
+        block.sort()  # distinct rows encode distinct classes
         labels += block
     return labels
 
@@ -411,7 +413,7 @@ def _symbol_labels(n: int, fam: str) -> list[_Label]:
 def enumerate_symbols(n: int, fam: str) -> list[Symbol]:
     """The reduced symbol of every class of the given rank whose defect
     matches the family, sorted on (defect, X, Y)."""
-    return [Symbol._from_valid_rows(x, y) for x, y, _, _ in _symbol_labels(n, fam)]
+    return [Symbol._from_valid_rows(x, y) for x, y in _symbol_labels(n, fam)]
 
 
 def steinberg_symbol(n: int, fam: str) -> Symbol:
@@ -427,9 +429,6 @@ def steinberg_symbol(n: int, fam: str) -> Symbol:
     d = _MIN_DEFECT[fam]
     x = n - d // 2
     return Symbol(tuple(range(1, x + 1)), tuple(range(0, x + d)))
-
-
-_Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _canonical_rows(sym: Symbol) -> _Rows:
@@ -456,14 +455,37 @@ def _partition_exponent(parts: tuple[int, ...]) -> int:
     return -sum(p * (p - 1) // 2 for p in parts) - sum(parts)
 
 
-def _symbol_exponent(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """a - sum(minus) - sum(plus) of the degree plan of the rows (x, y), read
-    off the sorted entries z_0 <= ... <= z_{M-1}:
-    sum j z_j - sum z_j (z_j + 1) - sum binom(k, 2) over k = M-2, M-4, ... >= 2."""
-    z = sorted(x + y)
-    m = len(z)
-    return (sum(map(operator.mul, z, range(-1, m - 1))) - sum(map(operator.mul, z, z))
-            - _binomial_tail(m))
+@lru_cache(maxsize=None)
+def _base_exponent(m: int) -> int:
+    """E0(m), the exponent key of the sorted entries z_j = ceil(j/2), j < m:
+    sum ceil(j/2) (j - 1 - ceil(j/2)) - sum binom(m - 2i, 2) over i >= 1."""
+    return sum((j + 1) // 2 * (j - 1 - (j + 1) // 2) for j in range(m)) - _binomial_tail(m)
+
+
+def _excess_sequences(m: int, total: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(penalty, t) for each t_0..t_{m-1} >= 0 with sum total, t_j <= t_{j+2},
+    t_j <= t_{j+1} + [j even] and penalty sum t_j (t_j + c_j) <= budget
+    (c_j = 1 or 2 for even or odd j).  Placed from t_{m-1} down: each t_i
+    below j is at most max(t_j, t_{j+1}), and the rest costs at least the
+    penalty of spreading it evenly over j places with c = 1."""
+    out, t = [], [0] * m
+
+    def place(j: int, rest: int, left: int, cap: int, above: int) -> None:
+        if rest == 0:  # t_0 .. t_j are 0
+            out.append((budget - left, tuple(t)))
+            return
+        for v in range(min(cap, rest), -1, -1):
+            r, cost = rest - v, v * (v + 1 + (j & 1))
+            if r > j * max(v, above):
+                break
+            k, extra = divmod(r, j or 1)
+            if cost + (j - extra) * k * (k + 1) + extra * (k + 1) * (k + 2) <= left:
+                t[j] = v
+                place(j - 1, r, left - cost, min(above, v + (j & 1)), v)
+        t[j] = 0
+
+    place(m - 1, total, budget, total, total)
+    return out
 
 
 # One label of a runner-up search: (-e, tie key, s, label), where the degree
@@ -471,40 +493,81 @@ def _symbol_exponent(x: tuple[int, ...], y: tuple[int, ...]) -> int:
 _Entry = tuple[int, object, int, tuple]
 
 
-def _search_entries(n: int, fam: str) -> list[_Entry]:
-    """Search entries of the non-Steinberg labels of rank n in the family.
+def _partition_entries(n: int) -> list[_Entry]:
+    """Search entries of the non-Steinberg partitions of n, sorted: one
+    q^h - 1 per box, so s = n; the parts are the tie key and the label."""
+    return sorted((-_partition_exponent(p), p, n, p) for p in _partition_tuples(n, n) if p != (1,) * n)
 
-    A partition (GL, GU) has one q^h - 1 per box, so s = n, and its parts
-    are the tie key and the label.  A symbol (BC, D, 2D) has one per box of
-    alpha and beta, so s = |alpha| + |beta| - two_power; its label is
-    (x, y, alpha, beta) and the tie key its index in enumeration order.
+
+def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
+    """Search entries of the non-Steinberg symbol classes of rank n in the
+    family with e >= floor, one entry multiset at a time: z_j = t_j +
+    ceil(j/2) for t from _excess_sequences, so e = E0(m) - penalty; x takes
+    the doubles and (k + d)/2 of the k singletons for each defect d of the
+    family (for d = 0 only x >= y), so s = n - d^2/4 - max(0, (k - 1) // 2).
+    The tie key (d, x, y) is the order of _symbol_labels; the label is (x, y).
+    No e is below -n(n + 1) (see verify_steinberg_max), so that floor yields
+    every label.
     """
-    if fam in ("GL", "GU"):
-        return sorted((-_partition_exponent(parts), parts, n, parts)
-                      for parts in _partition_tuples(n, n) if parts != (1,) * n)
-    st = _canonical_rows(steinberg_symbol(n, fam))
-    labels = [label for label in _symbol_labels(n, fam) if label[:2] != st]
-    return sorted((-_symbol_exponent(x, y), i, sum(alpha) + sum(beta) - _rows_two_power(x, y),
-                   (x, y, alpha, beta))
-                  for i, (x, y, alpha, beta) in enumerate(labels))
+    steinberg = _canonical_rows(steinberg_symbol(n, fam))
+    for m in range(2 - _MIN_DEFECT[fam] % 2, 2 * n + 2, 2):
+        budget = _base_exponent(m) - floor
+        if budget < 0:  # every e of m entries is at most E0(m)
+            continue
+        for penalty, t in _excess_sequences(m, n - m // 2, budget):
+            z = [v + (j + 1) // 2 for j, v in enumerate(t)]
+            doubles = [u for u, v in zip(z, z[1:]) if u == v]
+            singles = [v for v in z if v not in doubles]
+            for d in _defects_for(fam, n):
+                for chosen in combinations(singles, (len(singles) + d) // 2):
+                    x = tuple(sorted(doubles + list(chosen)))
+                    y = tuple(sorted(set(z).difference(chosen)))
+                    if d == 0 and y > x or (x, y) == steinberg:
+                        continue
+                    if _rows_rank(x, y) != n or len(x) - len(y) != d:
+                        raise ArithmeticError(f"rows {x}, {y} are not of rank {n}, defect {d}")
+                    yield (penalty - _base_exponent(m), (d, x, y),
+                           n - d * d // 4 - max(0, (len(singles) - 1) // 2), (x, y))
+
+
+def _symbol_search(n: int, fam: str, q_list: tuple[int, ...], slack: int,
+                   evaluate: Callable[[object, int], int]) -> tuple[list[tuple], list[_Entry]]:
+    """The seed (label, degree, tie key) of each q, the best label of band 1,
+    the labels of the largest e (ties to the smallest tie key), and the sorted
+    search entries of band 2, those below it down to the cut (see
+    verify_steinberg_max)."""
+    floor = _base_exponent(2 * n + _MIN_DEFECT[fam] % 2) - 1  # one below the Steinberg e
+    # no label that close (2D_2): take them all
+    top = sorted(_symbol_entries(n, fam, floor)) or sorted(_symbol_entries(n, fam, -n * (n + 1)))
+    band = [entry for entry in top if entry[0] == top[0][0]]
+    cut, seeds = -top[0][0], []
+    for q in q_list:
+        degrees = [evaluate(label, q) for _, _, _, label in band]
+        best = max(degrees)
+        _, tie, _, label = band[degrees.index(best)]
+        seeds.append((label, best, tie))
+        while not _below(order_pprime(fam, n, q), cut - 1, slack, q, best):
+            cut -= 1
+    return seeds, (top if cut >= floor else sorted(_symbol_entries(n, fam, cut)))[len(band):]
 
 
 def _below(order: int, e: int, s: int, q: int, best: int) -> bool:
     """order * q^e * 2^s < best, decided in integers."""
-    return (order << max(s, 0)) * q ** max(e, 0) < (best << max(-s, 0)) * q ** max(-e, 0)
+    lhs, rhs = (order * q ** e, best) if e >= 0 else (order, best * q ** -e)
+    return lhs << s < rhs if s >= 0 else lhs < rhs << -s
 
 
-def _runner_up(entries: list[_Entry], q: int, order: int,
-               evaluate: Callable[[object, int], int]) -> tuple:
-    """(label, degree) of the largest evaluate(label, q) over the entries, ties
-    to the smallest tie key; (None, -1) if there are none.
+def _runner_up(entries: list[_Entry], q: int, order: int, slack: int,
+               evaluate: Callable[[object, int], int], seed: tuple = (None, -1, None)) -> tuple:
+    """(label, degree) of the largest evaluate(label, q) over the entries and
+    the seed, ties to the smallest tie key; (None, -1) if there are none.
 
-    order is |G|_{q'}.  A label whose bound is below the best degree so far
-    cannot reach it and is not evaluated; once the bound with the largest s
-    is below it, no later label (e no larger) can, and the walk stops.
+    order is |G|_{q'} and slack is at least every entry's s.  A label whose
+    bound is below the best degree so far cannot reach it and is not
+    evaluated; once the bound with slack is below it, no later label (e no
+    larger) can, and the walk stops.
     """
-    slack = max((s for _, _, s, _ in entries), default=0)
-    runner, best, best_tie = None, -1, None
+    runner, best, best_tie = seed
     for neg_e, tie, s, label in entries:
         if _below(order, -neg_e, slack, q, best):
             break
@@ -533,15 +596,26 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
 
     Each degree is at most |G|_{q'} q^e 2^s (|G|_{q'} taken at -q and in
     absolute value for GU), since q^h - 1 >= q^h / 2 and q^k + 1 > q^k for
-    q >= 2 and h, k >= 1.  The exponent key e = a - sum h - sum k is
-    -n(lam') - n for a partition lam of n and is read off the sorted row
-    entries for a symbol (_symbol_exponent); the slack s is n, or
-    |alpha| + |beta| - c for a symbol with power of two c.  The labels of rank
-    n are sorted once on (-e, tie key), the tie key being the parts or the
-    enumeration index.  At each q the walk evaluates exactly only the labels
+    q >= 2 and h, k >= 1; e = a - sum h - sum k, and s counts the factors
+    q^h - 1 less the power of two c.  A partition lam has e = -n(lam') - n
+    and s = n.  A reduced symbol with sorted entries z_j, j < m, has
+    t_j = z_j - ceil(j/2) >= 0 (no entry occurs thrice, nor 0 twice),
+    sum t_j = n - floor(m/2), e = E0(m) - sum t_j (t_j + c_j) with c_j = 1
+    (j even) or 2 (j odd), and s = n - d^2/4 - c <= s_max = n - d_min^2/4.
+
+    Symbol labels are searched in two bands (_symbol_search): band 1 holds
+    those of the largest e, whose best degree L_q at q is at most the
+    runner-up's R_q; band 2 goes down to the cut, the least e with
+    |G|_{q'} q^e 2^s_max >= L_q at some q.  A label with e below the cut has
+    degree <= |G|_{q'} q^e 2^s_max < L_q <= R_q at every q, so it is neither
+    the runner-up nor tied with it.  (The degree is a polynomial in q of
+    degree deg |G|_{q'} + e >= 0, and deg |G|_{q'} is n(n + 1) for BC and n^2
+    for D and 2D, so no e is below -n(n + 1).)  The labels searched are
+    sorted on (-e, tie key), the tie key being the parts or (defect, X, Y),
+    the enumeration order; at each q the walk starts from the best label of
+    band 1 and goes on through band 2.  It evaluates exactly only the labels
     whose bound, compared in integers with the best degree so far, can still
-    reach it, and stops once the bound with the largest slack cannot.  A
-    label's plan is built the first time some q evaluates it.
+    reach it, and stops once the bound with slack n or s_max cannot.
     """
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
@@ -550,7 +624,6 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
         raise ValueError("q must be >= 2")
     if n < 1:
         raise ValueError("rank must be >= 1")
-    entries = _search_entries(n, fam)
     plans: dict[tuple, _DegreePlan] = {}  # built for the labels some q evaluates
 
     def evaluate(label: tuple, q: int) -> int:
@@ -561,11 +634,15 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
 
     if fam in ("GL", "GU"):
         steinberg, degree = Partition((1,) * n), degree_gl if fam == "GL" else degree_gu
+        slack, entries = n, _partition_entries(n)
+        seeds = [(None, -1, None)] * len(q_list)
     else:
         steinberg, degree = steinberg_symbol(n, fam), degree_symbol
+        slack = n - _MIN_DEFECT[fam] ** 2 // 4
+        seeds, entries = _symbol_search(n, fam, q_list, slack, evaluate)
     out = []
-    for q in q_list:
-        label, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), evaluate)
+    for q, seed in zip(q_list, seeds):
+        label, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), slack, evaluate, seed)
         runner = None if label is None else plans[label].labelled()
         out.append(_steinberg_outcome(degree(steinberg, q), runner, runner_degree))
     return out

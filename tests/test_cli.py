@@ -105,6 +105,19 @@ def test_bounds_writes_integers_past_the_digit_limit():
     assert json.loads(r.stdout)["rows"][0][-1] == st
 
 
+def test_library_renderers_write_the_bounds_bytes_of_the_cli():
+    # the library renders the 6,085-digit q-part itself, and leaves the
+    # caller's digit limit as it was
+    from lie_degrees import tables
+    limit = sys.get_int_max_str_digits()
+    header, rows = tables.bounds_table("B", 60, 60, 49)
+    for fmt in ("csv", "json"):
+        r = run_cli("bounds", "--family", "B", "--q", "49", "--n", "60..60", "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        assert tables.render_table(header, rows, fmt, "bounds") == r.stdout
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_arguments_keep_the_digit_limit():
     long_q = "4" + "9" * 5000
     for args in (("bounds", "--q", long_q), ("bounds", "--n", long_q),

@@ -428,6 +428,25 @@ def test_report_json_stringifies_huge_ints_and_leaves_bools():
     assert json.loads(report.to_json())["config"] == {"q_list": [2, 3]}
 
 
+def test_reports_write_ints_past_the_digit_limit():
+    # 49^3600 has 6,085 digits, past the 4,300 Python converts by default;
+    # the reports write it in full and leave the caller's limit as it was
+    big = 49 ** 3600
+    limit = sys.get_int_max_str_digits()
+    report = suites.SuiteReport(config={}, checks=[{
+        "check": "synthetic", "params": {"q_part": big}, "verdict": "fail",
+        "witness": {"degree": big}, "values": {}}])
+    check = json.loads(report.to_json())["checks"][0]
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert check["params"] == {"q_part": digits} and check["witness"] == {"degree": digits}
+    assert report.to_csv().count(digits) == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_report_csv_quotes_params_and_witness():
     report = suites.SuiteReport(config={}, checks=[
         {"check": "steinberg", "params": {"family": "GL", "q_list": [2, 3]},

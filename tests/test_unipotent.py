@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie_degrees import unipotent
-from lie_degrees.partitions import Partition, _partition_tuples, beta_set, hook_lengths, partitions_of
+from lie_degrees.partitions import (
+    Partition,
+    _partition_tuples,
+    beta_parts,
+    beta_set,
+    hook_lengths,
+    partitions_of,
+)
 from lie_degrees.unipotent import (
     Symbol,
     _build_plan,
@@ -465,9 +472,9 @@ def test_enumeration_and_plans_match_reference():
             classes = enumerate_symbols(n, fam)
             assert classes == _ref_enumerate_symbols(n, fam), (fam, n)
             labels = _symbol_labels(n, fam)
-            assert [(x, y) for x, y, _, _ in labels] == [(c.X, c.Y) for c in classes]
-            for x, y, alpha, beta in labels:
-                plan = _build_plan((x, y, alpha, beta), fam, n)
+            assert labels == [(c.X, c.Y) for c in classes]
+            for x, y in labels:
+                plan = _build_plan((x, y), fam, n)
                 assert _plan_key(plan) == _ref_degree_plan(Symbol(x, y)), (x, y)
                 assert _plan_key(_symbol_plan(x, y)) == _plan_key(plan)
 
@@ -475,10 +482,12 @@ def test_enumeration_and_plans_match_reference():
 def test_built_rows_are_valid_and_canonical():
     for fam in ("BC", "D", "2D"):
         for n in range(1, 11):
-            for x, y, alpha, beta in _symbol_labels(n, fam):
+            for x, y in _symbol_labels(n, fam):
                 sym = Symbol(x, y)  # the validating constructor
                 assert (sym.X, sym.Y) == (x, y)
                 assert canonicalize(sym) == sym
+                alpha, beta = beta_parts(x), beta_parts(y)
+                assert sum(alpha) + sum(beta) == n - (len(x) - len(y)) ** 2 // 4
                 assert beta_set(Partition(alpha), len(x)) == x
                 assert beta_set(Partition(beta), len(y)) == y
 
@@ -497,7 +506,7 @@ def test_tuple_plan_matches_symbol_stats_plan(alpha, beta, d):
     rank = symbol_rank(sym)
     if rank < 1:
         return
-    plan = _build_plan((x, y, alpha, beta), family_of_defect(d), rank)
+    plan = _build_plan((x, y), family_of_defect(d), rank)
     assert _plan_key(plan) == _ref_degree_plan(sym)
     assert _plan_key(plan) == _ref_degree_plan(canonicalize(sym))
 
@@ -509,11 +518,14 @@ _ENUMERATION_UNDER_O = textwrap.dedent("""
         sys.exit("not running under python -O")
     row = unipotent.beta_row
     unipotent.beta_row = lambda parts, size: tuple(v + 1 for v in row(parts, size))
-    try:
-        unipotent.enumerate_symbols(4, "BC")
-    except ArithmeticError:
-        sys.exit(0)
-    sys.exit("no ArithmeticError for rows of the wrong rank")
+    seqs = unipotent._excess_sequences
+    unipotent._excess_sequences = lambda *args: [(p, t[:-1] + (t[-1] + 1,)) for p, t in seqs(*args)]
+    for search in (unipotent.enumerate_symbols, unipotent._symbol_entries):
+        try:
+            list(search(4, "BC", -20)) if search is unipotent._symbol_entries else search(4, "BC")
+        except ArithmeticError:
+            continue
+        sys.exit(f"no ArithmeticError from {search.__name__} for rows of the wrong rank")
 """)
 
 
@@ -674,15 +686,64 @@ def _symbol_ranks(n_max):
     return [(fam, n) for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, n_max + 1)]
 
 
-def test_exponent_key_is_the_plan_exponent():
+def _every_entry(n, fam):
+    """Every search entry of the rank: no e is below -n(n + 1)."""
+    return unipotent._symbol_entries(n, fam, -n * (n + 1))
+
+
+def test_symbol_entries_are_the_enumeration_less_steinberg():
+    # down to e = -n(n + 1) the generator yields each label of _symbol_labels
+    # but the Steinberg one exactly once, with tie key (defect, x, y) and
+    # slack |alpha| + |beta| - c; the trivial character's e, -deg |G|_{q'},
+    # is the least
     for fam, n in _symbol_ranks(10):
-        for x, y, alpha, beta in _symbol_labels(n, fam):
-            plan = _build_plan((x, y, alpha, beta), fam, n)
-            assert unipotent._symbol_exponent(x, y) == plan.a - sum(plan.minus) - sum(plan.plus)
+        st = canonicalize(steinberg_symbol(n, fam))
+        want = [label for label in _symbol_labels(n, fam) if label != (st.X, st.Y)]
+        got = list(_every_entry(n, fam))
+        assert len(got) == len(want) and {label for *_, label in got} == set(want), (fam, n)
+        for _, tie, s, (x, y) in got:
+            assert tie == (len(x) - len(y), x, y)
+            assert s == sum(beta_parts(x)) + sum(beta_parts(y)) - symbol_two_power(Symbol(x, y))
+        assert min(-neg_e for neg_e, *_ in got) == (-n * (n + 1) if fam == "BC" else -n * n)
+
+
+def test_exponent_key_is_the_plan_exponent():
+    # e = E0(m) - sum t_j (t_j + c_j), t_j = z_j - ceil(j/2) >= 0 with sum
+    # n - floor(m/2), is the plan's a - sum(minus) - sum(plus) on every label
+    for fam, n in _symbol_ranks(10):
+        for neg_e, _, _, (x, y) in _every_entry(n, fam):
+            plan = _build_plan((x, y), fam, n)
+            z = sorted(x + y)
+            m = len(z)
+            t = [v - (j + 1) // 2 for j, v in enumerate(z)]
+            assert min(t) >= 0 and sum(t) == n - m // 2
+            e = unipotent._base_exponent(m) - sum(v * (v + 1 + j % 2) for j, v in enumerate(t))
+            assert -neg_e == e == plan.a - sum(plan.minus) - sum(plan.plus), (x, y)
     for n in range(1, 21):
         for parts in _partition_tuples(n, n):
             assert unipotent._partition_exponent(parts) == (
                 unipotent._a_value(parts) - sum(hook_lengths(parts)))
+
+
+def test_symbol_entries_in_a_band_are_those_of_large_exponent():
+    # each floor, from above the largest e to below the smallest, prunes the
+    # multisets to exactly the labels with e >= floor
+    for fam, n in _symbol_ranks(9):
+        every = sorted(_every_entry(n, fam))
+        for floor in range(-every[0][0] + 1, -every[-1][0] - 2, -1):
+            assert (sorted(unipotent._symbol_entries(n, fam, floor))
+                    == [entry for entry in every if -entry[0] >= floor]), (fam, n, floor)
+
+
+def test_symbol_entries_check_the_rank_of_each_label(monkeypatch):
+    real = unipotent._excess_sequences
+
+    def one_unit_more(m, total, budget):
+        return [(p, t[:-1] + (t[-1] + 1,)) for p, t in real(m, total, budget)]
+
+    monkeypatch.setattr(unipotent, "_excess_sequences", one_unit_more)
+    with pytest.raises(ArithmeticError, match="rank 5"):
+        list(_every_entry(5, "BC"))
 
 
 def test_partition_order_is_the_pprime_part_of_gl_and_gu():
@@ -705,16 +766,18 @@ def test_every_degree_is_within_its_search_bound():
         plan = _symbol_plan(st.X, st.Y)
         entries = [(sum(plan.minus) + sum(plan.plus) - plan.a, None,
                     len(plan.minus) - plan.two_power, (st.X, st.Y))]
-        entries += unipotent._search_entries(n, fam)
+        entries += _every_entry(n, fam)
         assert len(entries) == len(_symbol_labels(n, fam))
+        s_max = n - unipotent._MIN_DEFECT[fam] ** 2 // 4
         for neg_e, _, s, label in entries:
-            sym = Symbol(*label[:2])
+            assert s <= s_max
+            sym = Symbol(*label)
             for q in SEARCH_QS:
                 order = order_pprime(fam, n, q)
                 assert within(degree_symbol(sym, q), order, neg_e, s, q), (sym, q)
     for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
         for n in range(1, 15):
-            entries = unipotent._search_entries(n, fam)
+            entries = unipotent._partition_entries(n)
             assert len(entries) == sum(1 for _ in partitions_of(n)) - 1
             for neg_e, _, s, parts in entries:
                 for q in SEARCH_QS:
@@ -738,8 +801,7 @@ def _unpruned_steinberg_max(n, q_list, fam):
             out.append(unipotent._steinberg_outcome(deg(st_label, q), runner, runner_degree))
         return out
     st = canonicalize(steinberg_symbol(n, fam))
-    plans = [_build_plan(label, fam, n)
-             for label in _symbol_labels(n, fam) if label[:2] != (st.X, st.Y)]
+    plans = [_build_plan(label, fam, n) for label in _symbol_labels(n, fam) if label != (st.X, st.Y)]
     out = []
     for q in q_list:
         runner, runner_degree = None, -1
@@ -771,7 +833,7 @@ def test_runner_up_search_stops_early(monkeypatch):
         return real_evaluate(plan, q)
 
     def counting_build(label, *args):
-        built.append(label[:2])
+        built.append(label)
         return real_build(label, *args)
 
     monkeypatch.setattr(unipotent._DegreePlan, "evaluate", counting_evaluate)
@@ -784,8 +846,48 @@ def test_runner_up_search_stops_early(monkeypatch):
     assert got == _unpruned_steinberg_max(10, (2, 5), "BC")
 
 
+def test_symbol_search_keeps_every_label_its_bound_admits():
+    # L_q is the best degree at q among the labels of the largest e, and the
+    # seed of q is the first of them in tie order; the search keeps each
+    # other label with |G|_{q'} q^e 2^s_max >= L_q at some q, and every label
+    # it drops is below L_q at every q
+    def degree(label, q):
+        return degree_symbol(Symbol(*label), q)
+
+    for fam, n in _symbol_ranks(9):
+        every = sorted(_every_entry(n, fam))
+        s_max = n - unipotent._MIN_DEFECT[fam] ** 2 // 4
+        orders = [order_pprime(fam, n, q) for q in SEARCH_QS]
+        band = [entry for entry in every if entry[0] == every[0][0]]
+        best = [max(degree(label, q) for *_, label in band) for q in SEARCH_QS]
+        seeds, kept = unipotent._symbol_search(n, fam, SEARCH_QS, s_max, degree)
+        assert seeds == [next((label, b, tie) for _, tie, _, label in band if degree(label, q) == b)
+                         for q, b in zip(SEARCH_QS, best)], (fam, n)
+        assert kept == sorted(kept) and not set(kept) & set(band)
+        # with every degree equal, the seed is the band's first label in tie order
+        [(label, _, tie)] = unipotent._symbol_search(n, fam, (2,), s_max, lambda label, q: 1)[0]
+        assert (tie, label) == band[0][1::2], (fam, n)
+        for entry in every[len(band):]:
+            neg_e, _, _, label = entry
+            bounds = [order * Fraction(q) ** -neg_e * 2 ** s_max for q, order in zip(SEARCH_QS, orders)]
+            if any(bound >= b for bound, b in zip(bounds, best)):
+                assert entry in kept, (fam, n, label)
+            elif entry not in kept:
+                assert all(degree(label, q) < b for q, b in zip(SEARCH_QS, best)), (fam, n, label)
+
+
+def test_bc_runner_up_at_large_rank():
+    # the runner-up of B_n/C_n at q = 2..5 is X = (0..n-2, n), Y = (1..n-1),
+    # with a gap below 2(q - 1) (the gap tends to it as n grows)
+    for n in range(3, 21):
+        runner = Symbol(tuple(range(n - 1)) + (n,), tuple(range(1, n)))
+        for q, (ok, got, gap) in zip(range(2, 6), verify_steinberg_max(n, range(2, 6), "BC")):
+            assert ok and got == runner and 1 < gap < 2 * (q - 1), (n, q)
+
+
 def _search(entries, degrees, order=8, q=2):
-    return unipotent._runner_up(sorted(entries), q, order, lambda label, _q: degrees[label])
+    slack = max((s for _, _, s, _ in entries), default=0)
+    return unipotent._runner_up(sorted(entries), q, order, slack, lambda label, _q: degrees[label])
 
 
 def test_runner_up_search_breaks_ties_on_the_tie_key_across_exponents():
