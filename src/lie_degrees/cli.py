@@ -45,9 +45,13 @@ def parse_partition(text: str) -> partitions.Partition:
 
 @_int_digits(_INPUT_DIGITS)
 def parse_range(text: str) -> tuple[int, int]:
+    """'lo..hi' or a single 'n' as (lo, hi); a reversed range is a ValueError."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError(f"empty range {text.strip()!r}")
+        return lo, hi
     v = int(text)
     return v, v
 
@@ -86,6 +90,8 @@ def cmd_degree(args) -> int:
         header, rows = tables.degrees_table(fam, args.n, args.q)
         _emit(args, tables.render_table(header, rows, args.format, "degrees"))
         return 0
+    if args.kind != "symbol" and args.partition is None:
+        raise ValueError(f"degree {args.kind} needs --partition or --n")
     if args.kind == "sym":
         from . import partitions
         print(partitions.sym_degree(parse_partition(args.partition)))

@@ -395,10 +395,6 @@ def _ln2_mantissas(terms: int) -> tuple[int, int]:
     return 2 * lo, 2 * hi
 
 
-def ln2_interval(terms: int = 28) -> RationalInterval:
-    return _dyadic(*_ln2_mantissas(terms))
-
-
 def _min_shift(small: int, big: int) -> int:
     """The least k >= 0 with small 2^k >= big, for small > 0."""
     k = max(0, big.bit_length() - small.bit_length())

@@ -266,9 +266,8 @@ def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> dict:
     for q in q_list:
         for n in range(1, n_max + 1):
             b, _ = maxdegree.b_gl_exact(n, q)
-            st = q ** (n * (n - 1) // 2)
             spec = maxdegree.GroupSpec("A", n, q)
-            c = Fraction(b, st)
+            c = Fraction(b, maxdegree.order_parts(spec)[0])
             low_i, up_i = maxdegree.bound_bracket_intervals(spec)
             if not (b <= maxdegree.seitz_bound(spec)
                     and low_i.hi <= c <= up_i.lo):
@@ -338,39 +337,16 @@ def check_merge_ratios(n_max: int) -> dict:
 
 def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
     """Every non-Steinberg symbol class of rank <= rank_max has a chain of
-    strictly increasing degree to a Steinberg symbol at each q.
-
-    Every chain is walked through one step memo and one degree memo, keyed
-    on (canonical rows, q), which D and 2D share and which last for this
-    call, so each class's step is taken, and its degree evaluated, once per q.
-    The degrees along a chain are read from the same degree memo.
-    """
+    strictly increasing degree to a Steinberg symbol at each q (see
+    unipotent.stclass_chains)."""
     failures = []
     chains = 0
-    steps: dict[tuple, tuple | ArithmeticError] = {}
-    degrees: dict[tuple, int] = {}
-
-    for fam in unipotent.SYMBOL_FAMILIES:
-        for n in range(maxdegree.min_rank(fam), rank_max + 1):
-            targets = unipotent._steinberg_classes(n, fam)
-            for sym in unipotent.enumerate_symbols(n, fam):
-                if (sym.X, sym.Y) in targets:
-                    continue
-                for q in q_list:
-                    try:
-                        chain = unipotent._walk_chain(sym, q, steps, degrees)
-                        degs = [unipotent._class_degree(s, unipotent._canonical_rows(s), q, degrees)
-                                for s in chain]
-                    except ArithmeticError as exc:
-                        error = str(exc)
-                    else:
-                        if all(a < b for a, b in zip(degs, degs[1:])):
-                            chains += 1
-                            continue
-                        error = f"degrees {degs} along the chain do not increase"
-                    failures.append({"family": fam, "n": n, "q": q,
-                                     "symbol": [sym.X, sym.Y],
-                                     "error": error})
+    for fam, n, rows, q, _, error in unipotent.stclass_chains(rank_max, q_list):
+        if error is None:
+            chains += 1
+        else:
+            failures.append({"family": fam, "n": n, "q": q, "symbol": list(rows),
+                             "error": error})
     return _record("stclass_chains", {"rank_max": rank_max, "q_list": list(q_list)}, failures,
                    {"chains": chains})
 
@@ -426,6 +402,8 @@ class SuiteConfig:
             raise ValueError("invalid rank range")
         if any(q < 2 for q in self.q_list) or not self.q_list:
             raise ValueError("q values must be >= 2")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
 
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:

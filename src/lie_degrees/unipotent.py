@@ -37,14 +37,13 @@ once the bound with the largest slack is.  A label's plan is built the
 first time some q evaluates it, and none is kept after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
-Steinberg class, and its next step depends only on the current class and q
-(_chain_step).  The walker (_walk_chain) reads each step from a memo keyed on
-(canonical rows, q), and fills it from _chain_step on a miss, keeping the
-successor or the ArithmeticError raised; the steps read the class degrees
-from a second memo with the same keys (_class_degree).  stclass_chain passes
-fresh memos; a check that walks the chains of every class passes one pair for
-all of them, so each class's step is taken, and its degree evaluated, once per
-q -- D and 2D share them, since chains cross between them.
+Steinberg class on canonical row pairs: the next class (_chain_step) is that
+of the first candidate move whose degree at q exceeds the current one, so it
+depends only on the class and q.  Each step and each degree (_class_degree)
+is read once per (rows, q) into a memo; stclass_chain walks one chain with
+fresh memos, and stclass_chains the chains of every class through one pair,
+which D and 2D share, since chains cross between them.  Each step raises the
+degree, so no chain cycles, and none needs a cap on its steps.
 """
 
 from __future__ import annotations
@@ -124,6 +123,10 @@ def _check_row(row: Iterable[int]) -> tuple[int, ...]:
     return r
 
 
+def _shifted(row: tuple[int, ...]) -> tuple[int, ...]:
+    return (0,) + tuple(v + 1 for v in row)
+
+
 @dataclass(frozen=True)
 class Symbol:
     """A pair of strictly increasing sequences of non-negative integers."""
@@ -144,8 +147,7 @@ class Symbol:
         return sym
 
     def shifted(self) -> "Symbol":
-        return Symbol._from_valid_rows((0,) + tuple(x + 1 for x in self.X),
-                                       (0,) + tuple(y + 1 for y in self.Y))
+        return Symbol._from_valid_rows(_shifted(self.X), _shifted(self.Y))
 
     def swapped(self) -> "Symbol":
         return Symbol._from_valid_rows(self.Y, self.X)
@@ -237,6 +239,19 @@ def family_of_defect(defect: int) -> str:
     return "D" if defect % 4 == 0 else "2D"
 
 
+_Rows = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _canonical(x: tuple[int, ...], y: tuple[int, ...]) -> _Rows:
+    """The rows of canonicalize(Symbol(x, y)), without building a Symbol."""
+    # stripping a common leading 0 keeps both rows strictly increasing and
+    # non-negative, so the result needs no re-validation
+    while x and y and x[0] == 0 and y[0] == 0:
+        x = tuple(v - 1 for v in x[1:])
+        y = tuple(v - 1 for v in y[1:])
+    return (y, x) if (len(y), y) > (len(x), x) else (x, y)
+
+
 def canonicalize(sym: Symbol) -> Symbol:
     """Reduced representative of the shift-and-swap class: strip common
     0-shifts, longer row first.
@@ -244,15 +259,7 @@ def canonicalize(sym: Symbol) -> Symbol:
     Equal-length rows are ordered with the lexicographically larger first,
     so e.g. ((0,2),(0,1)) reduces to ((1),(0)).
     """
-    x, y = sym.X, sym.Y
-    # stripping a common leading 0 keeps both rows strictly increasing and
-    # non-negative, so the result needs no re-validation
-    while x and y and x[0] == 0 and y[0] == 0:
-        x = tuple(v - 1 for v in x[1:])
-        y = tuple(v - 1 for v in y[1:])
-    if (len(y), y) > (len(x), x):
-        x, y = y, x
-    return Symbol._from_valid_rows(x, y)
+    return Symbol._from_valid_rows(*_canonical(sym.X, sym.Y))
 
 
 def symbol_two_power(sym: Symbol) -> int:
@@ -354,8 +361,7 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    canon = canonicalize(sym)
-    return _symbol_plan(canon.X, canon.Y).evaluate(q)
+    return _symbol_plan(*_canonical(sym.X, sym.Y)).evaluate(q)
 
 
 # smallest defect of a symbol of the family; the others step by 2 (BC) or 4
@@ -367,9 +373,6 @@ def _defects_for(fam: str, n: int) -> Iterator[int]:
     while d * d // 4 <= n:
         yield d
         d += 2 if d % 2 else 4
-
-
-_Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _symbol_labels(n: int, fam: str) -> list[_Rows]:
@@ -431,18 +434,14 @@ def steinberg_symbol(n: int, fam: str) -> Symbol:
     return Symbol(tuple(range(1, x + 1)), tuple(range(0, x + d)))
 
 
-def _canonical_rows(sym: Symbol) -> _Rows:
-    canon = canonicalize(sym)
-    return canon.X, canon.Y
-
-
 @lru_cache(maxsize=256)
 def _steinberg_classes(n: int, fam: str) -> frozenset[_Rows]:
     """Canonical rows of the Steinberg classes of rank n that end a chain from
     a class of the family: BC's own, or for D and 2D those of both, since
     chains cross between them."""
     fams = ("BC",) if fam == "BC" else ("D", "2D")
-    return frozenset(_canonical_rows(steinberg_symbol(n, f)) for f in fams if n >= min_rank(f))
+    return frozenset(_canonical(st.X, st.Y)
+                     for st in (steinberg_symbol(n, f) for f in fams if n >= min_rank(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +508,8 @@ def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
     No e is below -n(n + 1) (see verify_steinberg_max), so that floor yields
     every label.
     """
-    steinberg = _canonical_rows(steinberg_symbol(n, fam))
+    st = steinberg_symbol(n, fam)
+    steinberg = _canonical(st.X, st.Y)
     for m in range(2 - _MIN_DEFECT[fam] % 2, 2 * n + 2, 2):
         budget = _base_exponent(m) - floor
         if budget < 0:  # every e of m entries is at most E0(m)
@@ -652,53 +652,49 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
 # degree-increasing chains to the Steinberg symbol
 # ---------------------------------------------------------------------------
 
-def _is_cuspidal(sym: Symbol) -> bool:
-    x, y = sym.X, sym.Y
-    return not y and x == tuple(range(len(x)))
-
-
-def _transfer_candidates(sym: Symbol) -> Iterator[Symbol]:
-    set_x, set_y = set(sym.X), set(sym.Y)
-    for v in sym.X:
+def _transfer_moves(x: tuple[int, ...], y: tuple[int, ...]) -> Iterator[_Rows]:
+    """All moves of one entry to the other row."""
+    set_x, set_y = set(x), set(y)
+    for v in x:
         if v not in set_y:
-            yield Symbol._from_valid_rows(tuple(sorted(set_x - {v})), tuple(sorted(set_y | {v})))
-    for v in sym.Y:
+            yield tuple(sorted(set_x - {v})), tuple(sorted(set_y | {v}))
+    for v in y:
         if v not in set_x:
-            yield Symbol._from_valid_rows(tuple(sorted(set_x | {v})), tuple(sorted(set_y - {v})))
+            yield tuple(sorted(set_x | {v})), tuple(sorted(set_y - {v}))
 
 
-def _exchange_candidates(sym: Symbol) -> Iterator[Symbol]:
-    """All moves lowering one entry by 1 and raising another by 1."""
-    rows = (set(sym.X), set(sym.Y))
+def _bumped(rows: _Rows, r: int, i: int, step: int) -> _Rows:
+    """rows with entry i of row r moved by step, to a value not in the row."""
+    row = rows[r][:i] + (rows[r][i] + step,) + rows[r][i + 1:]
+    return (row, rows[1]) if r == 0 else (rows[0], row)
+
+
+def _exchange_moves(x: tuple[int, ...], y: tuple[int, ...]) -> Iterator[_Rows]:
+    """All moves lowering one entry by 1 and raising another by 1, each to a
+    value not in its row (so the rows stay sorted)."""
+    rows = (x, y)
     for r1 in (0, 1):
-        for u in sorted(rows[r1]):
+        for i, u in enumerate(rows[r1]):
             if u < 1 or u - 1 in rows[r1]:
                 continue
-            mid = (set(rows[0]), set(rows[1]))
-            mid[r1].discard(u)
-            mid[r1].add(u - 1)
+            mid = _bumped(rows, r1, i, -1)
             for r2 in (0, 1):
-                for v in sorted(mid[r2]):
-                    if v + 1 in mid[r2]:
-                        continue
-                    rows2 = (set(mid[0]), set(mid[1]))
-                    rows2[r2].discard(v)
-                    rows2[r2].add(v + 1)
-                    yield Symbol._from_valid_rows(tuple(sorted(rows2[0])),
-                                                  tuple(sorted(rows2[1])))
+                for j, v in enumerate(mid[r2]):
+                    if v + 1 not in mid[r2]:
+                        yield _bumped(mid, r2, j, 1)
 
 
-def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
-    """The hole-filling move: shift so 0 is in both rows, turn 0 into 1 in the
-    0-but-not-1 row, and pull the topmost length-1 hook b+1 -> b."""
-    shifted = canonicalize(sym).shifted()
-    for cand in (shifted, shifted.swapped()):
-        x, y = cand.X, cand.Y
-        if 1 in x:
+def _scripted_main_move(x: tuple[int, ...], y: tuple[int, ...]) -> Iterator[_Rows]:
+    """The hole-filling move from canonical rows: shift so 0 is in both rows,
+    turn 0 into 1 in the 0-but-not-1 row, and pull the topmost length-1 hook
+    b+1 -> b."""
+    shifted = (_shifted(x), _shifted(y))
+    for cx, cy in (shifted, shifted[::-1]):
+        if 1 in cx:
             continue
-        set_x, set_y = set(x), set(y)
-        hook_bs = [c - 1 for c in x if c >= 2 and c - 1 not in set_x]
-        hook_bs += [c - 1 for c in y if c >= 2 and c - 1 not in set_y]
+        set_x, set_y = set(cx), set(cy)
+        hook_bs = [c - 1 for c in cx if c >= 2 and c - 1 not in set_x]
+        hook_bs += [c - 1 for c in cy if c >= 2 and c - 1 not in set_y]
         if not hook_bs:
             continue
         b = max(hook_bs)
@@ -706,90 +702,83 @@ def _scripted_main_move(sym: Symbol) -> Iterator[Symbol]:
             continue
         new_x = set_x - {0} | {1}
         if b + 1 in set_x and b not in set_x:
-            yield Symbol._from_valid_rows(tuple(sorted(new_x - {b + 1} | {b})), y)
+            yield tuple(sorted(new_x - {b + 1} | {b})), cy
         if b + 1 in set_y and b not in set_y:
-            yield Symbol._from_valid_rows(tuple(sorted(new_x)),
-                                          tuple(sorted(set_y - {b + 1} | {b})))
+            yield tuple(sorted(new_x)), tuple(sorted(set_y - {b + 1} | {b}))
 
 
-_Step = tuple[Symbol, _Rows]  # a chosen candidate and the canonical rows of its class
+def _chain_candidates(x: tuple[int, ...], y: tuple[int, ...]) -> Iterator[_Rows]:
+    """The moves from the class with canonical rows (x, y), in the order a
+    chain tries them: the cuspidal split, the scripted move, then the
+    transfers and the exchanges on the reduced and once-shifted rows."""
+    if x and not y and x == tuple(range(len(x))):  # cuspidal
+        yield x[:-1], (x[-1],)
+    yield from _scripted_main_move(x, y)
+    reps = ((x, y), (_shifted(x), _shifted(y)))
+    for rep in reps:
+        yield from _transfer_moves(*rep)
+    for rep in reps:
+        yield from _exchange_moves(*rep)
+
+
 _Degrees = dict[tuple[_Rows, int], int]  # (canonical rows, q) -> degree of the class
-_MAX_STEPS = 10_000
+_Steps = dict[tuple[_Rows, int], _Rows]  # (canonical rows, q) -> the next class
 
 
-def _class_degree(sym: Symbol, rows: _Rows, q: int, degrees: _Degrees) -> int:
-    """degree_symbol(sym, q) for sym of the class with canonical rows `rows`,
-    read from degrees, or evaluated on sym and stored there."""
-    out = degrees.get((rows, q))
-    if out is None:
-        out = degrees[rows, q] = degree_symbol(sym, q)
-    return out
+def _class_degree(rows: _Rows, q: int) -> int:
+    """The degree at q of the symbol class with canonical rows `rows`."""
+    return _symbol_plan(*rows).evaluate(q)
 
 
-def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees) -> _Step:
-    """One step of stclass_chain from the class of rank n with canonical rows
-    `rows`: the first candidate move, in _chain_candidates order and skipping
-    repeated classes, whose degree at q exceeds the current one, with the
-    canonical rows of its class.  Degrees come from the memo `degrees` (see
-    _class_degree)."""
-    odd = family_of_defect(len(rows[0]) - len(rows[1])) == "BC"
-    cur_cls = Symbol._from_valid_rows(*rows)
-    cur_degree = _class_degree(cur_cls, rows, q, degrees)
+def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees) -> _Rows:
+    """The canonical rows of the class after `rows`, of rank n, on a chain at
+    q: those of the first move, in _chain_candidates order and skipping
+    repeated classes, whose degree at q exceeds the current one.  Each degree
+    is read from `degrees` or taken from _class_degree and stored there."""
+    def degree(key: _Rows) -> int:
+        out = degrees.get((key, q))
+        if out is None:
+            out = degrees[key, q] = _class_degree(key, q)
+        return out
+
+    odd = (len(rows[0]) - len(rows[1])) % 2
+    current = degree(rows)
     seen = {rows}
-    for cand in _chain_candidates(cur_cls):
-        c_cls = canonicalize(cand)
-        key = (c_cls.X, c_cls.Y)
+    for move in _chain_candidates(*rows):
+        key = _canonical(*move)
         if key in seen:
             continue
         seen.add(key)
-        if (symbol_rank(c_cls) != n
-                or (family_of_defect(symbol_defect(c_cls)) == "BC") != odd):
+        if _rows_rank(*key) != n or (len(key[0]) - len(key[1])) % 2 != odd:
             raise ArithmeticError(
-                f"move from {cur_cls} to {c_cls} changes the rank or the defect parity")
-        if _class_degree(cand, key, q, degrees) > cur_degree:
-            return cand, key
+                f"move from {Symbol._from_valid_rows(*rows)} to {Symbol._from_valid_rows(*key)} "
+                "changes the rank or the defect parity")
+        if degree(key) > current:
+            return key
     raise ArithmeticError(
-        f"no degree-increasing move from {cur_cls} at q={q}; "
+        f"no degree-increasing move from {Symbol._from_valid_rows(*rows)} at q={q}; "
         "this would contradict Steinberg maximality")
 
 
-def _walk_chain(sym: Symbol, q: int, memo: dict[tuple[_Rows, int], _Step | ArithmeticError],
-                degrees: _Degrees, max_steps: int = _MAX_STEPS) -> list[Symbol]:
-    """sym followed by the candidates that _chain_step chooses at q, up to a
-    Steinberg class of its rank and defect parity (see _steinberg_classes).
-
-    Each step is read from memo, keyed on (canonical rows, q), or taken by
-    _chain_step, with its degrees read from and stored in `degrees`, and
-    stored in memo with the ArithmeticError it raised, if any.  A stored
-    error is shared by every chain through its class, so it is re-raised
-    without its traceback, which would otherwise grow on each raise.
-    """
-    n = symbol_rank(sym)
-    targets = _steinberg_classes(n, family_of_defect(symbol_defect(sym)))
-    rows = _canonical_rows(sym)
-    if rows in targets:
-        raise ValueError(f"{sym} already labels the Steinberg character")
-    chain = [sym]
-    for _ in range(max_steps):
-        if rows in targets:
-            return chain
-        out = memo.get((rows, q))
-        if out is None:
-            try:
-                out = memo[rows, q] = _chain_step(rows, q, n, degrees)
-            except ArithmeticError as exc:
-                memo[rows, q] = exc
-                raise
-        elif isinstance(out, ArithmeticError):
-            raise out.with_traceback(None)
-        cand, rows = out
-        chain.append(cand)
-    raise ArithmeticError(f"chain from {sym} did not terminate in {max_steps} steps")
+def _walk(rows: _Rows, q: int, n: int, targets: frozenset[_Rows],
+          steps: _Steps, degrees: _Degrees) -> list[_Rows]:
+    """rows, canonical and of rank n, followed by the rows that _chain_step
+    chooses at q, each read from `steps` or taken and stored there, up to one
+    of targets (see _steinberg_classes).  Each step raises the degree within
+    the finite set of classes of rank n, so the walk ends."""
+    chain = [rows]
+    while rows not in targets:
+        if (rows, q) not in steps:
+            steps[rows, q] = _chain_step(rows, q, n, degrees)
+        rows = steps[rows, q]
+        chain.append(rows)
+    return chain
 
 
-def stclass_chain(sym: Symbol, q: int, max_steps: int = _MAX_STEPS) -> list[Symbol]:
+def stclass_chain(sym: Symbol, q: int) -> list[Symbol]:
     """A chain of symbols from sym to a Steinberg symbol, degree strictly
-    increasing at each step, with rank and defect parity preserved.
+    increasing at each step, with rank and defect parity preserved: sym,
+    then the reduced symbol (see canonicalize) of each class after it.
 
     Moves are tried in a fixed order: cuspidal split, the scripted
     hole-filling move, row transfers, then all +-1 entry exchanges (on the
@@ -798,16 +787,44 @@ def stclass_chain(sym: Symbol, q: int, max_steps: int = _MAX_STEPS) -> list[Symb
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    return _walk_chain(sym, q, {}, {}, max_steps)
+    rows = _canonical(sym.X, sym.Y)
+    n = _rows_rank(*rows)
+    targets = _steinberg_classes(n, family_of_defect(len(rows[0]) - len(rows[1])))
+    if rows in targets:
+        raise ValueError(f"{sym} already labels the Steinberg character")
+    return [sym] + [Symbol._from_valid_rows(*r) for r in _walk(rows, q, n, targets, {}, {})[1:]]
 
 
-def _chain_candidates(cls_symbol: Symbol) -> Iterator[Symbol]:
-    if _is_cuspidal(cls_symbol) and len(cls_symbol.X) >= 1:
-        x = cls_symbol.X
-        yield Symbol._from_valid_rows(x[:-1], (x[-1],))
-    yield from _scripted_main_move(cls_symbol)
-    reps = [cls_symbol, cls_symbol.shifted()]
-    for rep in reps:
-        yield from _transfer_candidates(rep)
-    for rep in reps:
-        yield from _exchange_candidates(rep)
+def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
+    """(family, n, rows, q, chain, error) for each non-Steinberg symbol class
+    of rank n <= rank_max, with canonical rows `rows`, and each q: BC, D, then
+    2D, each by rank, then in enumeration order, then by q.
+
+    chain is the canonical rows of the class's stclass_chain at q, and error
+    None, the text of the ArithmeticError that stopped the chain (chain None),
+    or the degrees that do not increase along it.  All chains share one step
+    memo and one degree memo (see _walk), D and 2D too, since chains cross
+    between them: each class's step is taken, and its degree evaluated, once
+    per q.
+    """
+    q_list = tuple(q_list)
+    if any(q < 2 for q in q_list):
+        raise ValueError("q must be >= 2")
+    steps: _Steps = {}
+    degrees: _Degrees = {}
+    for fam in SYMBOL_FAMILIES:
+        for n in range(min_rank(fam), rank_max + 1):
+            targets = _steinberg_classes(n, fam)
+            for rows in _symbol_labels(n, fam):
+                if rows in targets:
+                    continue
+                for q in q_list:
+                    try:
+                        chain = _walk(rows, q, n, targets, steps, degrees)
+                    except ArithmeticError as exc:
+                        yield fam, n, rows, q, None, str(exc)
+                        continue
+                    degs = [degrees[r, q] for r in chain]
+                    error = (None if all(a < b for a, b in zip(degs, degs[1:]))
+                             else f"degrees {degs} along the chain do not increase")
+                    yield fam, n, rows, q, chain, error

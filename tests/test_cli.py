@@ -7,7 +7,14 @@ import sys
 import pytest
 
 import lie_degrees
-from lie_degrees.cli import COMMANDS, build_parser, command_parser, main, parse_partition
+from lie_degrees.cli import (
+    COMMANDS,
+    build_parser,
+    command_parser,
+    main,
+    parse_partition,
+    parse_range,
+)
 from lie_degrees.partitions import Partition
 
 
@@ -165,6 +172,28 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
     r = run_cli("epsilon", "cert", "--family", "A", "--rank", "1", "--q", "6")
     assert r.returncode == 2
+
+
+def test_degree_without_a_label_is_a_usage_error(capsys):
+    for kind in ("gl", "gu", "sym"):
+        assert main(["degree", kind, "--q", "2"]) == 2
+        assert capsys.readouterr().err == f"error: degree {kind} needs --partition or --n\n"
+
+
+def test_reversed_ranges_are_usage_errors(capsys):
+    with pytest.raises(ValueError, match="empty range"):
+        parse_range("5..3")
+    assert parse_range("3..5") == (3, 5) and parse_range("4") == (4, 4)
+    for argv in (["bounds", "--n", "5..3"], ["epsilon", "an", "--n", "9..5"],
+                 ["verify", "lemmas", "--n", "4..2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: empty range")
+
+
+def test_fewer_than_one_job_is_a_usage_error(capsys):
+    for jobs in ("0", "-2"):
+        assert main(["verify", "lemmas", "--q", "2", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
 
 
 def test_zero_denominators_are_usage_errors(capsys):

@@ -114,9 +114,11 @@ def test_octuple_check_survives_python_O():
 
 def test_check_stclass_chains_fails_on_a_degree_that_drops_along_a_chain(monkeypatch):
     assert suites.check_stclass_chains(3, (2,))["verdict"] == "pass"
-    degree = unipotent.degree_symbol  # right on reduced symbols, 0 on the others
-    monkeypatch.setattr(unipotent, "degree_symbol", lambda sym, q: (
-        degree(sym, q) if unipotent.canonicalize(sym) == sym else 0))
+    degree = unipotent._class_degree  # right except at the Steinberg classes, where it is 0
+    steinberg = {rows for n in (2, 3) for fam in ("BC", "D")
+                 for rows in unipotent._steinberg_classes(n, fam)}
+    monkeypatch.setattr(unipotent, "_class_degree", lambda rows, q: (
+        0 if rows in steinberg else degree(rows, q)))
     record = suites.check_stclass_chains(3, (2,))
     assert record["verdict"] == "fail"
     assert set(record["witness"]) == {"family", "n", "q", "symbol", "error"}
@@ -127,9 +129,10 @@ _STCLASS_UNDER_O = textwrap.dedent("""
     from lie_degrees import suites, unipotent
     if __debug__:
         sys.exit("not running under python -O")
-    degree = unipotent.degree_symbol
-    unipotent.degree_symbol = lambda sym, q: (
-        degree(sym, q) if unipotent.canonicalize(sym) == sym else 0)
+    degree = unipotent._class_degree
+    steinberg = {rows for n in (2, 3) for fam in ("BC", "D")
+                 for rows in unipotent._steinberg_classes(n, fam)}
+    unipotent._class_degree = lambda rows, q: 0 if rows in steinberg else degree(rows, q)
     verdict = suites.check_stclass_chains(3, (2,))["verdict"]
     sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a degree that drops")
 """)
@@ -181,8 +184,8 @@ def test_stclass_forest_check_matches_the_per_chain_check(monkeypatch):
     # a 2D class of rank 5 that D chains cross into; no move is offered from it
     blocked = ((1, 2, 3, 4), (0, 1))
     candidates = unipotent._chain_candidates
-    monkeypatch.setattr(unipotent, "_chain_candidates", lambda sym: (
-        iter(()) if (sym.X, sym.Y) == blocked else candidates(sym)))
+    monkeypatch.setattr(unipotent, "_chain_candidates", lambda x, y: (
+        iter(()) if (x, y) == blocked else candidates(x, y)))
     expected = _per_chain_stclass_check(5, (2, 3))
     record = suites.check_stclass_chains(5, (2, 3))
     assert expected["failures"] > 1 and expected["witness"]["family"] == "D"
@@ -347,6 +350,12 @@ def test_run_suite_parallel_matches_serial():
     r1 = suites.run_suite(cfg1, "props")
     r2 = suites.run_suite(cfg2, "props")
     assert r1.to_json() == r2.to_json()
+
+
+def test_suite_config_refuses_fewer_than_one_worker():
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="parallelism"):
+            suites.SuiteConfig(parallelism=jobs)
 
 
 def test_report_timing_opt_in():

@@ -626,6 +626,13 @@ def test_chain_rejects_steinberg_start():
         stclass_chain(steinberg_symbol(3, "BC"), 2)
 
 
+def test_chains_reject_small_q():
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        stclass_chain(Symbol((0, 2), (1,)), 1)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        next(unipotent.stclass_chains(3, (2, 1)))
+
+
 def test_chain_preserves_rank_and_parity():
     chain = stclass_chain(Symbol((0, 2), (1,)), 2)
     for s in chain:
@@ -636,27 +643,41 @@ def test_chain_preserves_rank_and_parity():
 
 def test_chain_rejects_a_move_that_changes_the_rank(monkeypatch):
     monkeypatch.setattr(unipotent, "_chain_candidates",
-                        lambda sym: iter([Symbol((0, 7), (1,))]))
+                        lambda x, y: iter([((0, 7), (1,))]))
     with pytest.raises(ArithmeticError, match="rank"):
         stclass_chain(Symbol((0, 2), (1,)), 2)
+
+
+# sha256 of the canonical rows of every chain of rank <= 7 in BC, D and 2D at
+# q = 2, 3, 5: a change in the order of the moves changes it
+CHAIN_DIGEST = "e12905c60bda27fcef16e595a25d17605346b042cb1305fcc71ca28b113cea2f"
+
+
+def test_chains_are_pinned():
+    import hashlib
+    walked = []
+    for fam in ("BC", "D", "2D"):
+        for n in range(1 if fam == "BC" else 2, 8):
+            st_sym = canonicalize(steinberg_symbol(n, fam))
+            for sym in enumerate_symbols(n, fam):
+                if sym == st_sym:
+                    continue
+                for q in (2, 3, 5):
+                    chain = [canonicalize(s) for s in stclass_chain(sym, q)]
+                    walked.append((fam, n, q, [(s.X, s.Y) for s in chain]))
+    assert len(walked) == 1764
+    assert hashlib.sha256(repr(walked).encode()).hexdigest() == CHAIN_DIGEST
 
 
 def test_forest_chains_match_stclass_chain():
     # every class of rank <= 7 in BC, D and 2D: the chain walked through one
     # shared step memo and degree memo (as check_stclass_chains walks it) is
     # the chain stclass_chain builds with fresh ones
-    memo, degrees = {}, {}
     walked = 0
-    for fam in ("BC", "D", "2D"):
-        for n in range(1 if fam == "BC" else 2, 8):
-            targets = unipotent._steinberg_classes(n, fam)
-            for sym in enumerate_symbols(n, fam):
-                if (sym.X, sym.Y) in targets:
-                    continue
-                for q in (2, 3, 5):
-                    chain = unipotent._walk_chain(sym, q, memo, degrees)
-                    assert chain == stclass_chain(sym, q)
-                    walked += 1
+    for fam, n, rows, q, chain, error in unipotent.stclass_chains(7, (2, 3, 5)):
+        assert error is None
+        assert [Symbol(*r) for r in chain] == stclass_chain(Symbol(*rows), q)
+        walked += 1
     starts = sum(len(enumerate_symbols(n, fam)) - 1
                  for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, 8))
     assert walked == 3 * starts
