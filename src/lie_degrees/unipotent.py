@@ -24,17 +24,20 @@ degree_gu cache the degree per (parts, family, q).
 
 The Steinberg sweep (verify_steinberg_max) looks for the exact runner-up at
 each q without evaluating most labels.  With e = a - sum(hook lengths) -
-sum(positive cohook lengths), the exponent key, and s = (number of hooks) -
-(power of 2), the slack, the bounds q^h - 1 >= q^h / 2 and q^k + 1 > q^k
-(q >= 2, h, k >= 1) give degree <= |G|_{q'} q^e 2^s.  A symbol's e is a
-function of its entry multiset (its Lusztig family), so symbol labels are
-generated a family at a time in two bands of e: the labels of the largest
-e, whose degrees bound the runner-up from below, and those down to the
-least e whose bound can still reach one of them.  At each q the walk starts
-from the best label of the first band, skips a label of the second whose
-bound, compared in integers, is below the best degree so far, and stops
-once the bound with the largest slack is.  A label's plan is built the
-first time some q evaluates it, and none is kept after the sweep.
+sum(positive cohook lengths), the exponent key, and the slack (k1, k, c) -
+k1 hooks of length 1 (the corners of the partitions), k longer hooks and the
+power of 2 - the bounds q - 1 = q (1 - 1/q), q^h - 1 >= q^h (1 - 1/q^2) for
+h >= 2 and q^k + 1 > q^k give degree <= |G|_{q'} q^e (q/(q - 1))^k1
+(q^2/(q^2 - 1))^k / 2^c.  A symbol's e is a function of its entry multiset
+(its Lusztig family), so symbol labels are generated a family at a time in
+two bands of e: the labels of the largest e, whose degrees bound the
+runner-up from below, and those down to the least e whose bound can still
+reach one of them.  At each q the walk starts from the best label of the
+first band, skips a label of the second whose bound, compared in integers,
+is below the best degree so far, and stops once the bound with the rank's
+largest slack is: no more corners than a staircase of the same size has.  A
+label's plan is built the first time some q evaluates it, and none is kept
+after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class on canonical row pairs: the next class (_chain_step) is that
@@ -487,15 +490,48 @@ def _excess_sequences(m: int, total: int, budget: int) -> list[tuple[int, tuple[
     return out
 
 
-# One label of a runner-up search: (-e, tie key, s, label), where the degree
-# at q is at most |G|_{q'} q^e 2^s; a list of them is sorted on (-e, tie key).
-_Entry = tuple[int, object, int, tuple]
+# One label of a runner-up search: (-e, tie key, slack, label), where slack
+# is (k1, k, c) and the degree at q is at most |G|_{q'} q^e (q/(q - 1))^k1
+# (q^2/(q^2 - 1))^k / 2^c; a list of them is sorted on (-e, tie key).
+_Slack = tuple[int, int, int]
+_Entry = tuple[int, object, _Slack, tuple]
+
+
+def _corners(row: tuple[int, ...]) -> int:
+    """Hooks of length 1 of the partition the beta-set row encodes, its
+    corners: the entries c >= 1 with c - 1 not in the row."""
+    return sum(1 for i, c in enumerate(row) if c and (i == 0 or row[i - 1] != c - 1))
+
+
+def _corner_cap(m: int) -> int:
+    """r(m), the most corners a partition of m has: the largest r with
+    r(r + 1)/2 <= m, the staircase (r, r - 1, .., 1) being the least partition
+    with r distinct parts."""
+    return (math.isqrt(8 * m + 1) - 1) // 2
+
+
+def _slack_cap(fam: str, n: int) -> _Slack:
+    """(K1, M - K1, 0), a slack whose bound is at least that of every label of
+    rank n in the family: M is the number of hooks (n, or n - d_min^2/4 for
+    symbols) and K1 the most corners M boxes have (r(M), or the largest
+    r(a) + r(M - a) over a bipartition)."""
+    if fam in ("GL", "GU"):
+        return _corner_cap(n), n - _corner_cap(n), 0
+    m = n - _MIN_DEFECT[fam] ** 2 // 4
+    k1 = max(_corner_cap(a) + _corner_cap(m - a) for a in range(m + 1))
+    return k1, m - k1, 0
 
 
 def _partition_entries(n: int) -> list[_Entry]:
-    """Search entries of the non-Steinberg partitions of n, sorted: one
-    q^h - 1 per box, so s = n; the parts are the tie key and the label."""
-    return sorted((-_partition_exponent(p), p, n, p) for p in _partition_tuples(n, n) if p != (1,) * n)
+    """Search entries of the non-Steinberg partitions of n, sorted: n hooks,
+    one per distinct part of length 1, c = 0; the parts are the tie key and
+    the label."""
+    out = []
+    for p in _partition_tuples(n, n):
+        if p != (1,) * n:
+            k1 = len(set(p))
+            out.append((-_partition_exponent(p), p, (k1, n - k1, 0), p))
+    return sorted(out)
 
 
 def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
@@ -503,8 +539,9 @@ def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
     family with e >= floor, one entry multiset at a time: z_j = t_j +
     ceil(j/2) for t from _excess_sequences, so e = E0(m) - penalty; x takes
     the doubles and (k + d)/2 of the k singletons for each defect d of the
-    family (for d = 0 only x >= y), so s = n - d^2/4 - max(0, (k - 1) // 2).
-    The tie key (d, x, y) is the order of _symbol_labels; the label is (x, y).
+    family (for d = 0 only x >= y).  Of the n - d^2/4 hooks, k1 are the
+    corners of x and y, and c = max(0, (k - 1) // 2).  The tie key (d, x, y)
+    is the order of _symbol_labels; the label is (x, y).
     No e is below -n(n + 1) (see verify_steinberg_max), so that floor yields
     every label.
     """
@@ -526,15 +563,17 @@ def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
                         continue
                     if _rows_rank(x, y) != n or len(x) - len(y) != d:
                         raise ArithmeticError(f"rows {x}, {y} are not of rank {n}, defect {d}")
+                    k1 = _corners(x) + _corners(y)
                     yield (penalty - _base_exponent(m), (d, x, y),
-                           n - d * d // 4 - max(0, (len(singles) - 1) // 2), (x, y))
+                           (k1, n - d * d // 4 - k1, max(0, (len(singles) - 1) // 2)), (x, y))
 
 
-def _symbol_search(n: int, fam: str, q_list: tuple[int, ...], slack: int,
+def _symbol_search(n: int, fam: str, q_list: tuple[int, ...], slack: _Slack,
                    evaluate: Callable[[object, int], int]) -> tuple[list[tuple], list[_Entry]]:
     """The seed (label, degree, tie key) of each q, the best label of band 1,
     the labels of the largest e (ties to the smallest tie key), and the sorted
-    search entries of band 2, those below it down to the cut (see
+    search entries of band 2, those below it down to the cut, the least e
+    whose bound with slack reaches a seed's degree (see
     verify_steinberg_max)."""
     floor = _base_exponent(2 * n + _MIN_DEFECT[fam] % 2) - 1  # one below the Steinberg e
     # no label that close (2D_2): take them all
@@ -551,21 +590,25 @@ def _symbol_search(n: int, fam: str, q_list: tuple[int, ...], slack: int,
     return seeds, (top if cut >= floor else sorted(_symbol_entries(n, fam, cut)))[len(band):]
 
 
-def _below(order: int, e: int, s: int, q: int, best: int) -> bool:
-    """order * q^e * 2^s < best, decided in integers."""
+def _below(order: int, e: int, slack: _Slack, q: int, best: int) -> bool:
+    """order q^e (q/(q - 1))^k1 (q^2/(q^2 - 1))^k / 2^c < best for the slack
+    (k1, k, c), decided in integers as order q^(e + k1 + 2k) < best (q - 1)^k1
+    (q^2 - 1)^k 2^c."""
+    k1, k, c = slack
+    e += k1 + 2 * k
     lhs, rhs = (order * q ** e, best) if e >= 0 else (order, best * q ** -e)
-    return lhs << s < rhs if s >= 0 else lhs < rhs << -s
+    return lhs < (rhs * (q - 1) ** k1 * (q * q - 1) ** k) << c
 
 
-def _runner_up(entries: list[_Entry], q: int, order: int, slack: int,
+def _runner_up(entries: list[_Entry], q: int, order: int, slack: _Slack,
                evaluate: Callable[[object, int], int], seed: tuple = (None, -1, None)) -> tuple:
     """(label, degree) of the largest evaluate(label, q) over the entries and
     the seed, ties to the smallest tie key; (None, -1) if there are none.
 
-    order is |G|_{q'} and slack is at least every entry's s.  A label whose
-    bound is below the best degree so far cannot reach it and is not
-    evaluated; once the bound with slack is below it, no later label (e no
-    larger) can, and the walk stops.
+    order is |G|_{q'} and slack is a slack whose bound is at least every
+    entry's at the same e.  A label whose bound is below the best degree so
+    far cannot reach it and is not evaluated; once the bound with slack is
+    below it, no later label (e no larger) can, and the walk stops.
     """
     runner, best, best_tie = seed
     for neg_e, tie, s, label in entries:
@@ -594,28 +637,41 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     partition with the smallest parts (GL, GU) or the first symbol class in
     enumeration order (BC, D, 2D).
 
-    Each degree is at most |G|_{q'} q^e 2^s (|G|_{q'} taken at -q and in
-    absolute value for GU), since q^h - 1 >= q^h / 2 and q^k + 1 > q^k for
-    q >= 2 and h, k >= 1; e = a - sum h - sum k, and s counts the factors
-    q^h - 1 less the power of two c.  A partition lam has e = -n(lam') - n
-    and s = n.  A reduced symbol with sorted entries z_j, j < m, has
-    t_j = z_j - ceil(j/2) >= 0 (no entry occurs thrice, nor 0 twice),
-    sum t_j = n - floor(m/2), e = E0(m) - sum t_j (t_j + c_j) with c_j = 1
-    (j even) or 2 (j odd), and s = n - d^2/4 - c <= s_max = n - d_min^2/4.
+    Each degree is at most |G|_{q'} q^e (q/(q - 1))^k1 (q^2/(q^2 - 1))^k / 2^c
+    (|G|_{q'} taken at -q and in absolute value for GU, where
+    |(-q)^h - 1| >= q^h - 1), since for q >= 2 a hook of length 1 has
+    q - 1 = q (1 - 1/q), a longer one q^h - 1 >= q^h - q^(h - 2) =
+    q^h (1 - 1/q^2), and a cohook q^k + 1 > q^k.  Here e = a - sum h - sum k,
+    k1 counts the hooks of length 1, k the other hooks and c is the power of
+    two.  A partition lam has e = -n(lam') - n, k1 the number of its corners
+    (distinct parts), k = n - k1 and c = 0.  A reduced symbol with sorted
+    entries z_j, j < m, has t_j = z_j - ceil(j/2) >= 0 (no entry occurs
+    thrice, nor 0 twice), sum t_j = n - floor(m/2), e = E0(m) - sum t_j (t_j
+    + c_j) with c_j = 1 (j even) or 2 (j odd), k1 + k = n - d^2/4 hooks, k1
+    the corners of its bipartition and c = max(0, (singletons - 1) // 2).
+
+    The slack cap (K1, M - K1, 0) bounds every label's factor: M = n, or
+    n - d_min^2/4 for symbols, is the most hooks a label has, and K1 the most
+    corners, r(M) for a partition and the largest r(a) + r(M - a) for a
+    bipartition, where r(m) is the largest r with r(r + 1)/2 <= m (a
+    partition with r corners has r distinct parts, so at least r(r + 1)/2
+    boxes).  Since q/(q - 1) >= q^2/(q^2 - 1) >= 1, k1 <= K1 and k1 + k <= M
+    give (q/(q - 1))^k1 (q^2/(q^2 - 1))^k <= (q/(q - 1))^K1
+    (q^2/(q^2 - 1))^(M - K1).
 
     Symbol labels are searched in two bands (_symbol_search): band 1 holds
     those of the largest e, whose best degree L_q at q is at most the
-    runner-up's R_q; band 2 goes down to the cut, the least e with
-    |G|_{q'} q^e 2^s_max >= L_q at some q.  A label with e below the cut has
-    degree <= |G|_{q'} q^e 2^s_max < L_q <= R_q at every q, so it is neither
-    the runner-up nor tied with it.  (The degree is a polynomial in q of
-    degree deg |G|_{q'} + e >= 0, and deg |G|_{q'} is n(n + 1) for BC and n^2
-    for D and 2D, so no e is below -n(n + 1).)  The labels searched are
-    sorted on (-e, tie key), the tie key being the parts or (defect, X, Y),
-    the enumeration order; at each q the walk starts from the best label of
+    runner-up's R_q; band 2 goes down to the cut, the least e whose bound
+    with the cap is >= L_q at some q.  A label with e below the cut has
+    degree below L_q <= R_q at every q, so it is neither the runner-up nor
+    tied with it.  (The degree is a polynomial in q of degree
+    deg |G|_{q'} + e >= 0, and deg |G|_{q'} is n(n + 1) for BC and n^2 for D
+    and 2D, so no e is below -n(n + 1).)  The labels searched are sorted on
+    (-e, tie key), the tie key being the parts or (defect, X, Y), the
+    enumeration order; at each q the walk starts from the best label of
     band 1 and goes on through band 2.  It evaluates exactly only the labels
     whose bound, compared in integers with the best degree so far, can still
-    reach it, and stops once the bound with slack n or s_max cannot.
+    reach it, and stops once the bound with the cap cannot.
     """
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
@@ -632,13 +688,12 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
             plan = plans[label] = _build_plan(label, fam, n)
         return plan.evaluate(q)
 
+    slack = _slack_cap(fam, n)
     if fam in ("GL", "GU"):
         steinberg, degree = Partition((1,) * n), degree_gl if fam == "GL" else degree_gu
-        slack, entries = n, _partition_entries(n)
-        seeds = [(None, -1, None)] * len(q_list)
+        entries, seeds = _partition_entries(n), [(None, -1, None)] * len(q_list)
     else:
         steinberg, degree = steinberg_symbol(n, fam), degree_symbol
-        slack = n - _MIN_DEFECT[fam] ** 2 // 4
         seeds, entries = _symbol_search(n, fam, q_list, slack, evaluate)
     out = []
     for q, seed in zip(q_list, seeds):
@@ -801,11 +856,11 @@ def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
     2D, each by rank, then in enumeration order, then by q.
 
     chain is the canonical rows of the class's stclass_chain at q, and error
-    None, the text of the ArithmeticError that stopped the chain (chain None),
-    or the degrees that do not increase along it.  All chains share one step
-    memo and one degree memo (see _walk), D and 2D too, since chains cross
-    between them: each class's step is taken, and its degree evaluated, once
-    per q.
+    None or the text of the ArithmeticError that stopped the chain (chain
+    None).  All chains share one step memo and one degree memo (see _walk), D
+    and 2D too, since chains cross between them: each class's step is taken,
+    and its degree evaluated, once per q.  A step goes only to a class whose
+    degree in that memo is larger, so every chain increases.
     """
     q_list = tuple(q_list)
     if any(q < 2 for q in q_list):
@@ -823,8 +878,5 @@ def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
                         chain = _walk(rows, q, n, targets, steps, degrees)
                     except ArithmeticError as exc:
                         yield fam, n, rows, q, None, str(exc)
-                        continue
-                    degs = [degrees[r, q] for r in chain]
-                    error = (None if all(a < b for a, b in zip(degs, degs[1:]))
-                             else f"degrees {degs} along the chain do not increase")
-                    yield fam, n, rows, q, chain, error
+                    else:
+                        yield fam, n, rows, q, chain, None

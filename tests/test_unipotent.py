@@ -712,11 +712,25 @@ def _every_entry(n, fam):
     return unipotent._symbol_entries(n, fam, -n * (n + 1))
 
 
+def _bound(order, neg_e, slack, q):
+    """|G|_{q'} q^e (q/(q - 1))^k1 (q^2/(q^2 - 1))^k / 2^c, exactly."""
+    k1, k, c = slack
+    return (order * Fraction(q) ** -neg_e * Fraction(q, q - 1) ** k1
+            * Fraction(q * q, q * q - 1) ** k / 2 ** c)
+
+
+def _hook_slack(hooks, two_power):
+    """(k1, k, c) from the hook lengths and the power of two."""
+    k1 = hooks.count(1)
+    return k1, len(hooks) - k1, two_power
+
+
 def test_symbol_entries_are_the_enumeration_less_steinberg():
     # down to e = -n(n + 1) the generator yields each label of _symbol_labels
     # but the Steinberg one exactly once, with tie key (defect, x, y) and
-    # slack |alpha| + |beta| - c; the trivial character's e, -deg |G|_{q'},
-    # is the least
+    # slack (k1, k, c): the hooks of alpha and beta of length 1 and the
+    # longer ones, and the power of two; the trivial character's e,
+    # -deg |G|_{q'}, is the least
     for fam, n in _symbol_ranks(10):
         st = canonicalize(steinberg_symbol(n, fam))
         want = [label for label in _symbol_labels(n, fam) if label != (st.X, st.Y)]
@@ -724,7 +738,9 @@ def test_symbol_entries_are_the_enumeration_less_steinberg():
         assert len(got) == len(want) and {label for *_, label in got} == set(want), (fam, n)
         for _, tie, s, (x, y) in got:
             assert tie == (len(x) - len(y), x, y)
-            assert s == sum(beta_parts(x)) + sum(beta_parts(y)) - symbol_two_power(Symbol(x, y))
+            hooks = hook_lengths(beta_parts(x)) + hook_lengths(beta_parts(y))
+            assert len(hooks) == n - (len(x) - len(y)) ** 2 // 4
+            assert s == _hook_slack(hooks, symbol_two_power(Symbol(x, y)))
         assert min(-neg_e for neg_e, *_ in got) == (-n * (n + 1) if fam == "BC" else -n * n)
 
 
@@ -777,33 +793,39 @@ def test_partition_order_is_the_pprime_part_of_gl_and_gu():
 
 
 def test_every_degree_is_within_its_search_bound():
-    # degree <= |G|_{q'} q^e 2^s for every entry: the inequality the early stop rests on
-    def within(degree, order, neg_e, s, q):
-        return degree <= order * Fraction(q) ** -neg_e * Fraction(2) ** s
-
+    # degree <= |G|_{q'} q^e (q/(q - 1))^k1 (q^2/(q^2 - 1))^k / 2^c for every
+    # entry: the inequality the early stop rests on; the rank's slack cap
+    # has the most corners any label has (k1 <= K1, attained) and the most
+    # hooks (k1 + k <= K1 + K), so its bound is at least every label's
     for fam, n in _symbol_ranks(8):
-        # the Steinberg symbol is no search entry; its e and s from its plan
+        # the Steinberg symbol is no search entry; its e and slack from its plan
         st = canonicalize(steinberg_symbol(n, fam))
         plan = _symbol_plan(st.X, st.Y)
         entries = [(sum(plan.minus) + sum(plan.plus) - plan.a, None,
-                    len(plan.minus) - plan.two_power, (st.X, st.Y))]
+                    _hook_slack(plan.minus, plan.two_power), (st.X, st.Y))]
         entries += _every_entry(n, fam)
         assert len(entries) == len(_symbol_labels(n, fam))
-        s_max = n - unipotent._MIN_DEFECT[fam] ** 2 // 4
-        for neg_e, _, s, label in entries:
-            assert s <= s_max
+        cap = unipotent._slack_cap(fam, n)
+        assert cap[2] == 0 and max(k1 for _, _, (k1, _, _), _ in entries) == cap[0], (fam, n)
+        for neg_e, _, (k1, k, c), label in entries:
+            assert k1 <= cap[0] and k1 + k <= cap[0] + cap[1]
             sym = Symbol(*label)
             for q in SEARCH_QS:
                 order = order_pprime(fam, n, q)
-                assert within(degree_symbol(sym, q), order, neg_e, s, q), (sym, q)
+                assert degree_symbol(sym, q) <= _bound(order, neg_e, (k1, k, c), q), (sym, q)
     for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
         for n in range(1, 15):
             entries = unipotent._partition_entries(n)
             assert len(entries) == sum(1 for _ in partitions_of(n)) - 1
-            for neg_e, _, s, parts in entries:
+            cap = unipotent._slack_cap(fam, n)
+            # a staircase's corners, over every partition of n
+            assert cap[2] == 0 and max(len(set(p)) for p in _partition_tuples(n, n)) == cap[0]
+            for neg_e, _, slack, parts in entries:
+                assert slack == _hook_slack(hook_lengths(parts), 0)
+                assert slack[0] <= cap[0] and sum(slack) == sum(cap) == n
                 for q in SEARCH_QS:
                     order = order_pprime(fam, n, q)
-                    assert within(deg(Partition(parts), q), order, neg_e, s, q), (fam, parts, q)
+                    assert deg(Partition(parts), q) <= _bound(order, neg_e, slack, q), (fam, parts, q)
 
 
 def _unpruned_steinberg_max(n, q_list, fam):
@@ -861,8 +883,10 @@ def test_runner_up_search_stops_early(monkeypatch):
     monkeypatch.setattr(unipotent, "_build_plan", counting_build)
     labels = _symbol_labels(10, "BC")
     got = verify_steinberg_max(10, (2, 5), "BC")
-    assert len(evaluated) < len(labels) / 4    # Steinberg evaluations included
-    assert len(built) == len(set(built)) < len(labels) / 4
+    # of 686 labels, 35 evaluations and 30 plans; the 2^s bound (one factor
+    # 2 per hook) needs 128 and 93
+    assert len(evaluated) < len(labels) / 15    # Steinberg evaluations included
+    assert len(built) == len(set(built)) < len(labels) / 15
     monkeypatch.undo()
     assert got == _unpruned_steinberg_max(10, (2, 5), "BC")
 
@@ -870,27 +894,27 @@ def test_runner_up_search_stops_early(monkeypatch):
 def test_symbol_search_keeps_every_label_its_bound_admits():
     # L_q is the best degree at q among the labels of the largest e, and the
     # seed of q is the first of them in tie order; the search keeps each
-    # other label with |G|_{q'} q^e 2^s_max >= L_q at some q, and every label
-    # it drops is below L_q at every q
+    # other label whose bound with the slack cap is >= L_q at some q, and
+    # every label it drops is below L_q at every q
     def degree(label, q):
         return degree_symbol(Symbol(*label), q)
 
     for fam, n in _symbol_ranks(9):
         every = sorted(_every_entry(n, fam))
-        s_max = n - unipotent._MIN_DEFECT[fam] ** 2 // 4
+        cap = unipotent._slack_cap(fam, n)
         orders = [order_pprime(fam, n, q) for q in SEARCH_QS]
         band = [entry for entry in every if entry[0] == every[0][0]]
         best = [max(degree(label, q) for *_, label in band) for q in SEARCH_QS]
-        seeds, kept = unipotent._symbol_search(n, fam, SEARCH_QS, s_max, degree)
+        seeds, kept = unipotent._symbol_search(n, fam, SEARCH_QS, cap, degree)
         assert seeds == [next((label, b, tie) for _, tie, _, label in band if degree(label, q) == b)
                          for q, b in zip(SEARCH_QS, best)], (fam, n)
         assert kept == sorted(kept) and not set(kept) & set(band)
         # with every degree equal, the seed is the band's first label in tie order
-        [(label, _, tie)] = unipotent._symbol_search(n, fam, (2,), s_max, lambda label, q: 1)[0]
+        [(label, _, tie)] = unipotent._symbol_search(n, fam, (2,), cap, lambda label, q: 1)[0]
         assert (tie, label) == band[0][1::2], (fam, n)
         for entry in every[len(band):]:
             neg_e, _, _, label = entry
-            bounds = [order * Fraction(q) ** -neg_e * 2 ** s_max for q, order in zip(SEARCH_QS, orders)]
+            bounds = [_bound(order, neg_e, cap, q) for q, order in zip(SEARCH_QS, orders)]
             if any(bound >= b for bound, b in zip(bounds, best)):
                 assert entry in kept, (fam, n, label)
             elif entry not in kept:
@@ -907,28 +931,41 @@ def test_bc_runner_up_at_large_rank():
 
 
 def _search(entries, degrees, order=8, q=2):
-    slack = max((s for _, _, s, _ in entries), default=0)
-    return unipotent._runner_up(sorted(entries), q, order, slack, lambda label, _q: degrees[label])
+    # the cap: the most length-1 hooks of any entry, and the most hooks
+    k1 = max((s[0] for _, _, s, _ in entries), default=0)
+    hooks = max((s[0] + s[1] for _, _, s, _ in entries), default=0)
+    return unipotent._runner_up(sorted(entries), q, order, (k1, hooks - k1, 0),
+                                lambda label, _q: degrees[label])
 
 
 def test_runner_up_search_breaks_ties_on_the_tie_key_across_exponents():
     # A is walked first (larger e); B has the same degree and the smaller tie key
-    assert _search([(1, 5, 0, "A"), (2, 1, 0, "B")], {"A": 1, "B": 1}) == ("B", 1)
-    assert _search([(1, 3, 0, "C"), (1, 2, 0, "D")], {"C": 1, "D": 1}) == ("D", 1)
+    none = (0, 0, 0)
+    assert _search([(1, 5, none, "A"), (2, 1, none, "B")], {"A": 1, "B": 1}) == ("B", 1)
+    assert _search([(1, 3, none, "C"), (1, 2, none, "D")], {"C": 1, "D": 1}) == ("D", 1)
     assert _search([], {}) == (None, -1)
 
 
 def test_runner_up_search_evaluates_a_label_whose_bound_equals_the_best():
-    # B's bound 8 * 2^-1 * 2^1 = 8 equals A's degree; B ties and wins on the tie key
-    assert _search([(0, 2, 0, "A"), (1, 1, 1, "B")], {"A": 8, "B": 8}) == ("B", 8)
+    # B's bound 8 * 2^-1 * (2/1)^1 = 8 equals A's degree; B ties and wins on the tie key
+    assert _search([(0, 2, (0, 0, 0), "A"), (1, 1, (1, 0, 0), "B")], {"A": 8, "B": 8}) == ("B", 8)
+    # the same with a longer hook, 3 * 2^-2 * (4/3)^1 = 1, and a power of two,
+    # 8 * 2^-1 * 2^2 / 2^1 = 8
+    assert _search([(0, 2, (0, 0, 0), "A"), (2, 1, (0, 1, 0), "B")], {"A": 1, "B": 1},
+                   order=3) == ("B", 1)
+    assert _search([(0, 2, (0, 0, 0), "A"), (1, 1, (2, 0, 1), "B")], {"A": 8, "B": 8}) == ("B", 8)
 
 
 def test_runner_up_search_stops_on_the_largest_slack():
-    # B's own bound (4) is below 8, but C, walked after it, has slack 3 (bound 32)
+    # B's own bound (4) is below 8, but C, walked after it, has slack (3, 0, 0) (bound 32)
     degrees = {"A": 8, "B": 1, "C": 20}
-    assert _search([(0, 1, 0, "A"), (1, 2, 0, "B"), (1, 3, 3, "C")], degrees) == ("C", 20)
+    none = (0, 0, 0)
+    assert _search([(0, 1, none, "A"), (1, 2, none, "B"), (1, 3, (3, 0, 0), "C")],
+                   degrees) == ("C", 20)
     # with the largest slack's bound below the best, nothing after A is evaluated
-    assert _search([(0, 1, 0, "A"), (4, 2, 1, "B")], {"A": 8}) == ("A", 8)
+    assert _search([(0, 1, none, "A"), (4, 2, (1, 0, 0), "B")], {"A": 8}) == ("A", 8)
+    # at q = 3 two longer hooks give 9 * 3^-1 * (9/8)^2 < 9, though 9 * 3^-1 * 2^2 >= 9
+    assert _search([(0, 1, none, "A"), (1, 2, (0, 2, 0), "B")], {"A": 9}, order=9, q=3) == ("A", 9)
 
 
 def test_steinberg_max_rejects_rank_below_one():
