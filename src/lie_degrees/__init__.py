@@ -4,6 +4,8 @@ classical groups, with certified verification of degree bounds.
 Importing the package loads none of its modules: each public name below is
 imported from its module on first access (PEP 562), so a program that uses
 only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
+The family table lives here too, so that the CLI builds its parser from it
+without loading a module.
 """
 
 import contextlib
@@ -41,6 +43,16 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+# The family table, the one place that says which families exist.  Each
+# simple-group family (A: SL_n, 2A: SU_n, B/C: Spin_{2n+1}/Sp_{2n}, D/2D:
+# Spin^{+-}_{2n}) maps to the family of its unipotent labels at the same n:
+# partitions for GL and GU, symbols for BC, D and 2D.
+_LABEL_FAMILY = {"A": "GL", "2A": "GU", "B": "BC", "C": "BC", "D": "D", "2D": "2D"}
+_LABEL_FAMILIES = tuple(dict.fromkeys(_LABEL_FAMILY.values()))
+# symbol family -> the smallest defect of its symbols; the others step by 2
+# (BC) or by 4 (D, 2D)
+_SYMBOL_DEFECT = {"BC": 1, "D": 0, "2D": 2}
 
 
 @contextlib.contextmanager

@@ -6,7 +6,8 @@ self-check of the program failed; a bug, not a bad input).
 
 Start-up is most of the cost of a short command, so this module imports
 nothing from the package at load time: each command imports the modules it
-runs, and calls them as module.function.
+runs, and calls them as module.function.  Family choices and defaults are
+read from the family table in the package's __init__.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import _int_digits  # defined in the package's __init__, already loaded
+from . import _LABEL_FAMILIES, _LABEL_FAMILY, _SYMBOL_DEFECT, _int_digits  # already loaded
 
 # Python's limit on the digits of an int read from or written as a string
 # (sys.set_int_max_str_digits) guards parsing against quadratic conversions of
@@ -109,10 +110,10 @@ def cmd_degree(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import suites, unipotent
+    from . import suites
     n_min, n_max = parse_range(args.n)
     cfg = suites.SuiteConfig(
-        families=tuple(args.family.split(",")) if args.family else unipotent.FAMILIES,
+        families=tuple(args.family.split(",")) if args.family else _LABEL_FAMILIES,
         n_min=n_min, n_max=n_max,
         q_list=parse_int_list(args.q),
         truncation_m=args.truncation,
@@ -188,7 +189,7 @@ def _degree_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--y", help="symbol row Y, e.g. 0,1")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n", type=int, help="emit the degree table for this rank instead")
-    p.add_argument("--symbol-family", choices=["BC", "D", "2D"],
+    p.add_argument("--symbol-family", choices=list(_SYMBOL_DEFECT),
                    help="family for symbol tables (with --n)")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out")
@@ -197,7 +198,7 @@ def _degree_arguments(p: argparse.ArgumentParser) -> None:
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", choices=["steinberg", "props", "lemmas", "all"])
-    p.add_argument("--family", help="comma list of GL,GU,BC,D,2D (steinberg)")
+    p.add_argument("--family", help=f"comma list of {','.join(_LABEL_FAMILIES)} (steinberg)")
     p.add_argument("--n", default="1..10", help="rank range, e.g. 1..20")
     p.add_argument("--q", default="2,3", help="comma list of q values")
     p.add_argument("--truncation", type=int, default=40,
@@ -219,17 +220,12 @@ def _bmax_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _bounds_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="A", help="comma list of A,2A,B,C,D,2D")
+    p.add_argument("--family", default="A", help=f"comma list of {','.join(_LABEL_FAMILY)}")
     p.add_argument("--n", default="1..40")
     p.add_argument("--q", default="2")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
-
-
-# maxdegree.FAMILIES, written out so that building a parser loads no
-# arithmetic module (a test checks that the two agree)
-EPSILON_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
 
 
 def _epsilon_arguments(p: argparse.ArgumentParser) -> None:
@@ -240,7 +236,7 @@ def _epsilon_arguments(p: argparse.ArgumentParser) -> None:
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_epsilon, kind="an")
     pc = ksub.add_parser("cert", help="epsilon > 1 certificate for a classical family")
-    pc.add_argument("--family", required=True, choices=list(EPSILON_FAMILIES))
+    pc.add_argument("--family", required=True, choices=list(_LABEL_FAMILY))
     pc.add_argument("--rank", type=int, required=True)
     pc.add_argument("--q", type=int, required=True)
     pc.set_defaults(func=cmd_epsilon, kind="cert")

@@ -5,10 +5,11 @@ epsilon certificates and the merge-move ratios over F_2.
 Group ranks follow the matrix conventions: family A of rank n is SL_n, 2A is
 SU_n, B/C rank n are Spin_{2n+1}/Sp_{2n}, D/2D rank n are Spin^{+-}_{2n}.
 
-Every q'-part of a group order comes from one cached table, order_pprime, on
-the one kernel qexact.bracket = prod (Q^i - 1), for both family vocabularies:
-A/2A/B/C/D/2D here and GL/GU/BC/D/2D in unipotent.  The unitary groups are
-read at Q = -q in absolute value (Ennola duality).
+Family names are read from the package's family table, which maps each group
+family A/2A/B/C/D/2D to its label family GL/GU/BC/D/2D.  Every q'-part of a
+group order comes from one cached table, order_pprime, on the one kernel
+qexact.bracket = prod (Q^i - 1), for a family of either kind; the unitary
+groups are read at Q = -q in absolute value (Ennola duality).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _LABEL_FAMILIES, _LABEL_FAMILY
 from .qexact import (
     RationalInterval,
     bracket,
@@ -26,13 +28,19 @@ from .qexact import (
     pow_interval,
 )
 
-FAMILIES = ("A", "2A", "B", "C", "D", "2D")
+
+def _label_family(family: str) -> str:
+    """The label family of a family of either kind: A -> GL, GL -> GL."""
+    label = _LABEL_FAMILY.get(family, family)
+    if label not in _LABEL_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return label
 
 
 def min_rank(family: str) -> int:
     """Smallest rank of the family's groups: 2 for D and 2D (rank 1 would be
-    the torus Spin^{+-}_2), 1 for every other family of either vocabulary."""
-    return 2 if family in ("D", "2D") else 1
+    the torus Spin^{+-}_2), 1 for every other family of either kind."""
+    return 2 if _label_family(family) in ("D", "2D") else 1
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class GroupSpec:
     q: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _LABEL_FAMILY:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise ValueError("rank must be >= 1")
@@ -64,24 +72,23 @@ def order_pprime(family: str, n: int, q: int) -> int:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    label = _label_family(family)
     if n < 1 and not (n == 0 and family in ("GL", "GU")):
         raise ValueError("rank must be >= 1")
-    if family in ("GL", "GU", "A", "2A"):
-        signed = q if family in ("GL", "A") else -q
-        return abs(bracket(range(1 if family in ("GL", "GU") else 2, n + 1), signed))
-    if family in ("B", "C", "BC"):
+    if label in ("GL", "GU"):
+        start = 1 if family == label else 2  # SL and SU drop [1]
+        return abs(bracket(range(start, n + 1), q if label == "GL" else -q))
+    if label == "BC":
         return bracket(range(1, n + 1), q * q)
-    if family in ("D", "2D"):
-        return (q ** n - (1 if family == "D" else -1)) * bracket(range(1, n), q * q)
-    raise ValueError(f"unknown family {family!r}")
+    return (q ** n - (1 if label == "D" else -1)) * bracket(range(1, n), q * q)
 
 
 def order_parts(spec: GroupSpec) -> tuple[int, int]:
     """(|G|_p, |G|_{p'}) for the simply connected group of the family."""
-    n = spec.n
-    if spec.family in ("A", "2A"):
+    n, label = spec.n, _LABEL_FAMILY[spec.family]
+    if label in ("GL", "GU"):
         p_exponent = n * (n - 1) // 2
-    elif spec.family in ("B", "C"):
+    elif label == "BC":
         p_exponent = n * n
     else:  # D / 2D
         p_exponent = n * (n - 1)
@@ -311,33 +318,22 @@ def gl_degree_of_type(t: CentralizerTypeGL, q: int) -> int:
 
 def enumerate_types(n: int, q: int) -> list[CentralizerTypeGL]:
     """All admissible centralizer types of GL_n(q)."""
+    from .partitions import _partition_tuples  # here: `bounds` must not load partitions
     out: list[CentralizerTypeGL] = []
 
-    def rec(d: int, remaining: int, acc: list[tuple[int, int]]):
+    def rec(d: int, remaining: int, acc: tuple[tuple[int, int], ...]):
         if remaining == 0:
-            out.append(CentralizerTypeGL(tuple(acc)))
+            out.append(CentralizerTypeGL(acc))
             return
         if d > remaining:
             return
         budget = _block_budget(q, d)
+        for t in range(remaining // d + 1):
+            for ks in _partition_tuples(t, t):
+                if len(ks) <= budget:
+                    rec(d + 1, remaining - t * d, acc + tuple((k, d) for k in ks))
 
-        def parts(t: int, kmax: int, cnt: int, chosen: list[int]):
-            if t == 0:
-                rec(d + 1, remaining - sum(chosen) * d,
-                    acc + [(k, d) for k in chosen])
-                return
-            if cnt == 0 or kmax == 0:
-                return
-            for k in range(min(kmax, t), 0, -1):
-                parts(t - k, k, cnt - 1, chosen + [k])
-
-        for total in range(remaining // d + 1):
-            if total == 0:
-                rec(d + 1, remaining, acc)
-            else:
-                parts(total, total, budget, [])
-
-    rec(1, n, [])
+    rec(1, n, ())
     return out
 
 
@@ -426,19 +422,15 @@ class CertVerdict(Enum):
 
 _MIN_RANK = {"A": 2, "2A": 3, "B": 2, "C": 2, "D": 4, "2D": 4}
 
-
-def _is_listed_exception(spec: GroupSpec) -> bool:
-    fam, n, q = spec.family, spec.n, spec.q
-    if q == 2:
-        return True  # SL_n(2), Sp_2n(2), Omega^{+-}_2n(2) are all excluded
-    if fam == "A":
-        return q == 3 and 5 <= n <= 14
-    if fam == "2A":
-        return False  # the q = 2 rows (7 <= n <= 14) are caught above
-    if fam in ("B", "C"):
-        return q == 3 and 4 <= n <= 17
-    # D / 2D
-    return (q == 3 and 4 <= n <= 30) or (q == 5 and 4 <= n <= 6) or (q == 7 and n == 4)
+# (family, q) -> (n_lo, n_hi): the ranks n_lo <= n <= n_hi the paper lists as
+# exceptions at q.  At q = 2 that is every rank (SL_n(2), Sp_2n(2) and
+# Omega^{+-}_2n(2) are all excluded) except for PSU_n(2), only 7 <= n <= 14.
+_LISTED_EXCEPTIONS = {
+    **{(fam, 2): (1, math.inf) for fam in _LABEL_FAMILY},
+    ("2A", 2): (7, 14), ("A", 3): (5, 14), ("B", 3): (4, 17), ("C", 3): (4, 17),
+    ("D", 3): (4, 30), ("2D", 3): (4, 30), ("D", 5): (4, 6), ("2D", 5): (4, 6),
+    ("D", 7): (4, 4), ("2D", 7): (4, 4),
+}
 
 
 def _certificate_inequality(spec: GroupSpec) -> bool:
@@ -457,21 +449,13 @@ def _certificate_inequality(spec: GroupSpec) -> bool:
 
 def epsilon_certificate(spec: GroupSpec) -> CertVerdict:
     """Certificate that the simple group has epsilon > 1, by the family's
-    sufficient counting inequality; listed exceptional families short-circuit.
-
-    2A at q = 2 with 7 <= n <= 14 is excluded with the rest of the q = 2
-    rows; the inequality itself certifies 2A(q=2) only from n >= 15.
-    """
+    sufficient counting inequality; listed exceptions short-circuit (the
+    inequality itself certifies 2A at q = 2 only from n >= 15)."""
     fam = spec.family
     if spec.n < _MIN_RANK[fam]:
         raise ValueError(f"family {fam} certificates need rank >= {_MIN_RANK[fam]}")
-    if fam == "2A" and spec.q == 2:
-        # PSU_n(2) is not blanket-excluded: only 7 <= n <= 14 are listed
-        if 7 <= spec.n <= 14:
-            return CertVerdict.LISTED_EXCEPTION
-        return (CertVerdict.CERTIFIED_GT_ONE if _certificate_inequality(spec)
-                else CertVerdict.INCONCLUSIVE)
-    if _is_listed_exception(spec):
+    n_lo, n_hi = _LISTED_EXCEPTIONS.get((fam, spec.q), (1, 0))
+    if n_lo <= spec.n <= n_hi:
         return CertVerdict.LISTED_EXCEPTION
     if _certificate_inequality(spec):
         return CertVerdict.CERTIFIED_GT_ONE

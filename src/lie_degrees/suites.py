@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _int_digits, maxdegree, partitions, qexact, symmetric, unipotent
+from . import _LABEL_FAMILIES, _int_digits, maxdegree, partitions, qexact, symmetric, unipotent
 from .tables import SCHEMA, fmt_rational, json_safe_ints, render_table
 
 
@@ -390,7 +390,7 @@ def check_epsilon_an(n_min: int, n_max: int) -> dict:
 
 @dataclass
 class SuiteConfig:
-    families: tuple[str, ...] = unipotent.FAMILIES
+    families: tuple[str, ...] = _LABEL_FAMILIES
     n_min: int = 1
     n_max: int = 10
     q_list: tuple[int, ...] = (2, 3)
@@ -398,6 +398,9 @@ class SuiteConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        for fam in self.families:
+            if fam not in _LABEL_FAMILIES:
+                raise ValueError(f"unknown family {fam!r}")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("invalid rank range")
         if any(q < 2 for q in self.q_list) or not self.q_list:

@@ -15,7 +15,7 @@ import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import _int_digits
+from . import _SYMBOL_DEFECT, _int_digits
 
 SCHEMA = "lie-degrees-report/1"
 
@@ -98,7 +98,7 @@ def degrees_table(family: str, n: int, q: int | None) -> tuple[list[str], list[l
         rows = [[",".join(map(str, lam.parts)), unipotent.a_value_gl(lam),
                  deg(lam, q)] for lam in partitions.partitions_of(n)]
         return header, rows
-    if family in unipotent.SYMBOL_FAMILIES:
+    if family in _SYMBOL_DEFECT:
         if q is None:
             raise ValueError("symbol tables need q")
         header = ["X", "Y", "defect", "multiplicity", "degree"]

@@ -13,7 +13,8 @@ defect parity selecting the type; h runs over the hooks and k over the
 cohooks of positive length.  Length-0 cohooks are excluded, which is the
 normalization that makes the trivial character evaluate to 1 and the
 Steinberg symbol to the full q-part of the group order.  Every group order
-|G|_{q'} here is read from the one table maxdegree.order_pprime.
+|G|_{q'} here is read from the one table maxdegree.order_pprime, and the
+label families and their smallest defects from the package's family table.
 
 Symbols are enumerated on plain row tuples: each bipartition (alpha, beta)
 of the right size gives the rows of one reduced symbol directly, so no
@@ -59,6 +60,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import _LABEL_FAMILIES, _SYMBOL_DEFECT
 from .maxdegree import min_rank, order_pprime
 from .partitions import (
     Partition,
@@ -68,9 +70,6 @@ from .partitions import (
     beta_row,
     hook_lengths,
 )
-
-FAMILIES = ("GL", "GU", "BC", "D", "2D")
-SYMBOL_FAMILIES = ("BC", "D", "2D")
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +236,8 @@ def symbol_defect(sym: Symbol) -> int:
 
 
 def family_of_defect(defect: int) -> str:
-    if defect % 2 == 1:
-        return "BC"
-    return "D" if defect % 4 == 0 else "2D"
+    return next(fam for fam, d in _SYMBOL_DEFECT.items()
+                if (defect - d) % (2 if d % 2 else 4) == 0)
 
 
 _Rows = tuple[tuple[int, ...], tuple[int, ...]]
@@ -367,12 +365,8 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     return _symbol_plan(*_canonical(sym.X, sym.Y)).evaluate(q)
 
 
-# smallest defect of a symbol of the family; the others step by 2 (BC) or 4
-_MIN_DEFECT = {"BC": 1, "D": 0, "2D": 2}
-
-
 def _defects_for(fam: str, n: int) -> Iterator[int]:
-    d = _MIN_DEFECT[fam]
+    d = _SYMBOL_DEFECT[fam]
     while d * d // 4 <= n:
         yield d
         d += 2 if d % 2 else 4
@@ -389,7 +383,7 @@ def _symbol_labels(n: int, fam: str) -> list[_Rows]:
     the swapped pair gives the same class, and only the order with x >= y
     (the canonical one) is kept.
     """
-    if fam not in SYMBOL_FAMILIES:
+    if fam not in _SYMBOL_DEFECT:
         raise ValueError(f"enumeration is for symbol families, not {fam!r}")
     if n < 1:
         raise ValueError("rank must be >= 1")
@@ -428,11 +422,11 @@ def steinberg_symbol(n: int, fam: str) -> Symbol:
     (BC: d = 1, D: d = 0, 2D: d = 2).  The degree is q^{n^2} for BC and
     q^{n(n-1)} for D/2D.
     """
-    if fam not in _MIN_DEFECT:
+    if fam not in _SYMBOL_DEFECT:
         raise ValueError(f"no Steinberg symbol for family {fam!r}")
     if n < min_rank(fam):
         raise ValueError(f"{fam} needs rank >= {min_rank(fam)}")
-    d = _MIN_DEFECT[fam]
+    d = _SYMBOL_DEFECT[fam]
     x = n - d // 2
     return Symbol(tuple(range(1, x + 1)), tuple(range(0, x + d)))
 
@@ -442,7 +436,7 @@ def _steinberg_classes(n: int, fam: str) -> frozenset[_Rows]:
     """Canonical rows of the Steinberg classes of rank n that end a chain from
     a class of the family: BC's own, or for D and 2D those of both, since
     chains cross between them."""
-    fams = ("BC",) if fam == "BC" else ("D", "2D")
+    fams = [f for f, d in _SYMBOL_DEFECT.items() if (d - _SYMBOL_DEFECT[fam]) % 2 == 0]
     return frozenset(_canonical(st.X, st.Y)
                      for st in (steinberg_symbol(n, f) for f in fams if n >= min_rank(f)))
 
@@ -517,7 +511,7 @@ def _slack_cap(fam: str, n: int) -> _Slack:
     r(a) + r(M - a) over a bipartition)."""
     if fam in ("GL", "GU"):
         return _corner_cap(n), n - _corner_cap(n), 0
-    m = n - _MIN_DEFECT[fam] ** 2 // 4
+    m = n - _SYMBOL_DEFECT[fam] ** 2 // 4
     k1 = max(_corner_cap(a) + _corner_cap(m - a) for a in range(m + 1))
     return k1, m - k1, 0
 
@@ -547,7 +541,7 @@ def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
     """
     st = steinberg_symbol(n, fam)
     steinberg = _canonical(st.X, st.Y)
-    for m in range(2 - _MIN_DEFECT[fam] % 2, 2 * n + 2, 2):
+    for m in range(2 - _SYMBOL_DEFECT[fam] % 2, 2 * n + 2, 2):
         budget = _base_exponent(m) - floor
         if budget < 0:  # every e of m entries is at most E0(m)
             continue
@@ -575,7 +569,7 @@ def _symbol_search(n: int, fam: str, q_list: tuple[int, ...], slack: _Slack,
     search entries of band 2, those below it down to the cut, the least e
     whose bound with slack reaches a seed's degree (see
     verify_steinberg_max)."""
-    floor = _base_exponent(2 * n + _MIN_DEFECT[fam] % 2) - 1  # one below the Steinberg e
+    floor = _base_exponent(2 * n + _SYMBOL_DEFECT[fam] % 2) - 1  # one below the Steinberg e
     # no label that close (2D_2): take them all
     top = sorted(_symbol_entries(n, fam, floor)) or sorted(_symbol_entries(n, fam, -n * (n + 1)))
     band = [entry for entry in top if entry[0] == top[0][0]]
@@ -673,7 +667,7 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     whose bound, compared in integers with the best degree so far, can still
     reach it, and stops once the bound with the cap cannot.
     """
-    if fam not in FAMILIES:
+    if fam not in _LABEL_FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
     q_list = tuple(q_list)
     if any(q < 2 for q in q_list):
@@ -867,7 +861,7 @@ def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
         raise ValueError("q must be >= 2")
     steps: _Steps = {}
     degrees: _Degrees = {}
-    for fam in SYMBOL_FAMILIES:
+    for fam in _SYMBOL_DEFECT:
         for n in range(min_rank(fam), rank_max + 1):
             targets = _steinberg_classes(n, fam)
             for rows in _symbol_labels(n, fam):

@@ -6,7 +6,7 @@ check at the criterion's grid and asserts its verdict."""
 
 from fractions import Fraction
 
-from lie_degrees import maxdegree, qexact, suites, unipotent
+from lie_degrees import _SYMBOL_DEFECT, maxdegree, qexact, suites, unipotent
 from lie_degrees.partitions import Partition
 
 
@@ -36,7 +36,7 @@ def test_criterion_01_paper_counterexample_degrees():
 def test_criterion_02_steinberg_maximality():
     qs = (2, 3, 4, 5)
     records = [suites.check_steinberg(fam, 1, 30, qs) for fam in ("GL", "GU")]
-    records += [suites.check_steinberg(fam, 1, 10, qs) for fam in unipotent.SYMBOL_FAMILIES]
+    records += [suites.check_steinberg(fam, 1, 10, qs) for fam in _SYMBOL_DEFECT]
     _report_checks(2, "Steinberg is the unique largest unipotent degree "
                       "(GL/GU n<=30, symbols rank<=10, q in {2,3,4,5})",
                    records, f"{sum(r['values']['cases'] for r in records)} cases")

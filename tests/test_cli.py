@@ -190,6 +190,13 @@ def test_reversed_ranges_are_usage_errors(capsys):
         assert capsys.readouterr().err.startswith("error: empty range")
 
 
+def test_verify_refuses_an_unknown_family_before_any_check(capsys):
+    for argv in (["verify", "props", "--family", "XX", "--n", "1..2", "--q", "3"],
+                 ["verify", "all", "--family", "A", "--jobs", "2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: unknown family {argv[3]!r}\n")
+
+
 def test_fewer_than_one_job_is_a_usage_error(capsys):
     for jobs in ("0", "-2"):
         assert main(["verify", "lemmas", "--q", "2", "--jobs", jobs]) == 2

@@ -38,12 +38,6 @@ def test_building_the_parser_loads_only_cli():
     assert loaded == {"cli"}, loaded
 
 
-def test_the_parser_offers_every_group_family():
-    from lie_degrees import cli, maxdegree
-
-    assert cli.EPSILON_FAMILIES == maxdegree.FAMILIES
-
-
 def test_epsilon_an_loads_only_the_young_diagram_modules():
     loaded = loaded_after("import lie_degrees.cli as c\n"
                           "c.main(['epsilon', 'an', '--n', '7'])")

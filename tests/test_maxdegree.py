@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lie_degrees import maxdegree
+from lie_degrees import _LABEL_FAMILY, maxdegree
 from lie_degrees.maxdegree import (
     CentralizerTypeGL,
     CertVerdict,
@@ -22,6 +22,7 @@ from lie_degrees.maxdegree import (
     epsilon_certificate,
     gl_degree_of_type,
     merge_ratio_sl_n_2,
+    min_rank,
     order_parts,
     order_pprime,
     prime_power,
@@ -86,19 +87,6 @@ def _order_parts_reference(family, n, q):
     return q ** (n * (n - 1)), pprime
 
 
-def _symbol_order_reference(family, n, q):
-    """|G|_{q'} of the symbol families BC, D, 2D, as the degree formula had it."""
-    if family == "BC":
-        out = 1
-        for i in range(1, n + 1):
-            out *= q ** (2 * i) - 1
-        return out
-    out = q ** n - 1 if family == "D" else q ** n + 1
-    for i in range(1, n):
-        out *= q ** (2 * i) - 1
-    return out
-
-
 def _partition_order_reference(family, n, q):
     """|prod_{i <= n} (Q^i - 1)| at Q = q (GL) or Q = -q (GU)."""
     signed = q if family == "GL" else -q
@@ -119,14 +107,13 @@ ORDER_QS = (2, 3, 4, 5, 7, 8, 9)
 def test_order_table_matches_the_written_out_formulas():
     for q in ORDER_QS:
         for n in range(1, 13):
-            for family in maxdegree.FAMILIES:
-                if family in ("D", "2D") and n < 2:
-                    continue
+            for family, label in _LABEL_FAMILY.items():
                 expected = _order_parts_reference(family, n, q)
-                assert order_parts(GroupSpec(family, n, q)) == expected, (family, n, q)
                 assert order_pprime(family, n, q) == expected[1]
-            for family in ("BC", "D", "2D"):
-                assert order_pprime(family, n, q) == _symbol_order_reference(family, n, q)
+                if label not in ("GL", "GU"):  # a symbol family has the order of its groups
+                    assert order_pprime(label, n, q) == expected[1]
+                if n >= min_rank(family):
+                    assert order_parts(GroupSpec(family, n, q)) == expected, (family, n, q)
         for n in range(13):
             for family in ("GL", "GU"):
                 assert order_pprime(family, n, q) == _partition_order_reference(family, n, q)
@@ -171,8 +158,6 @@ def test_order_parts_examples():
 
 
 def test_group_spec_validation():
-    with pytest.raises(ValueError):
-        GroupSpec("E", 3, 2)
     with pytest.raises(ValueError):
         GroupSpec("D", 1, 2)
     with pytest.raises(ValueError):
@@ -403,6 +388,24 @@ def test_epsilon_certificate_rank_guards():
         epsilon_certificate(GroupSpec("2A", 2, 3))
     with pytest.raises(ValueError):
         epsilon_certificate(GroupSpec("D", 3, 3))
+
+
+# sha256 of the verdict, or the ValueError text, of every group family at
+# q = 2..16 and n = 1..40: a change to any listed range or rank guard changes it
+EPSILON_DIGEST = "65bf43ff84bfe36e3b218adff052c15acba19447e6fb9054ab9c30cf1a527d03"
+
+
+def test_epsilon_certificates_are_pinned():
+    import hashlib
+    import itertools
+    rows = []
+    for fam, q, n in itertools.product(_LABEL_FAMILY, range(2, 17), range(1, 41)):
+        try:
+            verdict = epsilon_certificate(GroupSpec(fam, n, q)).value
+        except ValueError as exc:
+            verdict = f"ValueError: {exc}"
+        rows.append(f"{fam} {n} {q} {verdict}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == EPSILON_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,18 @@ def test_suite_config_validation():
         suites.run_suite(suites.SuiteConfig(), "bogus")
 
 
+def test_every_entry_point_refuses_an_unknown_family():
+    calls = (lambda: maxdegree.min_rank("E"), lambda: maxdegree.order_pprime("E", 3, 2),
+             lambda: maxdegree.GroupSpec("E", 3, 2), lambda: unipotent.steinberg_symbol(3, "E"),
+             lambda: unipotent.enumerate_symbols(3, "E"),
+             lambda: unipotent.verify_steinberg_max(3, (2,), "E"),
+             lambda: tables.degrees_table("E", 3, 2), lambda: suites.SuiteConfig(families=("E",)),
+             lambda: suites.SuiteConfig(families=("GL", "A")))  # A names groups, not labels
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_write_atomic(tmp_path):
     path = tmp_path / "out.json"
     tables.write_atomic(str(path), "hello\n")

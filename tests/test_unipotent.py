@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_degrees import unipotent
+from lie_degrees import _LABEL_FAMILIES, unipotent
 from lie_degrees.partitions import (
     Partition,
     _partition_tuples,
@@ -106,7 +106,7 @@ def test_every_degree_goes_through_the_one_evaluator(monkeypatch):
     degree_gu(Partition((3, 1)), 7)
     degree_symbol(Symbol((1, 2), (0,)), 7)
     assert evaluated == ["GL", "GU", "BC"]
-    for fam in unipotent.FAMILIES:
+    for fam in _LABEL_FAMILIES:
         evaluated.clear()
         verify_steinberg_max(4, (7,), fam)
         assert fam in evaluated, fam
@@ -370,9 +370,8 @@ def test_degree_symbol_trivial_example():
 
 
 def test_steinberg_symbols():
+    # the rows themselves: test_steinberg_symbol_rows_per_family
     for n in range(1, 9):
-        assert steinberg_symbol(n, "BC") == Symbol(tuple(range(1, n + 1)),
-                                                   tuple(range(0, n + 1)))
         for q in (2, 3):
             assert degree_symbol(steinberg_symbol(n, "BC"), q) == q ** (n * n)
     for n in range(2, 9):
@@ -381,8 +380,6 @@ def test_steinberg_symbols():
             assert degree_symbol(steinberg_symbol(n, "2D"), q) == q ** (n * (n - 1))
         assert symbol_rank(steinberg_symbol(n, "D")) == n
         assert symbol_rank(steinberg_symbol(n, "2D")) == n
-    with pytest.raises(ValueError):
-        steinberg_symbol(1, "D")
     with pytest.raises(ValueError):
         steinberg_symbol(3, "GL")
 
@@ -554,21 +551,20 @@ def test_steinberg_max_small():
 
 def test_steinberg_max_matches_brute_force_per_q():
     qs = (2, 3, 4, 5, 7)
-    for fam in ("BC", "D", "2D"):
-        for n in range(1 if fam == "BC" else 2, 9):
-            classes = enumerate_symbols(n, fam)
-            st_sym = canonicalize(steinberg_symbol(n, fam))
-            results = verify_steinberg_max(n, qs, fam)
-            assert len(results) == len(qs)
-            for q, (ok, runner, gap) in zip(qs, results):
-                st_degree = degree_symbol(st_sym, q)
-                others = [c for c in classes if c != st_sym]
-                degs = [degree_symbol(c, q) for c in others]
-                best = max(degs)
-                expected = others[degs.index(best)]  # first maximum in enumeration order
-                assert ok == (st_degree > best)
-                assert runner == expected
-                assert gap == Fraction(st_degree, best)
+    for fam, n in _symbol_ranks(8):
+        classes = enumerate_symbols(n, fam)
+        st_sym = canonicalize(steinberg_symbol(n, fam))
+        results = verify_steinberg_max(n, qs, fam)
+        assert len(results) == len(qs)
+        for q, (ok, runner, gap) in zip(qs, results):
+            st_degree = degree_symbol(st_sym, q)
+            others = [c for c in classes if c != st_sym]
+            degs = [degree_symbol(c, q) for c in others]
+            best = max(degs)
+            expected = others[degs.index(best)]  # first maximum in enumeration order
+            assert ok == (st_degree > best)
+            assert runner == expected
+            assert gap == Fraction(st_degree, best)
     for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
         for n in range(2, 9):
             results = verify_steinberg_max(n, qs, fam)
@@ -656,15 +652,14 @@ CHAIN_DIGEST = "e12905c60bda27fcef16e595a25d17605346b042cb1305fcc71ca28b113cea2f
 def test_chains_are_pinned():
     import hashlib
     walked = []
-    for fam in ("BC", "D", "2D"):
-        for n in range(1 if fam == "BC" else 2, 8):
-            st_sym = canonicalize(steinberg_symbol(n, fam))
-            for sym in enumerate_symbols(n, fam):
-                if sym == st_sym:
-                    continue
-                for q in (2, 3, 5):
-                    chain = [canonicalize(s) for s in stclass_chain(sym, q)]
-                    walked.append((fam, n, q, [(s.X, s.Y) for s in chain]))
+    for fam, n in _symbol_ranks(7):
+        st_sym = canonicalize(steinberg_symbol(n, fam))
+        for sym in enumerate_symbols(n, fam):
+            if sym == st_sym:
+                continue
+            for q in (2, 3, 5):
+                chain = [canonicalize(s) for s in stclass_chain(sym, q)]
+                walked.append((fam, n, q, [(s.X, s.Y) for s in chain]))
     assert len(walked) == 1764
     assert hashlib.sha256(repr(walked).encode()).hexdigest() == CHAIN_DIGEST
 
@@ -678,8 +673,7 @@ def test_forest_chains_match_stclass_chain():
         assert error is None
         assert [Symbol(*r) for r in chain] == stclass_chain(Symbol(*rows), q)
         walked += 1
-    starts = sum(len(enumerate_symbols(n, fam)) - 1
-                 for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, 8))
+    starts = sum(len(enumerate_symbols(n, fam)) - 1 for fam, n in _symbol_ranks(7))
     assert walked == 3 * starts
 
 
@@ -969,7 +963,7 @@ def test_runner_up_search_stops_on_the_largest_slack():
 
 
 def test_steinberg_max_rejects_rank_below_one():
-    for fam in unipotent.FAMILIES:
+    for fam in _LABEL_FAMILIES:
         for n in (0, -1):
             with pytest.raises(ValueError, match="rank must be >= 1"):
                 verify_steinberg_max(n, (2,), fam)
