@@ -5,12 +5,14 @@ Importing the package loads none of its modules: each public name below is
 imported from its module on first access (PEP 562), so a program that uses
 only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
 The family table lives here too, so that the CLI builds its parser from it
-without loading a module.
+without loading a module, and so does _record, the validated namedtuple base
+of the qexact and maxdegree records.
 """
 
 import contextlib
 import importlib
 import sys
+from collections import namedtuple
 
 # module -> the public names it defines
 _EXPORTS = {
@@ -65,6 +67,16 @@ def _int_digits(limit: int):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _record(typename: str, field_names: str) -> type:
+    """A namedtuple base for a record class that validates in its __new__:
+    _make (and with it _replace) and unpickling at every protocol call the
+    class, so no instance skips the checks."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
 
 
 def __getattr__(name: str):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import _LABEL_FAMILIES, _LABEL_FAMILY, _SYMBOL_DEFECT, _int_digits  # already loaded
 
@@ -66,6 +65,7 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with a zero denominator a ValueError like any other
     malformed number (Fraction raises ZeroDivisionError for it)."""
+    from fractions import Fraction  # here: building the parser loads no fractions
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -169,6 +169,8 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_ratio_search(args) -> int:
+    from fractions import Fraction
+
     from . import partitions, symmetric
     lam = parse_partition(args.partition)
     witness = symmetric.ratio_witness(lam, parse_fraction_set(args.exclude),

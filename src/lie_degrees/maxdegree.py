@@ -15,12 +15,11 @@ groups are read at Q = -q in absolute value (Ennola duality).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _LABEL_FAMILIES, _LABEL_FAMILY
+from . import _LABEL_FAMILIES, _LABEL_FAMILY, _record
 from .qexact import (
     RationalInterval,
     bracket,
@@ -43,21 +42,21 @@ def min_rank(family: str) -> int:
     return 2 if _label_family(family) in ("D", "2D") else 1
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    family: str
-    n: int
-    q: int
+class GroupSpec(_record("GroupSpec", "family n q")):
+    """A group of the family (A, 2A, B, C, D, 2D) of rank n, in the matrix
+    convention above, over the field of q elements, q a prime power."""
 
-    def __post_init__(self):
-        if self.family not in _LABEL_FAMILY:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int, q: int):
+        if family not in _LABEL_FAMILY:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 1:
             raise ValueError("rank must be >= 1")
-        if self.n < min_rank(self.family):
-            raise ValueError(f"family {self.family} needs rank >= {min_rank(self.family)}")
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
+        if n < min_rank(family):
+            raise ValueError(f"family {family} needs rank >= {min_rank(family)}")
+        check_field_order(q)
+        return super().__new__(cls, family, n, q)
 
 
 @lru_cache(maxsize=4096)
@@ -121,18 +120,109 @@ def seitz_bound(spec: GroupSpec) -> int:
 # irreducible polynomial counts
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin to these bases decides primality below _MR_PROVEN (Sorenson and
+# Webster, 2015); above it a strong Lucas test completes the Baillie-PSW test,
+# which no composite is known to pass.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_PROVEN or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    a, out = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, n odd and > 41."""
+    if math.isqrt(n) ** 2 == n:  # no D below would ever have Jacobi symbol -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    U, V, Qk = 1, P, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = P * U + V, D * U + P * V
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _iroot(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q, e >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, e) with q = p^e if q is a prime power, else None."""
+    """(p, e) with q = p^e if q is a prime power, else None.
+
+    Tries each exponent e < log2(q) with the integer e-th root, so the cost
+    grows with the bit length of q, not with sqrt(q).
+    """
     if q < 2:
         return None
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return (q, 1)
+    for e in range(1, q.bit_length()):
+        r = _iroot(q, e)
+        if r ** e == q and _is_prime(r):
+            return r, e
+    return None
+
+
+def check_field_order(q: int) -> None:
+    """ValueError unless q is the order of a finite field."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if prime_power(q) is None:
+        raise ValueError("q must be a prime power")
 
 
 @lru_cache(maxsize=200_000)
@@ -198,19 +288,18 @@ def count_irred_nondual(q: int, d: int) -> int:
 # exact b(GL_n(q)) over centralizer types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralizerTypeGL:
+class CentralizerTypeGL(_record("CentralizerTypeGL", "blocks")):
     """Multiset of (k, d) blocks GL_k(q^d); canonically sorted by descending
     (k*d, d, k) so the two heaviest blocks come first."""
 
-    blocks: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        blocks = tuple(sorted(((int(k), int(d)) for k, d in self.blocks),
+    def __new__(cls, blocks: tuple[tuple[int, int], ...]):
+        blocks = tuple(sorted(((int(k), int(d)) for k, d in blocks),
                               key=lambda kd: (-kd[0] * kd[1], -kd[1], -kd[0])))
         if any(k < 1 or d < 1 for k, d in blocks):
             raise ValueError(f"blocks need k, d >= 1: {blocks}")
-        object.__setattr__(self, "blocks", blocks)
+        return super().__new__(cls, blocks)
 
     @property
     def n(self) -> int:

@@ -25,26 +25,31 @@ mantissas at scale 2^192.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from . import _record
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """A closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+class RationalInterval(_record("RationalInterval", "lo hi")):
+    """A closed interval [lo, hi] with exact rational endpoints.
 
-    def __post_init__(self):
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    A validated namedtuple: it unpacks as (lo, hi) and equals that plain
+    tuple.  An endpoint that is already a Fraction is kept as it is; anything
+    else (an int, a string) is converted once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @classmethod
     def point(cls, x) -> "RationalInterval":
@@ -58,6 +63,8 @@ class RationalInterval:
     def contains(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
+    __contains__ = contains  # `x in ival` is membership, not endpoint equality
+
     def subset_of(self, other: "RationalInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
@@ -70,9 +77,11 @@ class RationalInterval:
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other) -> "RationalInterval":
-        other = _as_interval(other)
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
+        a, b = self
+        c, d = _as_interval(other)
+        if a.numerator >= 0 and c.numerator >= 0:  # both nonnegative: no sign flips
+            return RationalInterval(a * c, b * d)
+        prods = (a * c, a * d, b * c, b * d)
         return RationalInterval(min(prods), max(prods))
 
     __radd__ = __add__
@@ -80,10 +89,10 @@ class RationalInterval:
 
     def __truediv__(self, other) -> "RationalInterval":
         other = _as_interval(other)
-        if other.lo <= 0 <= other.hi:
+        lo, hi = other
+        if lo.numerator <= 0 <= hi.numerator:
             raise ZeroDivisionError(f"division by interval containing 0: {other}")
-        inv = RationalInterval(1 / other.hi, 1 / other.lo)
-        return self * inv
+        return self * RationalInterval(1 / hi, 1 / lo)
 
     def int_pow(self, k: int) -> "RationalInterval":
         if k < 0:

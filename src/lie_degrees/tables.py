@@ -115,13 +115,14 @@ def bounds_table(family: str, n_min: int, n_max: int, q: int) -> tuple[list[str]
 
     header = ["family", "n", "q", "lower", "c", "upper",
               "lower_decimal", "c_decimal", "upper_decimal", "seitz", "st"]
+    maxdegree.check_field_order(q)  # also when min_rank empties the rank range
     rows = []
     for n in range(max(n_min, maxdegree.min_rank(family)), n_max + 1):
         spec = maxdegree.GroupSpec(family, n, q)
         lower, upper = maxdegree.bound_bracket(spec)
         st, _ = maxdegree.order_parts(spec)
         lo_f, up_f = fmt_rational(lower), fmt_rational(upper)
-        if family == "A" and maxdegree.prime_power(q):
+        if family == "A":
             b, _w = maxdegree.b_gl_exact(n, q)
             c_f = fmt_rational(Fraction(b, st))
         else:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -172,6 +173,29 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
     r = run_cli("epsilon", "cert", "--family", "A", "--rank", "1", "--q", "6")
     assert r.returncode == 2
+
+
+def test_a_q_that_is_not_a_prime_power_is_a_usage_error(capsys):
+    # no field has 6 elements: no rows and no verdict, only the error
+    for argv in (["bounds", "--family", "B", "--q", "6", "--n", "2..3"],
+                 ["bounds", "--family", "A", "--q", "2,6", "--n", "1..2"],
+                 ["bounds", "--family", "D", "--q", "6", "--n", "1..1"],  # no rank in range
+                 ["epsilon", "cert", "--family", "A", "--rank", "15", "--q", "6"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: q must be a prime power\n")
+    assert main(["bounds", "--family", "D", "--q", "1", "--n", "1..1"]) == 2
+    assert capsys.readouterr() == ("", "error: q must be >= 2\n")
+
+
+def test_a_large_prime_q_is_accepted_quickly(capsys):
+    # the prime-power check costs O(log q) root extractions, not sqrt(q) divisions
+    q = 2 ** 61 - 1
+    for argv in (["epsilon", "cert", "--family", "B", "--rank", "3", "--q", str(q)],
+                 ["bounds", "--family", "C", "--q", str(q), "--n", "2..2"]):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().out
 
 
 def test_degree_without_a_label_is_a_usage_error(capsys):

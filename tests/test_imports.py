@@ -13,15 +13,18 @@ from lie_degrees.cli import COMMANDS, main
 
 SRC = os.path.dirname(os.path.dirname(lie_degrees.__file__))
 CHECK_GRAPH = {"unipotent", "partitions", "symmetric", "suites"}
+# standard modules whose load is watched: the pool, and the costly imports the
+# records of the bounds path do without
+STDLIB = {"multiprocessing", "dataclasses", "inspect", "fractions"}
 
 
 def loaded_after(code: str) -> set[str]:
-    """The lie_degrees submodules (by short name) and multiprocessing that a
-    fresh interpreter has loaded after running code."""
+    """The lie_degrees submodules (by short name) and the STDLIB modules that
+    a fresh interpreter has loaded after running code."""
     probe = code + (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m.split('.', 1)[-1] for m in sys.modules\n"
-        "                        if m.startswith('lie_degrees.') or m == 'multiprocessing')))\n")
+        f"                        if m.startswith('lie_degrees.') or m in {sorted(STDLIB)})))\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
@@ -41,13 +44,16 @@ def test_building_the_parser_loads_only_cli():
 def test_epsilon_an_loads_only_the_young_diagram_modules():
     loaded = loaded_after("import lie_degrees.cli as c\n"
                           "c.main(['epsilon', 'an', '--n', '7'])")
-    assert loaded == {"cli", "partitions", "symmetric"}, loaded
+    # Partition is still a dataclass, so dataclasses and inspect load here
+    assert loaded == {"cli", "partitions", "symmetric",
+                      "dataclasses", "inspect", "fractions"}, loaded
 
 
 def test_epsilon_an_table_loads_no_order_module():
     loaded = loaded_after("import lie_degrees.cli as c\n"
                           "c.main(['epsilon', 'an', '--n', '5..7', '--format', 'csv'])")
-    assert loaded == {"cli", "tables", "partitions", "symmetric"}, loaded
+    assert loaded == {"cli", "tables", "partitions", "symmetric",
+                      "dataclasses", "inspect", "fractions"}, loaded
 
 
 def test_bounds_loads_no_check_graph():
@@ -55,6 +61,14 @@ def test_bounds_loads_no_check_graph():
                           "c.main(['bounds', '--family', 'A', '--n', '1..2', '--q', '2'])")
     assert "maxdegree" in loaded
     assert not loaded & (CHECK_GRAPH | {"multiprocessing"}), loaded
+    assert not loaded & {"dataclasses", "inspect"}, loaded
+
+
+def test_epsilon_cert_loads_no_dataclasses():
+    loaded = loaded_after("import lie_degrees.cli as c\n"
+                          "c.main(['epsilon', 'cert', '--family', 'A', '--rank', '15',"
+                          " '--q', '3'])")
+    assert loaded == {"cli", "maxdegree", "qexact", "fractions"}, loaded
 
 
 def test_serial_verify_loads_no_multiprocessing():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -25,9 +26,11 @@ from lie_degrees.maxdegree import (
     min_rank,
     order_parts,
     order_pprime,
+    _strong_lucas_probable_prime,
     prime_power,
     seitz_bound,
 )
+from lie_degrees.qexact import RationalInterval
 
 
 def orbit_oracle(q, d):
@@ -158,10 +161,51 @@ def test_order_parts_examples():
 
 
 def test_group_spec_validation():
-    with pytest.raises(ValueError):
-        GroupSpec("D", 1, 2)
-    with pytest.raises(ValueError):
-        GroupSpec("A", 2, 1)
+    for args, error in ((("A", 0, 2), "rank must be >= 1"),
+                        (("D", 1, 2), "family D needs rank >= 2"),
+                        (("A", 2, 1), "q must be >= 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            GroupSpec(*args)
+    assert GroupSpec(family="2D", n=4, q=9) == GroupSpec("2D", 4, 9)
+    assert CentralizerTypeGL(blocks=[(1, 2), (3, 1)]).blocks == ((3, 1), (1, 2))
+
+
+# (record, its repr, its fields, fields the record refuses, the refusal) for
+# the validated namedtuple records of maxdegree and qexact
+RECORDS = [
+    (GroupSpec("A", 3, 2), "GroupSpec(family='A', n=3, q=2)", ("A", 3, 2),
+     ("A", 3, 6), "q must be a prime power"),
+    (CentralizerTypeGL(((1, 1), (2, 1))), "CentralizerTypeGL(blocks=((2, 1), (1, 1)))",
+     (((2, 1), (1, 1)),), (((1, 1), (0, 2)),), "blocks need k, d >= 1: ((1, 1), (0, 2))"),
+    (RationalInterval(Fraction(1, 2), 1),
+     "RationalInterval(lo=Fraction(1, 2), hi=Fraction(1, 1))",
+     (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1, 2)), "empty interval: [1, 1/2]"),
+]
+
+
+@pytest.mark.parametrize("record, text, fields, bad, error", RECORDS,
+                         ids=[type(r[0]).__name__ for r in RECORDS])
+def test_records_behave_as_the_frozen_dataclasses_did(record, text, fields, bad, error):
+    import pickle
+    cls = type(record)
+    assert repr(record) == text
+    again = cls(*fields)
+    assert again == record and hash(again) == hash(record) and again is not record
+    assert record == fields and tuple(record) == fields  # new: the plain tuple
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        record.other = 1
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        cls(*bad)
+    # no way in skips the checks: _replace, and unpickling at every protocol
+    with pytest.raises(ValueError, match=re.escape(error)):
+        record._replace(**dict(zip(record._fields, bad)))
+    forged = tuple.__new__(cls, bad)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+        with pytest.raises(ValueError, match=re.escape(error)):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 def test_seitz_examples():
@@ -192,6 +236,46 @@ def test_prime_power():
     assert prime_power(7) == (7, 1)
     assert prime_power(6) is None
     assert prime_power(1) is None
+    assert prime_power(0) is None and prime_power(-8) is None
+
+
+def _trial_division_prime_power(q: int):
+    if q < 2:
+        return None
+    for p in range(2, math.isqrt(q) + 1):
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q, e = q // p, e + 1
+            return (p, e) if q == 1 else None
+    return (q, 1)
+
+
+def test_prime_power_matches_trial_division():
+    assert all(prime_power(q) == _trial_division_prime_power(q) for q in range(-2, 20_000))
+
+
+def test_prime_power_of_large_q():
+    m61, m89, m127 = 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1  # Mersenne primes
+    assert prime_power(m61) == (m61, 1)
+    assert prime_power(m61 ** 2) == (m61, 2)
+    assert prime_power(m89) == (m89, 1)  # above the proven Miller-Rabin range
+    assert prime_power(m127 ** 3) == (m127, 3)
+    assert prime_power(2 ** 200) == (2, 200)
+    assert prime_power(m61 * m89) is None
+    assert prime_power(m61 ** 2 * m89) is None
+    # a strong pseudoprime to the bases 2..31, a product of three primes
+    assert prime_power(3825123056546413051) is None
+
+
+def test_strong_lucas_test_on_the_known_pseudoprimes():
+    # the odd composites below 60000 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255), and every odd prime there
+    composites = [n for n in range(43, 60_000, 2) if _trial_division_prime_power(n) != (n, 1)]
+    assert [n for n in composites if _strong_lucas_probable_prime(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    assert all(_strong_lucas_probable_prime(n) for n in range(43, 60_000, 2)
+               if _trial_division_prime_power(n) == (n, 1))
 
 
 def test_count_irred_examples():
@@ -390,22 +474,32 @@ def test_epsilon_certificate_rank_guards():
         epsilon_certificate(GroupSpec("D", 3, 3))
 
 
-# sha256 of the verdict, or the ValueError text, of every group family at
-# q = 2..16 and n = 1..40: a change to any listed range or rank guard changes it
-EPSILON_DIGEST = "65bf43ff84bfe36e3b218adff052c15acba19447e6fb9054ab9c30cf1a527d03"
+# sha256 of the verdict, or the ValueError text, of every group family at the
+# prime powers q = 2..16 and n = 1..40: a change to any listed range or rank
+# guard changes it.  The other q in that range name no field (next test).
+EPSILON_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+EPSILON_DIGEST = "a3d221b65c3d91bd2075626a6a3d6bb89e9880d47fb0cdb4dc099179e9c27c54"
 
 
 def test_epsilon_certificates_are_pinned():
     import hashlib
     import itertools
     rows = []
-    for fam, q, n in itertools.product(_LABEL_FAMILY, range(2, 17), range(1, 41)):
+    for fam, q, n in itertools.product(_LABEL_FAMILY, EPSILON_QS, range(1, 41)):
         try:
             verdict = epsilon_certificate(GroupSpec(fam, n, q)).value
         except ValueError as exc:
             verdict = f"ValueError: {exc}"
         rows.append(f"{fam} {n} {q} {verdict}")
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == EPSILON_DIGEST
+
+
+def test_group_spec_needs_a_prime_power_q():
+    assert [q for q in range(2, 17) if prime_power(q)] == list(EPSILON_QS)
+    for q in (6, 10, 12, 14, 15):
+        for fam in _LABEL_FAMILY:
+            with pytest.raises(ValueError, match="^q must be a prime power$"):
+                GroupSpec(fam, 4, q)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,77 @@ def test_interval_arithmetic():
         a / b
     with pytest.raises(ValueError):
         RationalInterval(Fraction(2), Fraction(1))
+    half = Fraction(1, 2)  # a Fraction endpoint is kept, anything else converted
+    ival = RationalInterval(half, "3/2")
+    assert ival.lo is half and ival == (half, Fraction(3, 2))
+    assert type(RationalInterval(1, 2).hi) is Fraction
+    # `in` tests membership in the interval, not equality with an endpoint
+    assert half in RationalInterval(0, 1) and 1 in RationalInterval(0, 1)
+    assert 2 not in RationalInterval(0, 1)
+
+
+def _reference_product(x, y) -> RationalInterval:
+    """[min, max] of the four endpoint products, for every sign pattern."""
+    prods = [a * b for a in x for b in y]
+    return RationalInterval(min(prods), max(prods))
+
+
+def _reference_pow(x, k: int) -> RationalInterval:
+    """int_pow's square-and-multiply on _reference_product."""
+    if k < 0:
+        lo, hi = _reference_pow(x, -k)
+        if lo <= 0 <= hi:
+            raise ZeroDivisionError
+        return _reference_product((Fraction(1),), (1 / hi, 1 / lo))
+    out, base = RationalInterval.point(1), x
+    while k:
+        if k & 1:
+            out = _reference_product(out, base)
+        base = _reference_product(base, base)
+        k >>= 1
+    return out
+
+
+_SIGNS = ("nonnegative", "nonpositive", "straddling")
+_ENDPOINTS = st.fractions(max_denominator=10 ** 12)
+
+
+@st.composite
+def _intervals(draw):
+    """An interval of the drawn sign pattern, zero endpoints included."""
+    a, b = abs(draw(_ENDPOINTS)), abs(draw(_ENDPOINTS))
+    sign = draw(st.sampled_from(_SIGNS))
+    if sign == "nonnegative":
+        return RationalInterval(min(a, b), max(a, b))
+    if sign == "nonpositive":
+        return RationalInterval(-max(a, b), -min(a, b))
+    return RationalInterval(-a, b)
+
+
+@given(_intervals(), _intervals())
+@settings(max_examples=300, deadline=None)
+def test_interval_products_match_the_four_product_reference(x, y):
+    assert x * y == _reference_product(x, y)
+    for scalar in y:
+        assert x * scalar == scalar * x == _reference_product(x, (scalar,))
+    if y.lo <= 0 <= y.hi:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert x / y == _reference_product(x, (1 / y.hi, 1 / y.lo))
+    assert all(type(end) is Fraction for end in x * y)
+
+
+@given(_intervals(), st.integers(-5, 7))
+@settings(max_examples=200, deadline=None)
+def test_int_pow_matches_the_four_product_reference(x, k):
+    try:
+        expected = _reference_pow(x, k)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            x.int_pow(k)
+    else:
+        assert x.int_pow(k) == expected
 
 
 # ---------------------------------------------------------------------------
