@@ -28,7 +28,8 @@ _INPUT_DIGITS = sys.get_int_max_str_digits()
 
 @_int_digits(_INPUT_DIGITS)
 def parse_partition(text: str) -> partitions.Partition:
-    """Parse '3,2,1' or power notation '2^3,1' into a partition."""
+    """Parse '3,2,1' or power notation '2^3,1' into a partition; a negative
+    power count is a ValueError."""
     from . import partitions
     parts: list[int] = []
     for chunk in text.split(","):
@@ -37,6 +38,8 @@ def parse_partition(text: str) -> partitions.Partition:
             continue
         if "^" in chunk:
             base, _, count = chunk.partition("^")
+            if int(count) < 0:
+                raise ValueError(f"negative power count in {chunk!r}")
             parts.extend([int(base)] * int(count))
         else:
             parts.append(int(chunk))

@@ -30,15 +30,18 @@ k1 hooks of length 1 (the corners of the partitions), k longer hooks and the
 power of 2 - the bounds q - 1 = q (1 - 1/q), q^h - 1 >= q^h (1 - 1/q^2) for
 h >= 2 and q^k + 1 > q^k give degree <= |G|_{q'} q^e (q/(q - 1))^k1
 (q^2/(q^2 - 1))^k / 2^c.  A symbol's e is a function of its entry multiset
-(its Lusztig family), so symbol labels are generated a family at a time in
-two bands of e: the labels of the largest e, whose degrees bound the
-runner-up from below, and those down to the least e whose bound can still
-reach one of them.  At each q the walk starts from the best label of the
-first band, skips a label of the second whose bound, compared in integers,
-is below the best degree so far, and stops once the bound with the rank's
-largest slack is: no more corners than a staircase of the same size has.  A
-label's plan is built the first time some q evaluates it, and none is kept
-after the sweep.
+(its Lusztig family), and a partition lam of n has e = -n(lam') - n with
+n(lam') = sum binom(lam_i, 2), so symbols are generated a family at a time
+and partitions by a budget on n(lam').  One search (_search) serves all five
+families: the Steinberg label's e is -n in each, and from the one floor
+-n - 1 the labels come in two bands of e: those of the largest e, whose
+degrees bound the runner-up from below, and those down to the least e whose
+bound can still reach one of them.  At each q the walk starts from the best
+label of the first band, skips a label of the second whose bound, compared
+in integers, is below the best degree so far, and stops once the bound with
+the rank's largest slack is: no more corners than a staircase of the same
+size has.  A label's plan is built the first time some q evaluates it, and
+none is kept after the sweep.
 
 A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class on canonical row pairs: the next class (_chain_step) is that
@@ -445,12 +448,6 @@ def _steinberg_classes(n: int, fam: str) -> frozenset[_Rows]:
 # Steinberg maximality sweeps
 # ---------------------------------------------------------------------------
 
-def _partition_exponent(parts: tuple[int, ...]) -> int:
-    """a - sum of the hook lengths of a partition lam of n: the n hooks have
-    total length n(lam) + n(lam') + n, so this is -n(lam') - n."""
-    return -sum(p * (p - 1) // 2 for p in parts) - sum(parts)
-
-
 @lru_cache(maxsize=None)
 def _base_exponent(m: int) -> int:
     """E0(m), the exponent key of the sorted entries z_j = ceil(j/2), j < m:
@@ -516,16 +513,24 @@ def _slack_cap(fam: str, n: int) -> _Slack:
     return k1, m - k1, 0
 
 
-def _partition_entries(n: int) -> list[_Entry]:
-    """Search entries of the non-Steinberg partitions of n, sorted: n hooks,
-    one per distinct part of length 1, c = 0; the parts are the tie key and
-    the label."""
-    out = []
-    for p in _partition_tuples(n, n):
-        if p != (1,) * n:
-            k1 = len(set(p))
-            out.append((-_partition_exponent(p), p, (k1, n - k1, 0), p))
-    return sorted(out)
+def _partition_entries(n: int, floor: int) -> Iterator[_Entry]:
+    """Search entries of the non-Steinberg partitions lam of n with
+    e = -n(lam') - n >= floor, where n(lam') = sum binom(lam_i, 2): a DFS
+    places the parts >= 2, largest first, under the budget -floor - n, and
+    fills the rest with 1s, so e is floor plus the unspent budget.  Of the n
+    hooks, k1 are the corners (distinct parts), and c = 0; the parts are the
+    tie key and the label.
+    """
+    def place(parts: tuple[int, ...], rest: int, left: int) -> Iterator[_Entry]:
+        if parts:  # (1^n), the Steinberg label, is no entry
+            label = parts + (1,) * rest
+            k1 = len(set(label))
+            yield -floor - left, label, (k1, n - k1, 0), label
+        for v in range(min(parts[-1:] + (rest,)), 1, -1):
+            if v * (v - 1) // 2 <= left:
+                yield from place(parts + (v,), rest - v, left - v * (v - 1) // 2)
+
+    return place((), n, -floor - n)
 
 
 def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
@@ -562,26 +567,30 @@ def _symbol_entries(n: int, fam: str, floor: int) -> Iterator[_Entry]:
                            (k1, n - d * d // 4 - k1, max(0, (len(singles) - 1) // 2)), (x, y))
 
 
-def _symbol_search(n: int, fam: str, q_list: tuple[int, ...], slack: _Slack,
-                   evaluate: Callable[[object, int], int]) -> tuple[list[tuple], list[_Entry]]:
+def _search(n: int, fam: str, q_list: tuple[int, ...], slack: _Slack,
+            evaluate: Callable[[object, int], int]) -> tuple[list[tuple], list[_Entry]]:
     """The seed (label, degree, tie key) of each q, the best label of band 1,
     the labels of the largest e (ties to the smallest tie key), and the sorted
     search entries of band 2, those below it down to the cut, the least e
     whose bound with slack reaches a seed's degree (see
-    verify_steinberg_max)."""
-    floor = _base_exponent(2 * n + _SYMBOL_DEFECT[fam] % 2) - 1  # one below the Steinberg e
+    verify_steinberg_max).  Every seed is (None, -1, None) when the Steinberg
+    label is the only one (GL_1, GU_1)."""
+    def entries(floor: int) -> list[_Entry]:
+        return sorted(_partition_entries(n, floor) if fam in ("GL", "GU")
+                      else _symbol_entries(n, fam, floor))
+
+    floor = -n - 1  # one below the Steinberg e, -n in every family
     # no label that close (2D_2): take them all
-    top = sorted(_symbol_entries(n, fam, floor)) or sorted(_symbol_entries(n, fam, -n * (n + 1)))
+    top = entries(floor) or entries(-n * (n + 1))
+    if not top:
+        return [(None, -1, None)] * len(q_list), []
     band = [entry for entry in top if entry[0] == top[0][0]]
     cut, seeds = -top[0][0], []
     for q in q_list:
-        degrees = [evaluate(label, q) for _, _, _, label in band]
-        best = max(degrees)
-        _, tie, _, label = band[degrees.index(best)]
-        seeds.append((label, best, tie))
-        while not _below(order_pprime(fam, n, q), cut - 1, slack, q, best):
+        seeds.append(_runner_up(band, q, order_pprime(fam, n, q), slack, evaluate))
+        while not _below(order_pprime(fam, n, q), cut - 1, slack, q, seeds[-1][1]):
             cut -= 1
-    return seeds, (top if cut >= floor else sorted(_symbol_entries(n, fam, cut)))[len(band):]
+    return seeds, (top if cut >= floor else entries(cut))[len(band):]
 
 
 def _below(order: int, e: int, slack: _Slack, q: int, best: int) -> bool:
@@ -596,8 +605,9 @@ def _below(order: int, e: int, slack: _Slack, q: int, best: int) -> bool:
 
 def _runner_up(entries: list[_Entry], q: int, order: int, slack: _Slack,
                evaluate: Callable[[object, int], int], seed: tuple = (None, -1, None)) -> tuple:
-    """(label, degree) of the largest evaluate(label, q) over the entries and
-    the seed, ties to the smallest tie key; (None, -1) if there are none.
+    """(label, degree, tie key) of the largest evaluate(label, q) over the
+    entries and the seed, ties to the smallest tie key; (None, -1, None) if
+    there are none.
 
     order is |G|_{q'} and slack is a slack whose bound is at least every
     entry's at the same e.  A label whose bound is below the best degree so
@@ -613,7 +623,7 @@ def _runner_up(entries: list[_Entry], q: int, order: int, slack: _Slack,
         d = evaluate(label, q)
         if d > best or (d == best and tie < best_tie):
             runner, best, best_tie = label, d, tie
-    return runner, best
+    return runner, best, best_tie
 
 
 def _steinberg_outcome(st_degree: int, runner, runner_degree: int) -> tuple:
@@ -637,12 +647,13 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     q - 1 = q (1 - 1/q), a longer one q^h - 1 >= q^h - q^(h - 2) =
     q^h (1 - 1/q^2), and a cohook q^k + 1 > q^k.  Here e = a - sum h - sum k,
     k1 counts the hooks of length 1, k the other hooks and c is the power of
-    two.  A partition lam has e = -n(lam') - n, k1 the number of its corners
-    (distinct parts), k = n - k1 and c = 0.  A reduced symbol with sorted
-    entries z_j, j < m, has t_j = z_j - ceil(j/2) >= 0 (no entry occurs
-    thrice, nor 0 twice), sum t_j = n - floor(m/2), e = E0(m) - sum t_j (t_j
-    + c_j) with c_j = 1 (j even) or 2 (j odd), k1 + k = n - d^2/4 hooks, k1
-    the corners of its bipartition and c = max(0, (singletons - 1) // 2).
+    two.  A partition lam has e = -n(lam') - n, n(lam') = sum binom(lam_i, 2),
+    k1 the number of its corners (distinct parts), k = n - k1 and c = 0.  A
+    reduced symbol with sorted entries z_j, j < m, has t_j = z_j - ceil(j/2)
+    >= 0 (no entry occurs thrice, nor 0 twice), sum t_j = n - floor(m/2),
+    e = E0(m) - sum t_j (t_j + c_j) with c_j = 1 (j even) or 2 (j odd),
+    k1 + k = n - d^2/4 hooks, k1 the corners of its bipartition and
+    c = max(0, (singletons - 1) // 2).
 
     The slack cap (K1, M - K1, 0) bounds every label's factor: M = n, or
     n - d_min^2/4 for symbols, is the most hooks a label has, and K1 the most
@@ -653,19 +664,23 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     give (q/(q - 1))^k1 (q^2/(q^2 - 1))^k <= (q/(q - 1))^K1
     (q^2/(q^2 - 1))^(M - K1).
 
-    Symbol labels are searched in two bands (_symbol_search): band 1 holds
-    those of the largest e, whose best degree L_q at q is at most the
-    runner-up's R_q; band 2 goes down to the cut, the least e whose bound
-    with the cap is >= L_q at some q.  A label with e below the cut has
-    degree below L_q <= R_q at every q, so it is neither the runner-up nor
-    tied with it.  (The degree is a polynomial in q of degree
-    deg |G|_{q'} + e >= 0, and deg |G|_{q'} is n(n + 1) for BC and n^2 for D
-    and 2D, so no e is below -n(n + 1).)  The labels searched are sorted on
-    (-e, tie key), the tie key being the parts or (defect, X, Y), the
-    enumeration order; at each q the walk starts from the best label of
-    band 1 and goes on through band 2.  It evaluates exactly only the labels
-    whose bound, compared in integers with the best degree so far, can still
-    reach it, and stops once the bound with the cap cannot.
+    Labels of every family are searched in two bands (_search), generated
+    down from one floor, -n - 1: the Steinberg label has e = -n in each
+    family, since deg |G|_{q'} = N + n and its degree is q^N.  Partitions
+    come by budget (a DFS placing the parts >= 2 while n(lam') <= -floor - n)
+    and symbols by entry multiset.  Band 1 holds the labels of the largest e,
+    whose best degree L_q at q is at most the runner-up's R_q; band 2 goes
+    down to the cut, the least e whose bound with the cap is >= L_q at some
+    q.  A label with e below the cut has degree below L_q <= R_q at every q,
+    so it is neither the runner-up nor tied with it.  (The degree is a
+    polynomial in q of degree deg |G|_{q'} + e >= 0, and deg |G|_{q'} is
+    n(n + 1)/2 for GL and GU, n(n + 1) for BC and n^2 for D and 2D, so no e
+    is below -n(n + 1).)  The labels searched are sorted on (-e, tie key),
+    the tie key being the parts or (defect, X, Y), the enumeration order; at
+    each q the walk starts from the best label of band 1 and goes on through
+    band 2.  It evaluates exactly only the labels whose bound, compared in
+    integers with the best degree so far, can still reach it, and stops once
+    the bound with the cap cannot.
     """
     if fam not in _LABEL_FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
@@ -682,16 +697,13 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
             plan = plans[label] = _build_plan(label, fam, n)
         return plan.evaluate(q)
 
+    steinberg = Partition((1,) * n) if fam in ("GL", "GU") else steinberg_symbol(n, fam)
+    degree = {"GL": degree_gl, "GU": degree_gu}.get(fam, degree_symbol)
     slack = _slack_cap(fam, n)
-    if fam in ("GL", "GU"):
-        steinberg, degree = Partition((1,) * n), degree_gl if fam == "GL" else degree_gu
-        entries, seeds = _partition_entries(n), [(None, -1, None)] * len(q_list)
-    else:
-        steinberg, degree = steinberg_symbol(n, fam), degree_symbol
-        seeds, entries = _symbol_search(n, fam, q_list, slack, evaluate)
+    seeds, entries = _search(n, fam, q_list, slack, evaluate)
     out = []
     for q, seed in zip(q_list, seeds):
-        label, runner_degree = _runner_up(entries, q, order_pprime(fam, n, q), slack, evaluate, seed)
+        label, runner_degree, _ = _runner_up(entries, q, order_pprime(fam, n, q), slack, evaluate, seed)
         runner = None if label is None else plans[label].labelled()
         out.append(_steinberg_outcome(degree(steinberg, q), runner, runner_degree))
     return out

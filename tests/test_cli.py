@@ -28,6 +28,9 @@ def test_parse_partition():
     assert parse_partition("3,2,1") == Partition((3, 2, 1))
     assert parse_partition("2^3,1") == Partition((2, 2, 2, 1))
     assert parse_partition("1^20") == Partition((1,) * 20)
+    assert parse_partition("3,2^0") == Partition((3,))
+    with pytest.raises(ValueError, match="negative power count in '2\\^-1'"):
+        parse_partition("3,2^-1")
 
 
 def test_degree_commands():
@@ -171,6 +174,9 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     r = run_cli("degree", "gl", "--partition", "x,y")
     assert r.returncode == 2
+    # 2^-1 is no run of parts: refused, not read as the partition (3)
+    r = run_cli("degree", "gl", "--partition", "3,2^-1", "--q", "3")
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: negative power count in '2^-1'\n")
     r = run_cli("epsilon", "cert", "--family", "A", "--rank", "1", "--q", "6")
     assert r.returncode == 2
 

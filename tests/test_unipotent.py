@@ -701,9 +701,28 @@ def _symbol_ranks(n_max):
     return [(fam, n) for fam in ("BC", "D", "2D") for n in range(1 if fam == "BC" else 2, n_max + 1)]
 
 
+def _partition_ranks(n_max, n_min=1):
+    return [(fam, n) for fam in ("GL", "GU") for n in range(n_min, n_max + 1)]
+
+
+def _entries(n, fam, floor):
+    """The search entries of the rank with e >= floor."""
+    if fam in ("GL", "GU"):
+        return unipotent._partition_entries(n, floor)
+    return unipotent._symbol_entries(n, fam, floor)
+
+
 def _every_entry(n, fam):
     """Every search entry of the rank: no e is below -n(n + 1)."""
-    return unipotent._symbol_entries(n, fam, -n * (n + 1))
+    return _entries(n, fam, -n * (n + 1))
+
+
+def _label_degree(fam):
+    """The degree at q of a search label (parts or rows) of the family."""
+    if fam in ("GL", "GU"):
+        deg = degree_gl if fam == "GL" else degree_gu
+        return lambda parts, q: deg(Partition(parts), q)
+    return lambda rows, q: degree_symbol(Symbol(*rows), q)
 
 
 def _bound(order, neg_e, slack, q):
@@ -738,6 +757,37 @@ def test_symbol_entries_are_the_enumeration_less_steinberg():
         assert min(-neg_e for neg_e, *_ in got) == (-n * (n + 1) if fam == "BC" else -n * n)
 
 
+def test_partition_entries_are_every_partition_less_steinberg():
+    # down to e = -n(n + 1) the generator yields each partition of n but
+    # (1^n) exactly once, the parts being the tie key and the label, with
+    # slack (k1, n - k1, 0), k1 the distinct parts; the trivial character's
+    # e, -n(n + 1)/2 = -deg |G|_{q'}, is the least
+    for n in range(1, 15):
+        got = list(unipotent._partition_entries(n, -n * (n + 1)))
+        want = {p for p in _partition_tuples(n, n) if p != (1,) * n}
+        assert len(got) == len(want) and {label for *_, label in got} == want, n
+        for _, tie, slack, parts in got:
+            k1 = len(set(parts))
+            assert tie == parts and slack == (k1, n - k1, 0) == _hook_slack(hook_lengths(parts), 0)
+        assert min((-neg_e for neg_e, *_ in got), default=None) == (-n * (n + 1) // 2 if n > 1 else None)
+
+
+def test_every_family_shares_the_steinberg_exponent():
+    # the Steinberg label's e = a - sum(minus) - sum(plus) is -n in every
+    # family (deg |G|_{q'} = N + n and the Steinberg degree is q^N), so the
+    # search's first floor, -n - 1, is one below it in each
+    for fam in _LABEL_FAMILIES:
+        for n in range(1 if fam in ("GL", "GU", "BC") else 2, 21):
+            if fam in ("GL", "GU"):
+                plan = _build_plan((1,) * n, fam, n)
+            else:
+                st = canonicalize(steinberg_symbol(n, fam))
+                plan = _symbol_plan(st.X, st.Y)
+            assert plan.a - sum(plan.minus) - sum(plan.plus) == -n, (fam, n)
+            if n <= 10:  # and no other label reaches it
+                assert not list(_entries(n, fam, -n)), (fam, n)
+
+
 def test_exponent_key_is_the_plan_exponent():
     # e = E0(m) - sum t_j (t_j + c_j), t_j = z_j - ceil(j/2) >= 0 with sum
     # n - floor(m/2), is the plan's a - sum(minus) - sum(plus) on every label
@@ -750,19 +800,22 @@ def test_exponent_key_is_the_plan_exponent():
             assert min(t) >= 0 and sum(t) == n - m // 2
             e = unipotent._base_exponent(m) - sum(v * (v + 1 + j % 2) for j, v in enumerate(t))
             assert -neg_e == e == plan.a - sum(plan.minus) - sum(plan.plus), (x, y)
+    # and e = -n(lam') - n, n(lam') = sum binom(lam_i, 2), on every partition
     for n in range(1, 21):
-        for parts in _partition_tuples(n, n):
-            assert unipotent._partition_exponent(parts) == (
-                unipotent._a_value(parts) - sum(hook_lengths(parts)))
+        for neg_e, _, _, parts in _every_entry(n, "GL"):
+            plan = _build_plan(parts, "GL", n)
+            assert -neg_e == plan.a - sum(plan.minus) == -sum(p * (p - 1) // 2 for p in parts) - n
 
 
 def test_symbol_entries_in_a_band_are_those_of_large_exponent():
-    # each floor, from above the largest e to below the smallest, prunes the
-    # multisets to exactly the labels with e >= floor
-    for fam, n in _symbol_ranks(9):
+    # each floor, from the Steinberg e (-n, above every entry's) to below
+    # the least e, prunes the multisets (symbols) or the parts placed under
+    # the budget (partitions) to exactly the labels with e >= floor
+    for fam, n in _symbol_ranks(9) + _partition_ranks(14):
         every = sorted(_every_entry(n, fam))
-        for floor in range(-every[0][0] + 1, -every[-1][0] - 2, -1):
-            assert (sorted(unipotent._symbol_entries(n, fam, floor))
+        least = -every[-1][0] if every else -n
+        for floor in range(-n, least - 2, -1):
+            assert (sorted(_entries(n, fam, floor))
                     == [entry for entry in every if -entry[0] >= floor]), (fam, n, floor)
 
 
@@ -809,7 +862,7 @@ def test_every_degree_is_within_its_search_bound():
                 assert degree_symbol(sym, q) <= _bound(order, neg_e, (k1, k, c), q), (sym, q)
     for fam, deg in (("GL", degree_gl), ("GU", degree_gu)):
         for n in range(1, 15):
-            entries = unipotent._partition_entries(n)
+            entries = list(_every_entry(n, fam))
             assert len(entries) == sum(1 for _ in partitions_of(n)) - 1
             cap = unipotent._slack_cap(fam, n)
             # a staircase's corners, over every partition of n
@@ -859,6 +912,9 @@ def test_runner_up_search_matches_the_unpruned_sweep():
         for n in range(1, 19):
             assert (verify_steinberg_max(n, SEARCH_QS, fam)
                     == _unpruned_steinberg_max(n, SEARCH_QS, fam)), (fam, n)
+        # ranks where the cut drops most partitions
+        for n in range(19, 27):
+            assert verify_steinberg_max(n, (2, 3), fam) == _unpruned_steinberg_max(n, (2, 3), fam), (fam, n)
 
 
 def test_runner_up_search_stops_early(monkeypatch):
@@ -890,21 +946,19 @@ def test_symbol_search_keeps_every_label_its_bound_admits():
     # seed of q is the first of them in tie order; the search keeps each
     # other label whose bound with the slack cap is >= L_q at some q, and
     # every label it drops is below L_q at every q
-    def degree(label, q):
-        return degree_symbol(Symbol(*label), q)
-
-    for fam, n in _symbol_ranks(9):
+    for fam, n in _symbol_ranks(9) + _partition_ranks(12, n_min=2):
+        degree = _label_degree(fam)
         every = sorted(_every_entry(n, fam))
         cap = unipotent._slack_cap(fam, n)
         orders = [order_pprime(fam, n, q) for q in SEARCH_QS]
         band = [entry for entry in every if entry[0] == every[0][0]]
         best = [max(degree(label, q) for *_, label in band) for q in SEARCH_QS]
-        seeds, kept = unipotent._symbol_search(n, fam, SEARCH_QS, cap, degree)
+        seeds, kept = unipotent._search(n, fam, SEARCH_QS, cap, degree)
         assert seeds == [next((label, b, tie) for _, tie, _, label in band if degree(label, q) == b)
                          for q, b in zip(SEARCH_QS, best)], (fam, n)
         assert kept == sorted(kept) and not set(kept) & set(band)
         # with every degree equal, the seed is the band's first label in tie order
-        [(label, _, tie)] = unipotent._symbol_search(n, fam, (2,), cap, lambda label, q: 1)[0]
+        [(label, _, tie)] = unipotent._search(n, fam, (2,), cap, lambda label, q: 1)[0]
         assert (tie, label) == band[0][1::2], (fam, n)
         for entry in every[len(band):]:
             neg_e, _, _, label = entry
@@ -913,6 +967,11 @@ def test_symbol_search_keeps_every_label_its_bound_admits():
                 assert entry in kept, (fam, n, label)
             elif entry not in kept:
                 assert all(degree(label, q) < b for q, b in zip(SEARCH_QS, best)), (fam, n, label)
+    # GL_1 and GU_1 have the Steinberg label alone: no seed label, no entry
+    for fam in ("GL", "GU"):
+        cap = unipotent._slack_cap(fam, 1)
+        assert unipotent._search(1, fam, SEARCH_QS, cap, _label_degree(fam)) == (
+            [(None, -1, None)] * len(SEARCH_QS), [])
 
 
 def test_bc_runner_up_at_large_rank():
@@ -924,42 +983,43 @@ def test_bc_runner_up_at_large_rank():
             assert ok and got == runner and 1 < gap < 2 * (q - 1), (n, q)
 
 
-def _search(entries, degrees, order=8, q=2):
+def _walk_entries(entries, degrees, order=8, q=2):
+    """(label, degree) of the runner-up walk over the entries."""
     # the cap: the most length-1 hooks of any entry, and the most hooks
     k1 = max((s[0] for _, _, s, _ in entries), default=0)
     hooks = max((s[0] + s[1] for _, _, s, _ in entries), default=0)
     return unipotent._runner_up(sorted(entries), q, order, (k1, hooks - k1, 0),
-                                lambda label, _q: degrees[label])
+                                lambda label, _q: degrees[label])[:2]
 
 
 def test_runner_up_search_breaks_ties_on_the_tie_key_across_exponents():
     # A is walked first (larger e); B has the same degree and the smaller tie key
     none = (0, 0, 0)
-    assert _search([(1, 5, none, "A"), (2, 1, none, "B")], {"A": 1, "B": 1}) == ("B", 1)
-    assert _search([(1, 3, none, "C"), (1, 2, none, "D")], {"C": 1, "D": 1}) == ("D", 1)
-    assert _search([], {}) == (None, -1)
+    assert _walk_entries([(1, 5, none, "A"), (2, 1, none, "B")], {"A": 1, "B": 1}) == ("B", 1)
+    assert _walk_entries([(1, 3, none, "C"), (1, 2, none, "D")], {"C": 1, "D": 1}) == ("D", 1)
+    assert _walk_entries([], {}) == (None, -1)
 
 
 def test_runner_up_search_evaluates_a_label_whose_bound_equals_the_best():
     # B's bound 8 * 2^-1 * (2/1)^1 = 8 equals A's degree; B ties and wins on the tie key
-    assert _search([(0, 2, (0, 0, 0), "A"), (1, 1, (1, 0, 0), "B")], {"A": 8, "B": 8}) == ("B", 8)
+    assert _walk_entries([(0, 2, (0, 0, 0), "A"), (1, 1, (1, 0, 0), "B")], {"A": 8, "B": 8}) == ("B", 8)
     # the same with a longer hook, 3 * 2^-2 * (4/3)^1 = 1, and a power of two,
     # 8 * 2^-1 * 2^2 / 2^1 = 8
-    assert _search([(0, 2, (0, 0, 0), "A"), (2, 1, (0, 1, 0), "B")], {"A": 1, "B": 1},
+    assert _walk_entries([(0, 2, (0, 0, 0), "A"), (2, 1, (0, 1, 0), "B")], {"A": 1, "B": 1},
                    order=3) == ("B", 1)
-    assert _search([(0, 2, (0, 0, 0), "A"), (1, 1, (2, 0, 1), "B")], {"A": 8, "B": 8}) == ("B", 8)
+    assert _walk_entries([(0, 2, (0, 0, 0), "A"), (1, 1, (2, 0, 1), "B")], {"A": 8, "B": 8}) == ("B", 8)
 
 
 def test_runner_up_search_stops_on_the_largest_slack():
     # B's own bound (4) is below 8, but C, walked after it, has slack (3, 0, 0) (bound 32)
     degrees = {"A": 8, "B": 1, "C": 20}
     none = (0, 0, 0)
-    assert _search([(0, 1, none, "A"), (1, 2, none, "B"), (1, 3, (3, 0, 0), "C")],
+    assert _walk_entries([(0, 1, none, "A"), (1, 2, none, "B"), (1, 3, (3, 0, 0), "C")],
                    degrees) == ("C", 20)
     # with the largest slack's bound below the best, nothing after A is evaluated
-    assert _search([(0, 1, none, "A"), (4, 2, (1, 0, 0), "B")], {"A": 8}) == ("A", 8)
+    assert _walk_entries([(0, 1, none, "A"), (4, 2, (1, 0, 0), "B")], {"A": 8}) == ("A", 8)
     # at q = 3 two longer hooks give 9 * 3^-1 * (9/8)^2 < 9, though 9 * 3^-1 * 2^2 >= 9
-    assert _search([(0, 1, none, "A"), (1, 2, (0, 2, 0), "B")], {"A": 9}, order=9, q=3) == ("A", 9)
+    assert _walk_entries([(0, 1, none, "A"), (1, 2, (0, 2, 0), "B")], {"A": 9}, order=9, q=3) == ("A", 9)
 
 
 def test_steinberg_max_rejects_rank_below_one():
