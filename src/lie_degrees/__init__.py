@@ -5,8 +5,12 @@ Importing the package loads none of its modules: each public name below is
 imported from its module on first access (PEP 562), so a program that uses
 only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
 The family table lives here too, so that the CLI builds its parser from it
-without loading a module, and so does _record, the validated namedtuple base
-of the qexact and maxdegree records.
+without loading a module, and so does _record, the namedtuple base of every
+record (GroupSpec, RationalInterval, HookTable, DownUpMove, SymbolStats, ...).
+The labels Partition and Symbol are hand-written slotted classes instead:
+each equals only a label of its own class, never a tuple.  No module uses
+generated classes, whose import and code generation cost more than the work
+of a short command.
 """
 
 import contextlib
@@ -71,9 +75,9 @@ def _int_digits(limit: int):
 
 
 def _record(typename: str, field_names: str) -> type:
-    """A namedtuple base for a record class that validates in its __new__:
-    _make (and with it _replace) and unpickling at every protocol call the
-    class, so no instance skips the checks."""
+    """A namedtuple base for a record class: _make (and with it _replace) and
+    unpickling at every protocol call the class, so no instance skips the
+    checks of a record that validates in its __new__."""
     base = namedtuple(typename, field_names)
     base._make = classmethod(lambda cls, fields: cls(*fields))
     base.__reduce__ = lambda self: (type(self), tuple(self))

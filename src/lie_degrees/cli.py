@@ -1,8 +1,9 @@
 """Command-line surface: exact degrees, verification sweeps, tables.
 
 Exit codes: 0 all asserted checks pass, 1 a check failed (witness in the
-report), 2 usage or configuration error, 3 internal error (an arithmetic
-self-check of the program failed; a bug, not a bad input).
+report), 2 usage or configuration error, including an --out path that cannot
+be written (a directory, or in a missing directory), 3 internal error (an
+arithmetic self-check of the program failed; a bug, not a bad input).
 
 Start-up is most of the cost of a short command, so this module imports
 nothing from the package at load time: each command imports the modules it
@@ -82,7 +83,10 @@ def parse_fraction_set(text: str) -> set[Fraction]:
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         from . import tables
-        tables.write_atomic(args.out, text)
+        try:
+            tables.write_atomic(args.out, text)
+        except OSError as exc:  # a bad --out is a usage error, not a failed check
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -10,6 +10,9 @@ tuples and build their results with `Partition._from_valid_parts`, because
 those results are valid by construction. S_n degrees come from `hook_product`,
 which reads the product of all hook lengths off the first-column hooks without
 listing the hooks; `hook_lengths` lists them for `hooks()` and the q-analogues.
+
+`Partition` is a hand-written slotted class and `HookTable` a namedtuple
+record, so loading this module generates and compiles no methods.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
+
+from . import _record
 
 
 class Node(NamedTuple):
@@ -28,31 +32,62 @@ class Node(NamedTuple):
     j: int  # column index, 1-based
 
 
-@dataclass(frozen=True)
+def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; ValueError if one is not integral, such as
+    2.7 or '2', which int() would truncate or parse."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise ValueError(f"{what} must be integers: {values}")
+    return ints
+
+
+def _immutable(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable "
+                         f"{type(self).__name__}")
+
+
 class Partition:
-    """A partition with weakly decreasing positive parts; () is the empty one."""
+    """A partition with weakly decreasing positive parts; () is the empty one.
 
-    parts: tuple[int, ...] = ()
+    Immutable, and equal (hashed alike) only to a Partition with the same
+    parts, not to the parts tuple.  Pickling and copying go through the
+    validating constructor.
+    """
 
-    def __post_init__(self):
-        ps = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", ps)
+    __slots__ = ("parts",)
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, parts: Iterable[int] = ()):
+        ps = _int_tuple(parts, "parts")
         if any(a < b for a, b in zip(ps, ps[1:])):
             raise ValueError(f"parts must be weakly decreasing: {ps}")
         if ps and ps[-1] < 1:
             raise ValueError(f"parts must be positive: {ps}")
+        object.__setattr__(self, "parts", ps)
 
     @classmethod
     def _from_valid_parts(cls, parts: tuple[int, ...]) -> "Partition":
         """Build from an int tuple already known to be weakly decreasing and
-        positive, skipping the validation in __post_init__."""
+        positive, skipping the validation in __init__."""
         lam = object.__new__(cls)
         object.__setattr__(lam, "parts", parts)
         return lam
 
-    @cached_property
+    @property
     def n(self) -> int:
         return sum(self.parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -78,12 +113,10 @@ class Dominance(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class HookTable:
+class HookTable(_record("HookTable", "lengths product")):
     """Hook length of every node of a diagram, plus the product of all of them."""
 
-    lengths: dict[Node, int]
-    product: int
+    __slots__ = ()
 
 
 def _column_heights(parts: tuple[int, ...]) -> list[int]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -425,25 +424,27 @@ def check_epsilon_an(n_min: int, n_max: int) -> dict:
 # suite configuration and runner
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SuiteConfig:
-    families: tuple[str, ...] = _LABEL_FAMILIES
-    n_min: int = 1
-    n_max: int = 10
-    q_list: tuple[int, ...] = (2, 3)
-    truncation_m: int = 40
-    parallelism: int = 1
+    """The label families, ranks and q values a suite covers, the series
+    truncation order, and the number of worker processes."""
 
-    def __post_init__(self):
-        for fam in self.families:
+    def __init__(self, families: tuple[str, ...] = _LABEL_FAMILIES, n_min: int = 1,
+                 n_max: int = 10, q_list: tuple[int, ...] = (2, 3),
+                 truncation_m: int = 40, parallelism: int = 1):
+        for fam in families:
             if fam not in _LABEL_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
-        if self.n_min < 1 or self.n_max < self.n_min:
+        if n_min < 1 or n_max < n_min:
             raise ValueError("invalid rank range")
-        if any(q < 2 for q in self.q_list) or not self.q_list:
+        if any(q < 2 for q in q_list) or not q_list:
             raise ValueError("q values must be >= 2")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        self.families = families
+        self.n_min, self.n_max = n_min, n_max
+        self.q_list = q_list
+        self.truncation_m = truncation_m
+        self.parallelism = parallelism
 
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:
@@ -489,10 +490,12 @@ def _run_task(task: tuple) -> dict:
     return record
 
 
-@dataclass
 class SuiteReport:
-    config: dict
-    checks: list[dict] = field(default_factory=list)
+    """The config and the check records of one suite run, in task order."""
+
+    def __init__(self, config: dict, checks: list[dict] | None = None):
+        self.config = config
+        self.checks = [] if checks is None else checks
 
     @property
     def all_pass(self) -> bool:

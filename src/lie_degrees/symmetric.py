@@ -16,19 +16,21 @@ What is built, and when:
   `partitions._sym_degree`, tests ratios in integers, and sorts the
   neighbours only when the farthest one from ratio 1 is not a witness; it
   builds one `Partition`, for the witness it returns.
-- `octuple_ratio` reads its two moves as integer node pairs, an
-  `OctupleMove` unpacked once or the plain pairs the octuple check draws
-  (no move objects), and forms its three moved diagrams as part tuples.
+- `octuple_ratio` reads its two moves as integer node pairs: an
+  `OctupleMove` is one already, as are the plain pairs the octuple check
+  draws, and it forms its three moved diagrams as part tuples.
 - `alt_degrees` walks part tuples and builds a conjugate only for diagrams
   whose first row is as long as their first column.
+
+The records `DownUpMove`, `OctupleMove` and `DegreeMultiset` are namedtuples
+(the package's `_record`): each equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
+from . import _record
 from .partitions import (
     Node,
     Partition,
@@ -42,19 +44,21 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class DownUpMove:
-    remove: Node
-    add: Node
+class DownUpMove(_record("DownUpMove", "remove add")):
+    """Remove the node remove, then add the node add."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OctupleMove:
-    first: DownUpMove
-    second: DownUpMove
+class OctupleMove(_record("OctupleMove", "first second")):
+    """Two down-up moves whose nodes lie in four distinct rows and four
+    distinct columns (ValueError otherwise)."""
 
-    def __post_init__(self):
-        _check_octuple((self.first.remove, self.first.add), (self.second.remove, self.second.add))
+    __slots__ = ()
+
+    def __new__(cls, first: DownUpMove, second: DownUpMove):
+        _check_octuple(first, second)
+        return super().__new__(cls, first, second)
 
 
 def _check_octuple(first: tuple, second: tuple) -> None:
@@ -74,7 +78,7 @@ def _downup_parts(parts: tuple[int, ...], move: tuple) -> tuple[int, ...]:
 
 
 def apply_downup(lam: Partition, move: DownUpMove) -> Partition:
-    return Partition._from_valid_parts(_downup_parts(lam.parts, (move.remove, move.add)))
+    return Partition._from_valid_parts(_downup_parts(lam.parts, move))
 
 
 def _corners(parts: tuple[int, ...]) -> list[tuple[int, int, list[tuple[int, int]]]]:
@@ -139,8 +143,8 @@ def octuple_ratio(lam: Partition, move: OctupleMove | tuple) -> Fraction:
     """P(D)P(D_1234) / (P(D_12)P(D_34)), checked against its closed form.
 
     move is an OctupleMove, or its two down-up moves as plain
-    ((ri, rj), (ai, aj)) node pairs, the form the octuple check draws; both
-    run the one body below, on integer pairs.  The four rows and the four
+    ((ri, rj), (ai, aj)) node pairs, the form the octuple check draws; an
+    OctupleMove is such a pair of pairs already.  The four rows and the four
     columns must be distinct, and each move a down-up move of the diagram it
     applies to (ValueError otherwise).
 
@@ -150,8 +154,6 @@ def octuple_ratio(lam: Partition, move: OctupleMove | tuple) -> Fraction:
     two remove/add meets contributes h^2/(h^2-1).  Raises ArithmeticError when
     a meet lies outside lam, or the closed form and the direct ratio differ.
     """
-    if isinstance(move, OctupleMove):
-        move = (move.first.remove, move.first.add), (move.second.remove, move.second.add)
     first, second = move
     _check_octuple(first, second)
     (r1i, r1j), (a1i, a1j) = first
@@ -259,11 +261,10 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
 # degree multisets and epsilon
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeMultiset:
+class DegreeMultiset(_record("DegreeMultiset", "counts")):
     """Multiset of character degrees, keyed degree -> multiplicity."""
 
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "DegreeMultiset":
@@ -273,11 +274,11 @@ class DegreeMultiset:
             raise ValueError("multiplicities must be positive")
         return cls(tuple(sorted(d.items())))
 
-    @cached_property
+    @property
     def b(self) -> int:
         return self.counts[-1][0]
 
-    @cached_property
+    @property
     def total(self) -> int:
         return sum(m * d * d for d, m in self.counts)
 

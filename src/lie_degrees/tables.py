@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -62,7 +63,19 @@ def write_atomic(path: str, text: str) -> None:
 
     The data is flushed to disk before the rename, and the temporary file is
     removed if anything fails, so path holds either its old or its new content.
+    A path that exists and is neither a regular file nor a directory (a FIFO,
+    a device such as /dev/null) is written in place: a rename would replace it
+    with a regular file.  A directory, or a missing parent directory, raises
+    OSError.
     """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     umask = os.umask(0)

@@ -57,16 +57,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import _LABEL_FAMILIES, _SYMBOL_DEFECT
+from . import _LABEL_FAMILIES, _SYMBOL_DEFECT, _record
 from .orders import min_rank, order_pprime
 from .partitions import (
     Partition,
+    _immutable,
+    _int_tuple,
     _partition_tuples,
     beta_hook_cells,
     beta_parts,
@@ -120,7 +121,7 @@ def degree_gu(lam: Partition, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_row(row: Iterable[int]) -> tuple[int, ...]:
-    r = tuple(int(x) for x in row)
+    r = _int_tuple(row, "symbol entries")
     if any(x < 0 for x in r):
         raise ValueError(f"symbol entries must be non-negative: {r}")
     if any(a >= b for a, b in zip(r, r[1:])):
@@ -132,16 +133,20 @@ def _shifted(row: tuple[int, ...]) -> tuple[int, ...]:
     return (0,) + tuple(v + 1 for v in row)
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """A pair of strictly increasing sequences of non-negative integers."""
+    """A pair of strictly increasing sequences of non-negative integers.
 
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
+    Immutable, and equal (hashed alike) only to a Symbol with the same rows,
+    never to the (X, Y) tuple that keys the chain memos.  Pickling and
+    copying go through the validating constructor.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "X", _check_row(self.X))
-        object.__setattr__(self, "Y", _check_row(self.Y))
+    __slots__ = ("X", "Y")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, X: Iterable[int], Y: Iterable[int]):
+        object.__setattr__(self, "X", _check_row(X))
+        object.__setattr__(self, "Y", _check_row(Y))
 
     @classmethod
     def _from_valid_rows(cls, x: tuple[int, ...], y: tuple[int, ...]) -> "Symbol":
@@ -150,6 +155,17 @@ class Symbol:
         object.__setattr__(sym, "X", x)
         object.__setattr__(sym, "Y", y)
         return sym
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.X == other.X and self.Y == other.Y
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.X, self.Y))
+
+    def __reduce__(self):
+        return type(self), (self.X, self.Y)
 
     def shifted(self) -> "Symbol":
         return Symbol._from_valid_rows(_shifted(self.X), _shifted(self.Y))
@@ -170,13 +186,10 @@ class Symbol:
         return f"Symbol({self.X}, {self.Y})"
 
 
-@dataclass(frozen=True)
-class SymbolStats:
-    rank: int
-    defect: int
-    a: int
-    hooks: tuple[tuple[int, int], ...]
-    cohooks: tuple[tuple[int, int], ...]
+class SymbolStats(_record("SymbolStats", "rank defect a hooks cohooks")):
+    """Rank, defect and a-value of a symbol, and its (b, c) hooks and cohooks."""
+
+    __slots__ = ()
 
 
 # Row-level formulas, on plain increasing int tuples; symbol_stats, the

@@ -170,6 +170,15 @@ def test_verify_csv_format(tmp_path):
                for line in lines[1:])
 
 
+def test_verify_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        code = main(["verify", "steinberg", "--family", "GL", "--n", "1..2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # no temporary file is left behind
+
+
 def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     r = run_cli("degree", "gl", "--partition", "x,y")

@@ -16,9 +16,12 @@ SRC = os.path.dirname(os.path.dirname(lie_degrees.__file__))
 CHECK_GRAPH = {"unipotent", "partitions", "symmetric", "suites"}
 # the modules whose functions some check of the suites calls
 CHECK_MODULES = {"maxdegree", "orders", "partitions", "qexact", "symmetric", "unipotent"}
-# standard modules whose load is watched: the pool, and the costly imports the
-# records of the bounds path do without
+# standard modules whose load is watched: the pool, and the costly imports
+# that no record of the package needs
 STDLIB = {"multiprocessing", "dataclasses", "inspect", "fractions"}
+# dataclasses imports inspect, ast, dis and tokenize, which takes longer than
+# the work of a short command
+NEVER = {"dataclasses", "inspect"}
 
 
 def probe(code: str, expr: str):
@@ -38,6 +41,13 @@ def loaded_after(code: str) -> set[str]:
                            f" if m.startswith('lie_degrees.') or m in {sorted(STDLIB)})"))
 
 
+def loaded_by(*argv: str) -> set[str]:
+    """loaded_after running the command argv, which must load nothing in NEVER."""
+    loaded = loaded_after(f"import lie_degrees.cli as c\nc.main({list(argv)!r})")
+    assert not loaded & NEVER, loaded
+    return loaded
+
+
 def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import lie_degrees") == set()
 
@@ -47,34 +57,41 @@ def test_building_the_parser_loads_only_cli():
     assert loaded == {"cli"}, loaded
 
 
+def test_young_diagram_modules_load_only_themselves():
+    loaded = loaded_after("from lie_degrees import partitions, symmetric")
+    assert loaded == {"partitions", "symmetric", "fractions"}, loaded
+
+
 def test_epsilon_an_loads_only_the_young_diagram_modules():
-    loaded = loaded_after("import lie_degrees.cli as c\n"
-                          "c.main(['epsilon', 'an', '--n', '7'])")
-    # Partition is still a dataclass, so dataclasses and inspect load here
-    assert loaded == {"cli", "partitions", "symmetric",
-                      "dataclasses", "inspect", "fractions"}, loaded
+    loaded = loaded_by("epsilon", "an", "--n", "7")
+    assert loaded == {"cli", "partitions", "symmetric", "fractions"}, loaded
 
 
 def test_epsilon_an_table_loads_no_order_module():
-    loaded = loaded_after("import lie_degrees.cli as c\n"
-                          "c.main(['epsilon', 'an', '--n', '5..7', '--format', 'csv'])")
-    assert loaded == {"cli", "tables", "partitions", "symmetric",
-                      "dataclasses", "inspect", "fractions"}, loaded
+    loaded = loaded_by("epsilon", "an", "--n", "5..7", "--format", "csv")
+    assert loaded == {"cli", "tables", "partitions", "symmetric", "fractions"}, loaded
 
 
 def test_bounds_loads_no_check_graph():
-    loaded = loaded_after("import lie_degrees.cli as c\n"
-                          "c.main(['bounds', '--family', 'A', '--n', '1..2', '--q', '2'])")
+    loaded = loaded_by("bounds", "--family", "A", "--n", "1..2", "--q", "2")
     assert "maxdegree" in loaded
     assert not loaded & (CHECK_GRAPH | {"multiprocessing"}), loaded
-    assert not loaded & {"dataclasses", "inspect"}, loaded
 
 
 def test_epsilon_cert_loads_no_dataclasses():
-    loaded = loaded_after("import lie_degrees.cli as c\n"
-                          "c.main(['epsilon', 'cert', '--family', 'A', '--rank', '15',"
-                          " '--q', '3'])")
+    loaded = loaded_by("epsilon", "cert", "--family", "A", "--rank", "15", "--q", "3")
     assert loaded == {"cli", "maxdegree", "orders", "qexact", "fractions"}, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree", "gl", "--partition", "3,2,1", "--q", "2"),
+    ("degree", "symbol", "--x", "1,2", "--y", "0"),
+    ("degree", "sym", "--n", "5"),
+    ("bmax", "gl", "--n", "4", "--q", "2"),
+    ("ratio-search", "--partition", "3,2,1"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_the_other_commands_load_no_dataclasses(argv):
+    assert "cli" in loaded_by(*argv)
 
 
 @pytest.mark.parametrize("what, expected", [
@@ -83,9 +100,14 @@ def test_epsilon_cert_loads_no_dataclasses():
     ("lemmas", {"cli", "orders", "qexact", "suites", "tables"}),
 ])
 def test_each_verify_selection_loads_only_the_modules_its_checks_call(what, expected):
-    loaded = loaded_after("import lie_degrees.cli as c\n"
-                          f"c.main(['verify', '{what}', '--n', '1..3'])")
+    loaded = loaded_by("verify", what, "--n", "1..3")
     assert loaded - STDLIB == expected, loaded
+
+
+def test_serial_verify_all_loads_the_check_modules_and_no_pool():
+    loaded = loaded_by("verify", "all", "--n", "1..3", "--q", "2", "--jobs", "1")
+    assert loaded - STDLIB == CHECK_MODULES | {"cli", "suites", "tables"}, loaded
+    assert "multiprocessing" not in loaded, loaded
 
 
 def test_parallel_run_loads_every_check_module_before_the_pool_starts():
@@ -118,8 +140,7 @@ def test_parallel_run_loads_every_check_module_before_the_pool_starts():
 
 
 def test_serial_verify_loads_no_multiprocessing():
-    loaded = loaded_after("import lie_degrees.cli as c\n"
-                          "c.main(['verify', 'steinberg', '--n', '1..2', '--jobs', '1'])")
+    loaded = loaded_by("verify", "steinberg", "--n", "1..2", "--jobs", "1")
     assert "suites" in loaded and "multiprocessing" not in loaded, loaded
 
 

@@ -1,6 +1,10 @@
+import copy
 import math
+import pickle
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +371,49 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    # non-integral parts are refused, not truncated or parsed
+    for parts in ((2.7, 1), (2, 1.5), (Fraction(5, 2),), ("2", 1)):
+        with pytest.raises(ValueError, match="^parts must be integers: "):
+            Partition(parts)
+    lam = Partition((2.0, True))  # integral values of other types are kept as ints
+    assert lam == Partition((2, 1)) and all(type(p) is int for p in lam.parts)
+
+
+def test_partition_behaves_as_the_frozen_dataclass_did():
+    lam = Partition((3, 1, 1))
+    assert repr(lam) == "Partition(3, 1, 1)" and repr(Partition()) == "Partition()"
+    again = Partition([3, 1, 1])
+    assert again == lam and hash(again) == hash(lam) and again is not lam
+    assert Partition._from_valid_parts((3, 1, 1)) == lam
+    # equal only to a Partition: never to its parts tuple
+    assert lam != (3, 1, 1) and lam != Partition((3, 1)) and lam not in {(3, 1, 1): 0}
+    assert (lam.n, len(lam), list(lam), lam[0]) == (5, 3, [3, 1, 1], 3)
+    for name in ("parts", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lam, name, (1,))
+    with pytest.raises(AttributeError):
+        del lam.parts
+    assert copy.copy(lam) == lam == copy.deepcopy(lam)
+    # unpickling runs the validating constructor, at every protocol
+    forged = Partition._from_valid_parts((1, 3))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(lam, protocol)) == lam
+        with pytest.raises(ValueError, match=re.escape("weakly decreasing: (1, 3)")):
+            pickle.loads(pickle.dumps(forged, protocol))
+
+
+def test_hook_table_is_a_namedtuple_record():
+    table = hooks(Partition((2, 1)))
+    assert repr(table) == ("HookTable(lengths={Node(i=1, j=1): 3, Node(i=1, j=2): 1, "
+                           "Node(i=2, j=1): 1}, product=3)")
+    # a namedtuple: equal to the plain tuple of its fields
+    assert table == hooks(Partition((2, 1))) == (table.lengths, 3)
+    with pytest.raises(TypeError):
+        hash(table)  # the lengths dict is unhashable, as in the frozen dataclass
+    with pytest.raises(AttributeError):
+        table.product = 4
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(table, protocol)) == table
 
 
 def test_partition_counts():

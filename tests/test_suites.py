@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 
 import pytest
@@ -400,6 +402,17 @@ def test_suite_config_validation():
         suites.run_suite(suites.SuiteConfig(), "bogus")
 
 
+def test_suite_config_and_report_keep_their_defaults():
+    cfg = suites.SuiteConfig()
+    assert (cfg.families, cfg.n_min, cfg.n_max, cfg.q_list, cfg.truncation_m,
+            cfg.parallelism) == (("GL", "GU", "BC", "D", "2D"), 1, 10, (2, 3), 40, 1)
+    cfg = suites.SuiteConfig(("GL",), 2, 3, (4,), 30, 2)  # positional, in field order
+    assert (cfg.families, cfg.n_min, cfg.n_max, cfg.q_list, cfg.truncation_m,
+            cfg.parallelism) == (("GL",), 2, 3, (4,), 30, 2)
+    first, second = suites.SuiteReport({}), suites.SuiteReport(config={})
+    assert first.checks == [] and first.checks is not second.checks and first.all_pass
+
+
 def test_every_entry_point_refuses_an_unknown_family():
     calls = (lambda: maxdegree.min_rank("E"), lambda: maxdegree.order_pprime("E", 3, 2),
              lambda: maxdegree.GroupSpec("E", 3, 2), lambda: unipotent.steinberg_symbol(3, "E"),
@@ -424,6 +437,27 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "again\n"
     assert list(tmp_path.glob("*.tmp")) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_write_atomic_writes_a_fifo_in_place(tmp_path):
+    # a rename would replace the FIFO (or a device such as /dev/null) with a
+    # regular file that no reader ever sees
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    got = []
+
+    def read():
+        with open(path) as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    tables.write_atomic(str(path), "report\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == ["report\n"]
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 def test_degrees_table_paper_row():

@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -419,3 +421,37 @@ def test_downup_moves_match_the_neighborhood():
         for lam in partitions_of(n):
             assert symmetric.downup_moves(lam.parts) == [(m.remove, m.add)
                                                          for m, _ in downup_neighborhood(lam)]
+
+
+def test_move_and_degree_records_are_namedtuples():
+    move = DownUpMove(Node(1, 4), Node(3, 1))
+    other = DownUpMove(Node(2, 3), Node(4, 2))
+    octuple = OctupleMove(move, other)
+    degrees = DegreeMultiset.from_dict({3: 1, 1: 2})
+    cases = [
+        (move, "DownUpMove(remove=Node(i=1, j=4), add=Node(i=3, j=1))", ((1, 4), (3, 1))),
+        (octuple, "OctupleMove(first=DownUpMove(remove=Node(i=1, j=4), add=Node(i=3, j=1)), "
+                  "second=DownUpMove(remove=Node(i=2, j=3), add=Node(i=4, j=2)))",
+         (((1, 4), (3, 1)), ((2, 3), (4, 2)))),
+        (degrees, "DegreeMultiset(counts=((1, 2), (3, 1)))", (((1, 2), (3, 1)),)),
+    ]
+    for record, text, fields in cases:
+        assert repr(record) == text
+        # a namedtuple: equal to, and hashed as, the plain tuple of its fields
+        assert record == fields and hash(record) == hash(fields)
+        assert type(record)(*fields) == record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], fields[0])
+        with pytest.raises(AttributeError):
+            record.other = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+    assert (degrees.b, degrees.total) == (3, 11)
+    # an OctupleMove is checked however it is made
+    error = re.escape("octuple coordinates must be pairwise distinct in i and in j")
+    with pytest.raises(ValueError, match=error):
+        octuple._replace(second=move)
+    forged = tuple.__new__(OctupleMove, (move, move))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match=error):
+            pickle.loads(pickle.dumps(forged, protocol))

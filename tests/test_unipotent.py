@@ -1,5 +1,7 @@
 import os
+import pickle
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -190,6 +192,44 @@ def test_symbol_validation():
         Symbol((2, 1), ())
     with pytest.raises(ValueError):
         Symbol((-1,), ())
+    # non-integral entries are refused, not truncated
+    for x, y in (((0, 1.5), (1,)), ((0, 1), (Fraction(1, 2),)), (("0",), ())):
+        with pytest.raises(ValueError, match="^symbol entries must be integers: "):
+            Symbol(x, y)
+    assert Symbol((0.0, 2), [1]) == Symbol((0, 2), (1,))
+
+
+def test_symbol_behaves_as_the_frozen_dataclass_did():
+    sym = Symbol((0, 2), (1,))
+    assert repr(sym) == "Symbol((0, 2), (1,))"
+    again = Symbol(X=[0, 2], Y=[1])
+    assert again == sym and hash(again) == hash(sym) and again is not sym
+    assert Symbol._from_valid_rows((0, 2), (1,)) == sym and sym != sym.swapped()
+    # never equal to its rows, which key the chain memos
+    assert sym != ((0, 2), (1,)) and sym not in {((0, 2), (1,)): 0}
+    for name in ("X", "Y", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sym, name, ())
+    with pytest.raises(AttributeError):
+        del sym.X
+    forged = Symbol._from_valid_rows((2, 0), (1,))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sym, protocol)) == sym
+        with pytest.raises(ValueError, match=re.escape("strictly increasing: (2, 0)")):
+            pickle.loads(pickle.dumps(forged, protocol))
+
+
+def test_symbol_stats_is_a_namedtuple_record():
+    stats = symbol_stats(Symbol((0, 2), (1,)))
+    assert repr(stats) == ("SymbolStats(rank=2, defect=1, a=1, hooks=((0, 1), (1, 2)), "
+                           "cohooks=((0, 0), (0, 2), (1, 1), (2, 2)))")
+    fields = (2, 1, 1, ((0, 1), (1, 2)), ((0, 0), (0, 2), (1, 1), (2, 2)))
+    # a namedtuple: equal to, and hashed as, the plain tuple of its fields
+    assert stats == fields and hash(stats) == hash(fields)
+    with pytest.raises(AttributeError):
+        stats.rank = 3
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(stats, protocol)) == stats
 
 
 def test_symbol_stats_examples():
