@@ -10,13 +10,17 @@ The module loads only what the runner and the report need.  Each check
 imports the modules it calls when it runs, as each CLI command does, so a
 selection loads the modules of its own checks alone: `verify steinberg` and
 `verify props` load orders, partitions and unipotent, `verify lemmas` orders
-and qexact.  A parallel run imports every check module before it forks its
-pool, so the workers inherit them instead of each loading its own copy.
+and qexact.  A parallel run imports every check module, then forks its
+workers with os.fork, so they inherit the modules instead of each loading
+its own copy; the workers take one task at a time, and a worker that dies
+holding a task is an error.  Where os.fork is missing the checks run
+serially.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from fractions import Fraction
 from typing import Iterator
@@ -449,7 +453,7 @@ class SuiteConfig:
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:
     """(check function, arguments) of each check the selection runs, in
-    report order; the functions are module-level, so a pool pickles them."""
+    report order."""
     tasks: list[tuple] = []
     if selection in ("steinberg", "all"):
         for fam in cfg.families:
@@ -535,20 +539,118 @@ class SuiteReport:
         return render_table(header, rows, "csv", "report")
 
 
+def _work(tasks: list[tuple], deal: int, out: int, inherited: tuple[int, ...]) -> None:
+    """The body of a worker forked by _run_forked; it never returns.
+
+    It takes the next four-byte task index from the pipe deal until the pipe
+    is empty.  To the pipe out it writes each index as it takes it, then the
+    length and the pickle of the task's record, or of the exception the task
+    raised, after which it stops.  It closes the read ends of the result pipes
+    it inherited, so a worker whose parent is gone fails its next write.  It
+    leaves through os._exit: no exit handlers, no flush of the stdio buffers
+    it shares with the parent.
+    """
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(out, "wb") as pipe:
+            while index := os.read(deal, 4):
+                pipe.write(index)
+                pipe.flush()
+                try:
+                    result = _run_task(tasks[int.from_bytes(index, "little")])
+                except BaseException as exc:
+                    result = exc
+                data = pickle.dumps(result)
+                pipe.write(len(data).to_bytes(4, "little") + data)
+                pipe.flush()
+                if isinstance(result, BaseException):
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(tasks: list[tuple], workers: int) -> list[dict]:
+    """_run_task over tasks in `workers` forked processes; the records in task
+    order.
+
+    Every task index is written to one pipe before the first fork, and each
+    worker takes the next whenever it is free (see _work).  A task's
+    exception is raised here with its own type and message; a worker that
+    exits holding a task, or with a nonzero status, raises RuntimeError.
+    Every worker is killed and reaped before the call ends, however it ends.
+    """
+    import pickle
+    import select
+
+    deal, deal_w = os.pipe()
+    indices = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
+    os.set_blocking(deal_w, False)  # more indices than the pipe holds: an error, not a hang
+    try:
+        dealt = os.write(deal_w, indices)
+    finally:
+        os.close(deal_w)
+    running: dict[int, tuple] = {}  # result pipe -> (worker pid, bytes read)
+    records: list = [None] * len(tasks)
+    try:
+        if dealt < len(indices):
+            raise ValueError(f"{len(tasks)} task indices do not fit in one pipe")
+        poller = select.poll()
+        for _ in range(workers):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(tasks, deal, out, (fd, *running))
+            os.close(out)
+            running[fd] = (pid, bytearray())
+            poller.register(fd, select.POLLIN)
+        while running:
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    running[fd][1].extend(chunk)
+                    continue
+                poller.unregister(fd)
+                pid, data = running.pop(fd)
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pos = 0
+                while pos < len(data):
+                    i = int.from_bytes(data[pos:pos + 4], "little")
+                    end = pos + 8 + int.from_bytes(data[pos + 4:pos + 8], "little")
+                    if end > len(data):
+                        break  # the worker ended while it ran task i
+                    records[i] = pickle.loads(data[pos + 8:end])
+                    if isinstance(records[i], BaseException):
+                        raise records[i]
+                    pos = end
+                if pos < len(data) or code:
+                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                    held = (f" while running check {tasks[i][0].__name__.removeprefix('check_')!r}"
+                            if pos < len(data) else "")
+                    raise RuntimeError(f"worker process {pid} ended with {how}{held}")
+    finally:
+        os.close(deal)
+        for fd, (pid, _) in running.items():
+            os.close(fd)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return records
+
+
 def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
     """Run the selected checks; deterministic output for any parallelism."""
     tasks = _suite_tasks(cfg, selection)
-    if cfg.parallelism > 1 and len(tasks) > 1:
-        import multiprocessing
-
+    if cfg.parallelism > 1 and len(tasks) > 1 and hasattr(os, "fork"):
         # the workers are forked from this process: load every check module
         # here, once, or each worker loads (and compiles) its own copies
         from . import maxdegree, orders, partitions, qexact, symmetric, unipotent
 
-        # one task at a time: the default chunks deal fixed runs of tasks, so
-        # one worker can be left with several long checks while the other idles
-        with multiprocessing.Pool(min(cfg.parallelism, len(tasks))) as pool:
-            records = pool.map(_run_task, tasks, chunksize=1)
+        records = _run_forked(tasks, min(cfg.parallelism, len(tasks)))
     else:
         records = [_run_task(t) for t in tasks]
     config = {

@@ -65,8 +65,10 @@ def write_atomic(path: str, text: str) -> None:
     removed if anything fails, so path holds either its old or its new content.
     A path that exists and is neither a regular file nor a directory (a FIFO,
     a device such as /dev/null) is written in place: a rename would replace it
-    with a regular file.  A directory, or a missing parent directory, raises
-    OSError.
+    with a regular file.  A symbolic link to a regular file, or to a missing
+    file in an existing directory, is followed: the file it names is replaced,
+    through a temporary file next to that file, and the link stays.  A
+    directory, or a missing parent directory, raises OSError.
     """
     try:
         mode = os.stat(path).st_mode
@@ -76,6 +78,8 @@ def write_atomic(path: str, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
         return
+    if os.path.islink(path):  # a rename would replace the link, not its file
+        path = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     umask = os.umask(0)

@@ -259,6 +259,17 @@ def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: non-integral b(GL_3(2))\n"
 
 
+def test_internal_error_in_a_worker_exits_3(capsys, monkeypatch):
+    from lie_degrees import suites
+
+    def check_lemma_products(q_max, m):
+        raise ArithmeticError("non-integral bound")
+
+    monkeypatch.setattr(suites, "check_lemma_products", check_lemma_products)
+    assert main(["verify", "lemmas", "--n", "1..3", "--q", "2", "--jobs", "2"]) == 3
+    assert capsys.readouterr().err == "internal error: non-integral bound\n"
+
+
 def test_command_parser_matches_the_full_parser():
     full = build_parser()
     [subs] = [a.choices for a in full._actions if isinstance(a, argparse._SubParsersAction)]

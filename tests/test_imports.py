@@ -16,8 +16,9 @@ SRC = os.path.dirname(os.path.dirname(lie_degrees.__file__))
 CHECK_GRAPH = {"unipotent", "partitions", "symmetric", "suites"}
 # the modules whose functions some check of the suites calls
 CHECK_MODULES = {"maxdegree", "orders", "partitions", "qexact", "symmetric", "unipotent"}
-# standard modules whose load is watched: the pool, and the costly imports
-# that no record of the package needs
+# standard modules whose load is watched: multiprocessing, which no command
+# needs since the suite forks its own workers, and the costly imports that no
+# record of the package needs
 STDLIB = {"multiprocessing", "dataclasses", "inspect", "fractions"}
 # dataclasses imports inspect, ast, dis and tokenize, which takes longer than
 # the work of a short command
@@ -110,33 +111,32 @@ def test_serial_verify_all_loads_the_check_modules_and_no_pool():
     assert "multiprocessing" not in loaded, loaded
 
 
-def test_parallel_run_loads_every_check_module_before_the_pool_starts():
-    # a stand-in pool records what is loaded when it is made, then runs the
-    # tasks in this process; lemmas alone would load orders and qexact only
+def test_parallel_run_loads_every_check_module_before_the_first_fork():
+    # a stand-in os.fork records what is loaded when the first worker is
+    # forked, then forks; lemmas alone would load orders and qexact only
     code = textwrap.dedent("""
-        import multiprocessing, sys
+        import os, sys
         from lie_degrees import suites
-        at_pool = []
+        at_fork = []
+        fork = os.fork
 
-        class Pool:
-            def __init__(self, processes):
-                at_pool.extend(m.split(".", 1)[1] for m in sys.modules
+        def recording_fork():
+            if not at_fork:
+                at_fork.extend(m.split(".", 1)[1] for m in sys.modules
                                if m.startswith("lie_degrees."))
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
-
-        multiprocessing.Pool = Pool
+        os.fork = recording_fork
         report = suites.run_suite(suites.SuiteConfig(n_max=3, parallelism=2), "lemmas")
         assert [c["verdict"] for c in report.checks] == ["pass", "pass"]
     """)
-    assert set(probe(code, "at_pool")) >= CHECK_MODULES
+    assert set(probe(code, "at_fork")) >= CHECK_MODULES
+
+
+def test_parallel_verify_all_loads_no_multiprocessing():
+    loaded = loaded_by("verify", "all", "--n", "1..3", "--q", "2", "--jobs", "2")
+    assert loaded - STDLIB == CHECK_MODULES | {"cli", "suites", "tables"}, loaded
+    assert "multiprocessing" not in loaded, loaded
 
 
 def test_serial_verify_loads_no_multiprocessing():

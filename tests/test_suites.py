@@ -380,6 +380,86 @@ def test_run_suite_parallel_matches_serial():
     assert r1.to_json() == r2.to_json()
 
 
+_DEAD_WORKER = textwrap.dedent("""
+    import os, sys, time
+    from lie_degrees import suites
+
+    def check_lemma_products(q_max, m):  # a worker killed mid-task
+        os._exit(9)
+
+    suites.check_lemma_products = check_lemma_products
+    started = time.monotonic()
+    try:
+        suites.run_suite(suites.SuiteConfig(n_max=3, parallelism=2), "lemmas")
+        sys.exit("run_suite returned")
+    except RuntimeError as exc:
+        message = str(exc)
+    assert time.monotonic() - started < 10, time.monotonic() - started
+    assert message.endswith("exit status 9 while running check 'lemma_products'"), message
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        sys.exit("a worker was left behind")
+    except ChildProcessError:
+        pass
+""")
+
+
+def test_a_dead_worker_raises_instead_of_hanging():
+    # a fresh interpreter, so that no other child is about, and a timeout, so
+    # that a hang fails the test instead of the test run
+    src = os.path.dirname(os.path.dirname(suites.__file__))
+    proc = subprocess.run([sys.executable, "-c", _DEAD_WORKER], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch, forked):
+    def check_lemma_products(q_max, m):
+        raise ArithmeticError(f"non-integral bound at q = {q_max}")
+
+    monkeypatch.setattr(suites, "check_lemma_products", check_lemma_products)
+    with pytest.raises(ArithmeticError) as exc:
+        suites.run_suite(suites.SuiteConfig(n_max=3, q_list=(2,), parallelism=2), "lemmas")
+    assert type(exc.value) is ArithmeticError
+    assert str(exc.value) == "non-integral bound at q = 2"
+    assert len(forked) == 2 and all(_reaped(pid) for pid in forked)
+
+
+def test_forked_run_returns_records_in_task_order(forked):
+    # more tasks than workers, and indices that need more than one byte
+    def echo(i):
+        return {"i": i}
+
+    records = suites._run_forked([(echo, (i,)) for i in range(300)], 3)
+    assert [r["i"] for r in records] == list(range(300))
+    assert all(r["_elapsed"] >= 0 for r in records)
+    assert len(forked) == 3 and all(_reaped(pid) for pid in forked)
+
+
 def test_suite_config_refuses_fewer_than_one_worker():
     for jobs in (0, -2):
         with pytest.raises(ValueError, match="parallelism"):
@@ -458,6 +538,22 @@ def test_write_atomic_writes_a_fifo_in_place(tmp_path):
     assert got == ["report\n"]
     assert stat.S_ISFIFO(os.stat(path).st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_write_atomic_writes_through_a_symlink(tmp_path):
+    # renaming over the link would make it a regular file and leave the file
+    # it names stale
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    tables.write_atomic(str(link), "new\n")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == "new\n"
+    target.unlink()  # a link to a missing file in an existing directory
+    tables.write_atomic(str(link), "again\n")
+    assert link.is_symlink() and target.read_text() == "again\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
 def test_degrees_table_paper_row():
