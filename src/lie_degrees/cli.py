@@ -3,7 +3,9 @@
 Exit codes: 0 all asserted checks pass, 1 a check failed (witness in the
 report), 2 usage or configuration error, including an --out path that cannot
 be written (a directory, or in a missing directory), 3 internal error (an
-arithmetic self-check of the program failed; a bug, not a bad input).
+arithmetic self-check of the program failed, or a worker process of
+`verify --jobs N` died while it ran a check; a bug or the host, not a bad
+input).
 
 Start-up is most of the cost of a short command, so this module imports
 nothing from the package at load time: each command imports the modules it
@@ -126,7 +128,11 @@ def cmd_verify(args) -> int:
         truncation_m=args.truncation,
         parallelism=args.jobs,
     )
-    report = suites.run_suite(cfg, args.what)
+    try:
+        report = suites.run_suite(cfg, args.what)
+    except suites.WorkerDied as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = report.to_csv(args.timing) if args.format == "csv" else report.to_json(args.timing)
     _emit(args, text)
     if args.out:

@@ -251,31 +251,61 @@ def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
     """(parts, m1, m2) of up to count random octuples, in 100 * count draws
     at most: a random shape with 8 <= n <= n_max, its down-up moves shuffled,
     and the first pair (m1, m2) of ((ri, rj), (ai, aj)) moves among the first
-    eight in four distinct rows and four distinct columns."""
+    eight in four distinct rows and four distinct columns.
+
+    The draws come from random.Random(seed).getrandbits through _randbelow
+    and _shuffle, which draw what its randrange and shuffle would: the same
+    values, leaving the generator in the same state."""
     import random
 
     from . import symmetric
-    rng = random.Random(seed)
+    if n_max < 8:  # randrange raised on the empty range; _randbelow would not end
+        raise ValueError(f"octuple shapes need 8 <= n <= n_max, not n_max = {n_max}")
+    getrandbits = random.Random(seed).getrandbits
     done = 0
     attempts = 0
     while done < count and attempts < 100 * count:
         attempts += 1
-        # randrange(a, b + 1) is what randint(a, b) calls: the same draws
-        rem = rng.randrange(8, n_max + 1)
+        rem = 8 + _randbelow(getrandbits, n_max - 7)
         parts = []
         prev = rem
         while rem:  # each part is at most the one before: no sort needed
-            p = rng.randrange(1, min(prev, rem) + 1)
+            p = 1 + _randbelow(getrandbits, min(prev, rem))
             parts.append(p)
             rem -= p
             prev = p
         parts = tuple(parts)
         moves = symmetric.downup_moves(parts)
-        rng.shuffle(moves)
+        _shuffle(getrandbits, moves)
         picked = _octuple_pair(moves[:8])
         if picked:
             done += 1
             yield (parts, *picked)
+
+
+def _randbelow(getrandbits, width: int) -> int:
+    """The draw in [0, width), width >= 1, that randrange(width) makes on the
+    generator whose getrandbits this is, as CPython's Random does it:
+    width.bit_length() bits, drawn again while they read width or more (so
+    width 1 draws too)."""
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """Shuffle x in place as Random.shuffle does on the generator whose
+    getrandbits this is: Fisher-Yates from the last item down, each index
+    drawn as _randbelow draws it, with its loop written out here, where the
+    sample makes most of its draws."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def _octuple_pair(moves: list) -> tuple | None:
@@ -394,12 +424,13 @@ def check_ratio_witness(n_min: int, n_max: int) -> dict:
     {2, 1, 1/2} with ratio at least 1/100."""
     from . import partitions, symmetric
     excluded = {Fraction(2), Fraction(1), Fraction(1, 2)}
+    delta = Fraction(1, 100)
     failures = []
     count = 0
     for n in range(n_min, n_max + 1):
         for lam in partitions.partitions_of(n):
             count += 1
-            if symmetric.ratio_witness(lam, excluded, Fraction(1, 100)) is None:
+            if symmetric.ratio_witness(lam, excluded, delta) is None:
                 failures.append({"lam": lam.parts})
     return _record("ratio_witness", {"n_min": n_min, "n_max": n_max}, failures,
                    {"shapes": count})
@@ -574,6 +605,11 @@ def _work(tasks: list[tuple], deal: int, out: int, inherited: tuple[int, ...]) -
         os._exit(status)
 
 
+class WorkerDied(RuntimeError):
+    """A worker process of a parallel run ended before it returned the
+    records of its tasks: the run failed, not a check."""
+
+
 def _run_forked(tasks: list[tuple], workers: int) -> list[dict]:
     """_run_task over tasks in `workers` forked processes; the records in task
     order.
@@ -581,7 +617,7 @@ def _run_forked(tasks: list[tuple], workers: int) -> list[dict]:
     Every task index is written to one pipe before the first fork, and each
     worker takes the next whenever it is free (see _work).  A task's
     exception is raised here with its own type and message; a worker that
-    exits holding a task, or with a nonzero status, raises RuntimeError.
+    exits holding a task, or with a nonzero status, raises WorkerDied.
     Every worker is killed and reaped before the call ends, however it ends.
     """
     import pickle
@@ -632,7 +668,7 @@ def _run_forked(tasks: list[tuple], workers: int) -> list[dict]:
                     how = f"exit status {code}" if code >= 0 else f"signal {-code}"
                     held = (f" while running check {tasks[i][0].__name__.removeprefix('check_')!r}"
                             if pos < len(data) else "")
-                    raise RuntimeError(f"worker process {pid} ended with {how}{held}")
+                    raise WorkerDied(f"worker process {pid} ended with {how}{held}")
     finally:
         os.close(deal)
         for fd, (pid, _) in running.items():

@@ -12,13 +12,19 @@ What is built, and when:
   derived from the addable nodes of the whole diagram, not recomputed.
   `downup_moves` returns them as plain ((ri, rj), (ai, aj)) pairs;
   `downup_neighborhood` builds a `DownUpMove` and a `Partition` per move.
-- `ratio_witness` scores each neighbour as a part tuple with the cached
-  `partitions._sym_degree`, tests ratios in integers, and sorts the
-  neighbours only when the farthest one from ratio 1 is not a witness; it
-  builds one `Partition`, for the witness it returns.
+- `ratio_witness` builds each neighbour straight from the part tuple, from
+  the corner rows and the rows under them, without `_corners`' move lists;
+  it scores each with the cached `partitions._sym_degree`, tests ratios in
+  integers, and sorts the neighbours only when the farthest one from ratio 1
+  is not a witness.  Only the octuple stage, reached when no neighbour is a
+  witness, lists the moves through `_corners`.  It builds one `Partition`,
+  for the witness it returns.
 - `octuple_ratio` reads its two moves as integer node pairs: an
   `OctupleMove` is one already, as are the plain pairs the octuple check
-  draws, and it forms its three moved diagrams as part tuples.
+  draws.  It forms its three moved diagrams as part tuples and tests its
+  meets and cross cells as plain (i, j) pairs (a `Node` only in the error
+  text).  It returns the closed form's fraction, which equals the ratio of
+  the four hook products once the cross-multiplied test has passed.
 - `alt_degrees` walks part tuples and builds a conjugate only for diagrams
   whose first row is as long as their first column.
 
@@ -133,10 +139,11 @@ def _cross_hook(lam: Partition, remove: tuple[int, int], add: tuple[int, int]) -
     exactly one of the two meets lies in the diagram.
     """
     (ri, rj), (ai, aj) = remove, add
-    node = Node(ai, rj) if ai < ri else Node(ri, aj)
-    if not lam.contains(node):
-        raise ArithmeticError(f"cross cell {node} of {remove} and {add} is outside {lam}")
-    return formal_hook_length(lam, node)
+    i, j = (ai, rj) if ai < ri else (ri, aj)
+    parts = lam.parts
+    if not (1 <= i <= len(parts) and 1 <= j <= parts[i - 1]):
+        raise ArithmeticError(f"cross cell {Node(i, j)} of {remove} and {add} is outside {lam}")
+    return formal_hook_length(lam, (i, j))
 
 
 def octuple_ratio(lam: Partition, move: OctupleMove | tuple) -> Fraction:
@@ -165,13 +172,13 @@ def octuple_ratio(lam: Partition, move: OctupleMove | tuple) -> Fraction:
     num = hook_product(parts) * hook_product(d1234)
     den = hook_product(d12) * hook_product(d34)
 
-    a_node = Node(min(a1i, a2i), min(a1j, a2j))
-    b_node = Node(min(r1i, r2i), min(r1j, r2j))
-    for node in (a_node, b_node):
-        if not lam.contains(node):
-            raise ArithmeticError(f"meet {node} of the octuple {move} is outside {lam}")
-    a = formal_hook_length(lam, a_node)
-    b = formal_hook_length(lam, b_node)
+    a_meet = (min(a1i, a2i), min(a1j, a2j))
+    b_meet = (min(r1i, r2i), min(r1j, r2j))
+    for i, j in (a_meet, b_meet):
+        if not (1 <= i <= len(parts) and 1 <= j <= parts[i - 1]):
+            raise ArithmeticError(f"meet {Node(i, j)} of the octuple {move} is outside {lam}")
+    a = formal_hook_length(lam, a_meet)
+    b = formal_hook_length(lam, b_meet)
     c = _cross_hook(lam, first[0], second[1])
     d = _cross_hook(lam, second[0], first[1])
     closed_num = a * (a + 2) * b * (b - 2) * c * c * d * d
@@ -179,7 +186,7 @@ def octuple_ratio(lam: Partition, move: OctupleMove | tuple) -> Fraction:
     if closed_den == 0 or closed_num * den != num * closed_den:
         raise ArithmeticError(f"closed form {closed_num}/{closed_den} != direct ratio "
                               f"{Fraction(num, den)} for {lam}, {move}")
-    return Fraction(num, den)
+    return Fraction(closed_num, closed_den)  # equal to num/den, in smaller integers
 
 
 def _rational(x) -> Fraction | int:
@@ -214,15 +221,22 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
     # |d/base - 1| = |d - base|/base with base > 0 fixed: integer keys.  Every
     # corner's own re-addition gives lam back, which is listed once; the other
     # moves lead to distinct diagrams, so the trailing degree is never compared.
-    corners = _corners(parts)
+    # Row i ends in a corner when p_i > p_{i+1} (p_{l+1} = 0); nodes are
+    # addable in row 1 and under each corner row.  Once row i's corner is
+    # gone, the node under it stays addable only when p_{i+1} < p_i - 1.
+    padded = parts + (0,)
+    corner_rows = [i for i in range(1, len(parts) + 1) if padded[i] < padded[i - 1]]
+    add_rows = [1] + [i + 1 for i in corner_rows]
     scored = [(0, parts, base)]
-    for i, p, adds in corners:
-        mid = _without_node(parts, (i, p))
-        for ai, aj in adds:
-            if ai != i:
-                gamma = mid[:ai - 1] + (aj,) + mid[ai:]
-                d = _sym_degree(gamma)
-                scored.append((-abs(d - base), gamma, d))
+    for i in corner_rows:
+        p = parts[i - 1]
+        mid = parts[:i - 1] + (p - 1,) + parts[i:] if p > 1 else parts[:-1]
+        for a in add_rows:
+            if a == i or (a == i + 1 and padded[i] == p - 1):
+                continue
+            gamma = mid[:a - 1] + (padded[a - 1] + 1,) + mid[a:]
+            d = _sym_degree(gamma)
+            scored.append((-abs(d - base), gamma, d))
     _, gamma, d = min(scored)
     if d >= low and d not in banned:
         return Partition._from_valid_parts(gamma)
@@ -235,15 +249,14 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
     # move shares a row or a column between its own two nodes only when it
     # puts its corner back, so those are dropped and the two moves compared.
     # The second stays a down-up move after the first: each row moves by one.
-    moves = [(i, p, ai, aj) for i, p, adds in corners for ai, aj in adds if ai != i]
-    padded = [*parts, 0]
+    moves = [(i, p, ai, aj) for i, p, adds in _corners(parts) for ai, aj in adds if ai != i]
     for ri, rj, ai, aj in moves:
         for si, sj, bi, bj in moves:
             if si == ri or si == ai or bi == ri or bi == ai:
                 continue
             if sj == rj or sj == aj or bj == rj or bj == aj:
                 continue
-            rows = padded.copy()
+            rows = list(padded)
             rows[ri - 1] -= 1
             rows[ai - 1] += 1
             rows[si - 1] -= 1

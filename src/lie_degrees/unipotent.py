@@ -47,10 +47,12 @@ A degree-increasing chain (stclass_chain) walks from a symbol class to a
 Steinberg class on canonical row pairs: the next class (_chain_step) is that
 of the first candidate move whose degree at q exceeds the current one, so it
 depends only on the class and q.  Each step and each degree (_class_degree)
-is read once per (rows, q) into a memo; stclass_chain walks one chain with
-fresh memos, and stclass_chains the chains of every class through one pair,
-which D and 2D share, since chains cross between them.  Each step raises the
-degree, so no chain cycles, and none needs a cap on its steps.
+is read once per (rows, q) into a memo, and each class's moves are listed
+once for every q, as far as some q's step has tried them (_class_moves);
+stclass_chain walks one chain with fresh memos, and stclass_chains the
+chains of every class through one set, which D and 2D share, since chains
+cross between them.  Each step raises the degree, so no chain cycles, and
+none needs a cap on its steps.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _LABEL_FAMILIES, _SYMBOL_DEFECT, _record
@@ -797,6 +799,7 @@ def _chain_candidates(x: tuple[int, ...], y: tuple[int, ...]) -> Iterator[_Rows]
 
 _Degrees = dict[tuple[_Rows, int], int]  # (canonical rows, q) -> degree of the class
 _Steps = dict[tuple[_Rows, int], _Rows]  # (canonical rows, q) -> the next class
+_Moves = dict[_Rows, list]  # canonical rows -> the class's _class_moves tried so far
 
 
 def _class_degree(rows: _Rows, q: int) -> int:
@@ -804,19 +807,12 @@ def _class_degree(rows: _Rows, q: int) -> int:
     return _symbol_plan(*rows).evaluate(q)
 
 
-def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees) -> _Rows:
-    """The canonical rows of the class after `rows`, of rank n, on a chain at
-    q: those of the first move, in _chain_candidates order and skipping
-    repeated classes, whose degree at q exceeds the current one.  Each degree
-    is read from `degrees` or taken from _class_degree and stored there."""
-    def degree(key: _Rows) -> int:
-        out = degrees.get((key, q))
-        if out is None:
-            out = degrees[key, q] = _class_degree(key, q)
-        return out
-
+def _class_moves(rows: _Rows, n: int) -> Iterator[_Rows | str]:
+    """The canonical rows of the moves from the class with canonical rows
+    `rows`, of rank n, in _chain_candidates order, each class once and never
+    rows itself.  A move that changes the rank or the defect parity ends them
+    with the text of the error a chain reaching it raises."""
     odd = (len(rows[0]) - len(rows[1])) % 2
-    current = degree(rows)
     seen = {rows}
     for move in _chain_candidates(*rows):
         key = _canonical(*move)
@@ -824,10 +820,38 @@ def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees) -> _Rows:
             continue
         seen.add(key)
         if _rows_rank(*key) != n or (len(key[0]) - len(key[1])) % 2 != odd:
-            raise ArithmeticError(
-                f"move from {Symbol._from_valid_rows(*rows)} to {Symbol._from_valid_rows(*key)} "
-                "changes the rank or the defect parity")
-        if degree(key) > current:
+            yield (f"move from {Symbol._from_valid_rows(*rows)} to "
+                   f"{Symbol._from_valid_rows(*key)} changes the rank or the defect parity")
+            return
+        yield key
+
+
+def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees, moves: _Moves) -> _Rows:
+    """The canonical rows of the class after `rows`, of rank n, on a chain at
+    q: those of the first of its _class_moves whose degree at q exceeds the
+    current one.  The moves are listed in `moves` as far as some q has tried
+    them; a q that goes past them generates the moves again and lists the
+    ones after them.  Each degree is read from `degrees` or taken from
+    _class_degree and stored there."""
+    def degree(key: _Rows) -> int:
+        out = degrees.get((key, q))
+        if out is None:
+            out = degrees[key, q] = _class_degree(key, q)
+        return out
+
+    def tried(key: _Rows | str) -> bool:
+        if type(key) is str:
+            raise ArithmeticError(key)
+        return degree(key) > current
+
+    current = degree(rows)
+    listed = moves.setdefault(rows, [])
+    for key in listed:
+        if tried(key):
+            return key
+    for key in islice(_class_moves(rows, n), len(listed), None):
+        listed.append(key)
+        if tried(key):
             return key
     raise ArithmeticError(
         f"no degree-increasing move from {Symbol._from_valid_rows(*rows)} at q={q}; "
@@ -835,16 +859,21 @@ def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees) -> _Rows:
 
 
 def _walk(rows: _Rows, q: int, n: int, targets: frozenset[_Rows],
-          steps: _Steps, degrees: _Degrees) -> list[_Rows]:
+          steps: _Steps, degrees: _Degrees, moves: _Moves) -> list[_Rows]:
     """rows, canonical and of rank n, followed by the rows that _chain_step
     chooses at q, each read from `steps` or taken and stored there, up to one
-    of targets (see _steinberg_classes).  Each step raises the degree within
-    the finite set of classes of rank n, so the walk ends."""
+    of targets (see _steinberg_classes).  A class's moves are listed in
+    `moves` for every q, only as far as some q's step has tried them: most
+    steps stop at the first or second move, and the generator is not kept
+    (at rank <= 8 and q = 2..5 no step goes past the moves an earlier q
+    listed).  Each step raises the degree within the finite set of classes
+    of rank n, so the walk ends."""
     chain = [rows]
     while rows not in targets:
-        if (rows, q) not in steps:
-            steps[rows, q] = _chain_step(rows, q, n, degrees)
-        rows = steps[rows, q]
+        after = steps.get((rows, q))
+        if after is None:
+            after = steps[rows, q] = _chain_step(rows, q, n, degrees, moves)
+        rows = after
         chain.append(rows)
     return chain
 
@@ -866,7 +895,8 @@ def stclass_chain(sym: Symbol, q: int) -> list[Symbol]:
     targets = _steinberg_classes(n, family_of_defect(len(rows[0]) - len(rows[1])))
     if rows in targets:
         raise ValueError(f"{sym} already labels the Steinberg character")
-    return [sym] + [Symbol._from_valid_rows(*r) for r in _walk(rows, q, n, targets, {}, {})[1:]]
+    chain = _walk(rows, q, n, targets, {}, {}, {})
+    return [sym] + [Symbol._from_valid_rows(*r) for r in chain[1:]]
 
 
 def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
@@ -876,16 +906,21 @@ def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
 
     chain is the canonical rows of the class's stclass_chain at q, and error
     None or the text of the ArithmeticError that stopped the chain (chain
-    None).  All chains share one step memo and one degree memo (see _walk), D
-    and 2D too, since chains cross between them: each class's step is taken,
-    and its degree evaluated, once per q.  A step goes only to a class whose
-    degree in that memo is larger, so every chain increases.
+    None).  All chains share one step memo, one degree memo and one move memo
+    (see _walk), D and 2D too, since chains cross between them: each class's
+    step is taken, and its degree evaluated, once per q, and its moves are
+    generated and canonicalized once for all the q, unless a q goes past the
+    ones an earlier q listed.  A move that changes the rank or the defect
+    parity is listed at its place as that error, so it stops the chain at
+    every q whose step reaches it and at no other.  A step goes only to a
+    class whose degree in that memo is larger, so every chain increases.
     """
     q_list = tuple(q_list)
     if any(q < 2 for q in q_list):
         raise ValueError("q must be >= 2")
     steps: _Steps = {}
     degrees: _Degrees = {}
+    moves: _Moves = {}
     for fam in _SYMBOL_DEFECT:
         for n in range(min_rank(fam), rank_max + 1):
             targets = _steinberg_classes(n, fam)
@@ -894,7 +929,7 @@ def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
                     continue
                 for q in q_list:
                     try:
-                        chain = _walk(rows, q, n, targets, steps, degrees)
+                        chain = _walk(rows, q, n, targets, steps, degrees, moves)
                     except ArithmeticError as exc:
                         yield fam, n, rows, q, None, str(exc)
                     else:

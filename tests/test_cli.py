@@ -270,6 +270,32 @@ def test_internal_error_in_a_worker_exits_3(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: non-integral bound\n"
 
 
+_DEAD_WORKER_CLI = """
+import os, sys
+from lie_degrees import cli, suites
+
+def check_lemma_products(q_max, m):  # a worker killed mid-task
+    os._exit(9)
+
+suites.check_lemma_products = check_lemma_products
+sys.exit(cli.main(["verify", "lemmas", "--n", "1..3", "--jobs", "2"]))
+"""
+
+
+def test_a_dead_worker_is_an_internal_error_not_a_traceback():
+    # a fresh interpreter, so that the forked workers are its own, and a
+    # timeout, so that a hang fails the test instead of the test run
+    import os
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lie_degrees.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _DEAD_WORKER_CLI], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("internal error: worker process "), line
+    assert line.endswith(" ended with exit status 9 while running check 'lemma_products'"), line
+
+
 def test_command_parser_matches_the_full_parser():
     full = build_parser()
     [subs] = [a.choices for a in full._actions if isinstance(a, argparse._SubParsersAction)]

@@ -102,6 +102,30 @@ def test_octuple_sample_is_pinned():
     assert digest == "2868da2d92a243d9a917ff6dda2025ce68978a331f0216b76df89310cbc4ffdc"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 20260810])
+def test_octuple_draws_are_those_of_randrange_and_shuffle(seed):
+    # the same values, and the generator left in the same state (the next
+    # 64 bits agree): a guard on the draws beyond the one digest above
+    import random
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for width in range(1, 301):
+        for a in (0, 1, 8):
+            assert a + suites._randbelow(ours.getrandbits, width) == theirs.randrange(a, a + width)
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
+    for length in range(121):
+        mine, expected = list(range(length)), list(range(length))
+        suites._shuffle(ours.getrandbits, mine)
+        theirs.shuffle(expected)
+        assert mine == expected
+        assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+def test_octuple_sample_refuses_an_empty_size_range():
+    # randrange raised here; a rejection loop on width 0 would never end
+    with pytest.raises(ValueError, match="n_max = 7"):
+        next(suites._octuple_sample(1, 7, 0))
+
+
 def test_octuple_check_failure_names_the_move_objects(monkeypatch):
     def wrong(lam, move):
         raise ArithmeticError("closed form differs")

@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_degrees import symmetric
 from lie_degrees.partitions import (
@@ -290,6 +291,45 @@ def test_witness_matches_the_sorted_scan(setting):
         assert octuple_hits > 20
     if setting == "none":
         assert neighbour_hits == sorted_hits == octuple_hits == 0
+
+
+def farthest_first_ratio_witness(lam, excluded, delta):
+    """The tie rule as the reference states it: the down-up neighbour that
+    minimises (-|d - base|, parts), each degree d taken with sym_degree; when
+    it is no witness, the sorted scan and the octuples of
+    sorted_scan_ratio_witness."""
+    excluded = {Fraction(s) for s in excluded}
+    base = sym_degree(lam)
+    _, parts = min((-abs(sym_degree(gamma) - base), gamma.parts)
+                   for _, gamma in downup_neighborhood(lam))
+    ratio = Fraction(sym_degree(Partition(parts)), base)
+    if ratio >= delta and ratio not in excluded:
+        return Partition(parts)
+    return sorted_scan_ratio_witness(lam, excluded, delta)
+
+
+SHAPES_TO_14 = [lam for n in range(1, 15) for lam in partitions_of(n)]
+
+
+@given(delta=st.builds(Fraction, st.integers(1, 3000), st.integers(1, 100)),
+       picks=st.lists(st.integers(0, 40), max_size=4),
+       others=st.sets(st.builds(Fraction, st.integers(0, 60), st.integers(1, 12)), max_size=3),
+       ban_farthest=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_witness_follows_the_farthest_first_reference(delta, picks, others, ban_farthest):
+    """Every shape with n <= 14.  The excluded set holds the drawn rationals,
+    the neighbour ratios at the drawn indices of their sorted list and, when
+    ban_farthest is drawn, the farthest neighbour's ratio, so that the scan
+    has to pass over it."""
+    for lam in SHAPES_TO_14:
+        base = sym_degree(lam)
+        ratios = sorted({Fraction(sym_degree(gamma), base)
+                         for _, gamma in downup_neighborhood(lam)})
+        excluded = set(others) | {ratios[k % len(ratios)] for k in picks}
+        if ban_farthest:
+            excluded.add(_farthest_ratio(lam))
+        expected = farthest_first_ratio_witness(lam, excluded, delta)
+        assert ratio_witness(lam, excluded, delta) == expected, (lam, excluded, delta)
 
 
 def test_witness_column_20():

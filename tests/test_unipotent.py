@@ -717,6 +717,56 @@ def test_forest_chains_match_stclass_chain():
     assert walked == 3 * starts
 
 
+@pytest.mark.parametrize("q_list", [(2, 3, 4), (4, 3, 2)])
+def test_a_shared_move_list_raises_only_for_the_q_that_reach_a_bad_move(monkeypatch, q_list):
+    # the first move from this BC class of rank 4 raises the degree at q = 3
+    # and 4, not at q = 2; the second move offered is made to change the rank
+    rows = ((1, 2, 3), (0, 2))
+    first = ((1, 2, 3, 4), (0, 1, 2))
+    up = {q: unipotent._class_degree(first, q) > unipotent._class_degree(rows, q)
+          for q in q_list}
+    assert up == {2: False, 3: True, 4: True}
+    candidates = unipotent._chain_candidates
+
+    def patched(x, y):
+        if (x, y) == rows:
+            yield first
+            yield (1, 2, 3), (0, 9)
+        yield from candidates(x, y)
+
+    monkeypatch.setattr(unipotent, "_chain_candidates", patched)
+    together = {(fam, n, start, q): (chain, error)
+                for fam, n, start, q, chain, error in unipotent.stclass_chains(4, q_list)}
+    apart = {(fam, n, start, q): (chain, error)
+             for q in q_list
+             for fam, n, start, q, chain, error in unipotent.stclass_chains(4, (q,))}
+    assert together == apart
+    for q in q_list:
+        chain, error = together["BC", 4, rows, q]
+        if up[q]:
+            assert error is None and chain[1] == first
+        else:
+            assert chain is None and error == (
+                "move from Symbol((1, 2, 3), (0, 2)) to Symbol((1, 2, 3), (0, 9)) "
+                "changes the rank or the defect parity")
+
+
+def test_each_class_lists_its_moves_once_for_every_q(monkeypatch):
+    # no step at these ranks and q goes past the moves an earlier q listed,
+    # so each class that takes a step generates its moves once, not once per q
+    started = []
+    class_moves = unipotent._class_moves
+
+    def recording(rows, n):
+        started.append(rows)
+        return class_moves(rows, n)
+
+    monkeypatch.setattr(unipotent, "_class_moves", recording)
+    outcomes = list(unipotent.stclass_chains(6, (2, 3, 4, 5)))
+    assert all(error is None for *_, error in outcomes)
+    assert len(started) == len(set(started)) == len({rows for _, _, rows, *_ in outcomes})
+
+
 def test_steinberg_classes_are_cached_frozensets():
     for fam in ("BC", "D", "2D"):
         got = unipotent._steinberg_classes(4, fam)
