@@ -1,11 +1,12 @@
 """Command-line surface: exact degrees, verification sweeps, tables.
 
-Exit codes: 0 all asserted checks pass, 1 a check failed (witness in the
-report), 2 usage or configuration error, including an --out path that cannot
-be written (a directory, or in a missing directory), 3 internal error (an
-arithmetic self-check of the program failed, or a worker process of
-`verify --jobs N` died while it ran a check; a bug or the host, not a bad
-input).
+Exit codes: 0 all asserted checks pass, 1 a check failed or raised (its
+witness, or the error, in the report), 2 usage or configuration error,
+including an empty q list and an --out path that cannot be written (a
+directory, or in a missing directory), 3 internal error (an arithmetic
+self-check of the program failed outside a `verify` check, or a worker
+process of `verify --jobs N` died while it ran a check; a bug or the host,
+not a bad input).
 
 Start-up is most of the cost of a short command, so this module imports
 nothing from the package at load time: each command imports the modules it
@@ -67,6 +68,14 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def parse_q_list(text: str) -> tuple[int, ...]:
+    """The comma list of a --q option; an empty one is a ValueError."""
+    q_list = parse_int_list(text)
+    if not q_list:
+        raise ValueError("no q values given")
+    return q_list
+
+
 @_int_digits(_INPUT_DIGITS)
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with a zero denominator a ValueError like any other
@@ -124,7 +133,7 @@ def cmd_verify(args) -> int:
     cfg = suites.SuiteConfig(
         families=tuple(args.family.split(",")) if args.family else _LABEL_FAMILIES,
         n_min=n_min, n_max=n_max,
-        q_list=parse_int_list(args.q),
+        q_list=parse_q_list(args.q),
         truncation_m=args.truncation,
         parallelism=args.jobs,
     )
@@ -152,10 +161,11 @@ def cmd_bmax(args) -> int:
 def cmd_bounds(args) -> int:
     from . import tables
     n_min, n_max = parse_range(args.n)
+    q_list = parse_q_list(args.q)
     rows_all: list[list] = []
     header: list[str] = []
     for fam in args.family.split(","):
-        for q in parse_int_list(args.q):
+        for q in q_list:
             header, rows = tables.bounds_table(fam, n_min, n_max, q)
             rows_all.extend(rows)
     _emit(args, tables.render_table(header, rows_all, args.format, "bounds"))

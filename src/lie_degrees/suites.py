@@ -1,10 +1,13 @@
 """Named verification checks and the suite runner.
 
-Each check returns a plain dict record {check, params, verdict, witness,
-values}; verdict is "pass"/"fail" for asserted checks and "report" for
-data-only ones.  Reports are deterministic: records are keyed by their task
-order, rationals are rendered exactly, and no timing data is included unless
-explicitly requested.
+A check returns (failures, values): the list of its failures, empty if it
+holds, and a dict of the values it found.  The runner (_run_task) builds
+each check's record {check, params, verdict, witness, values} from that and
+the params it called the check with; verdict is "pass"/"fail" for asserted
+checks, "report" for data-only ones and "error" for a check that raised.
+Reports are deterministic: records are keyed by their task order, rationals
+are rendered exactly, and no timing data is included unless explicitly
+requested.
 
 The module loads only what the runner and the report need.  Each check
 imports the modules it calls when it runs, as each CLI command does, so a
@@ -33,19 +36,8 @@ from .tables import SCHEMA, fmt_rational, json_safe_ints, render_table
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _record(check: str, params: dict, failures: list, values: dict | None = None) -> dict:
-    """The record of a pass/fail check: it fails iff there are failures, and
-    the first one is the witness."""
-    return {
-        "check": check,
-        "params": params,
-        "verdict": "fail" if failures else "pass",
-        "witness": failures[0] if failures else None,
-        "values": {} if values is None else values,
-    }
-
-
-def check_steinberg(family: str, n_min: int, n_max: int, q_list: tuple[int, ...]) -> dict:
+def check_steinberg(family: str, n_min: int, n_max: int,
+                    q_list: tuple[int, ...]) -> tuple[list, dict]:
     from . import orders, unipotent
     failures = []
     cases = 0
@@ -56,20 +48,18 @@ def check_steinberg(family: str, n_min: int, n_max: int, q_list: tuple[int, ...]
             if not ok:
                 failures.append({"n": n, "q": q, "runner_up": repr(runner),
                                  "gap": fmt_rational(gap)})
-    return _record("steinberg",
-                   {"family": family, "n_min": n_min, "n_max": n_max, "q_list": list(q_list)},
-                   failures, {"cases": cases})
+    return failures, {"cases": cases}
 
 
-def check_anchor_degrees() -> dict:
+def check_anchor_degrees() -> tuple[list, dict]:
     from . import partitions, unipotent
     d1 = unipotent.degree_gl(partitions.Partition((2, 2, 2)), 2)
     d2 = unipotent.degree_gl(partitions.Partition((3, 2, 1)), 2)
     failures = [] if (d1, d2) == (5952, 6480) else [{"got": [d1, d2], "expected": [5952, 6480]}]
-    return _record("anchor_degrees", {}, failures, {"deg_222": d1, "deg_321": d2})
+    return failures, {"deg_222": d1, "deg_321": d2}
 
 
-def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> dict:
+def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
     """Adding a node at (i, j), j >= 2 versus a new bottom row: the degrees
     satisfy q^{-j-1} deg_mu < deg_nu < q^{2-j} deg_mu <= deg_mu."""
     from . import partitions, unipotent
@@ -92,8 +82,7 @@ def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> dict:
                     upper = Fraction(q ** 2 * dmu, q ** j)
                     if not (lower < dnu < upper <= dmu):
                         failures.append({"lam": lam.parts, "node": [i, j], "q": q})
-    return _record("prop_compgl", {"n_max": n_max, "q_list": list(q_list)}, failures,
-                   {"cases": cases})
+    return failures, {"cases": cases}
 
 
 def _dominance_violations(n: int, q: int) -> tuple[int, list[tuple]]:
@@ -114,7 +103,7 @@ def _dominance_violations(n: int, q: int) -> tuple[int, list[tuple]]:
     return pairs, violations
 
 
-def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> dict:
+def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
     """Strict dominance forces strictly smaller GL degree for q >= 3; for
     q = 2 the violations up to n = 6 are exactly the known smallest pair."""
     failures = []
@@ -130,11 +119,10 @@ def check_prop_dominance(n_max: int, q_list: tuple[int, ...]) -> dict:
                      for mu, nu in _dominance_violations(n, 2)[1]]
     if q2_violations != [[[2, 2, 2], [3, 2, 1]]]:
         failures.append({"q2_violations": q2_violations})
-    return _record("prop_dominance", {"n_max": n_max, "q_list": list(q_list)}, failures,
-                   {"cases": cases, "q2_smallest_counterexample": q2_violations})
+    return failures, {"cases": cases, "q2_smallest_counterexample": q2_violations}
 
 
-def check_prop_glgu(n_max: int, q_list: tuple[int, ...]) -> dict:
+def check_prop_glgu(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
     """degree_gl >= degree_gu everywhere; equality cases recorded."""
     from . import partitions, unipotent
     failures = []
@@ -152,14 +140,14 @@ def check_prop_glgu(n_max: int, q_list: tuple[int, ...]) -> dict:
                     equalities.add(lam.parts)
     trivial_like = {(n,) for n in range(1, n_max + 1)}
     trivial_like |= {(1,) * n for n in range(1, n_max + 1)}
-    extra = sorted(equalities - trivial_like - {(2, 2)})
-    return _record("prop_glgu", {"n_max": n_max, "q_list": list(q_list)}, failures,
-                   {"cases": cases,
-                    "equality_beyond_trivial_steinberg_22": [list(p) for p in extra]})
+    extra = [list(p) for p in sorted(equalities - trivial_like - {(2, 2)})]
+    if extra:
+        failures.append({"equality_beyond_trivial_steinberg_22": extra})
+    return failures, {"cases": cases, "equality_beyond_trivial_steinberg_22": extra}
 
 
 def check_lemma_bracket_ratios(s_max: int, q_list: tuple[int, ...],
-                               grid_max: int = 30) -> dict:
+                               grid_max: int) -> tuple[list, dict]:
     from . import qexact
     failures = []
     for q in q_list:
@@ -177,21 +165,19 @@ def check_lemma_bracket_ratios(s_max: int, q_list: tuple[int, ...],
                 plus_le = (q ** a + 1) * (q ** (b - 1) + 1) <= (q ** b + 1) * (q ** (a - 1) + 1)
                 if plus_le != (a <= b):
                     failures.append({"iff": "plus", "a": a, "b": b, "q": q})
-    return _record("lemma_bracket_ratios",
-                   {"s_max": s_max, "q_list": list(q_list), "grid_max": grid_max}, failures)
+    return failures, {}
 
 
-def check_lemma_products(q_max: int, m: int) -> dict:
+def check_lemma_products(q_max: int, m: int) -> tuple[list, dict]:
     from . import qexact
     report = qexact.product_bound_suite(q_max, m=m)
     bad = {q: {k: v for k, v in checks.items() if not v}
            for q, checks in report["per_q"].items()
            if not all(checks.values())}
-    return _record("lemma_products", {"q_max": q_max, "m": m}, [bad] if bad else [],
-                   {"q_checked": list(report["per_q"])})
+    return [bad] if bad else [], {"q_checked": list(report["per_q"])}
 
 
-def check_oracle_sym_squares(n_max: int) -> dict:
+def check_oracle_sym_squares(n_max: int) -> tuple[list, dict]:
     import math
 
     from . import partitions
@@ -200,10 +186,10 @@ def check_oracle_sym_squares(n_max: int) -> dict:
         total = sum(partitions.sym_degree(lam) ** 2 for lam in partitions.partitions_of(n))
         if total != math.factorial(n):
             failures.append({"n": n, "total": total})
-    return _record("oracle_sym_squares", {"n_max": n_max}, failures)
+    return failures, {}
 
 
-def check_oracle_alt_squares(n_max: int) -> dict:
+def check_oracle_alt_squares(n_max: int) -> tuple[list, dict]:
     import math
 
     from . import symmetric
@@ -211,10 +197,10 @@ def check_oracle_alt_squares(n_max: int) -> dict:
     for n in range(2, n_max + 1):
         if symmetric.alt_degrees(n).total != math.factorial(n) // 2:
             failures.append({"n": n})
-    return _record("oracle_alt_squares", {"n_max": n_max}, failures)
+    return failures, {}
 
 
-def check_oracle_branching(n_max: int) -> dict:
+def check_oracle_branching(n_max: int) -> tuple[list, dict]:
     from . import partitions
     failures = []
     for n in range(1, n_max + 1):
@@ -224,10 +210,10 @@ def check_oracle_branching(n_max: int) -> dict:
                         for r in removable)
             if total != partitions.sym_degree(lam):
                 failures.append({"lam": lam.parts})
-    return _record("oracle_branching", {"n_max": n_max}, failures)
+    return failures, {}
 
 
-def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
+def check_octuple_closed_form(count: int, n_max: int, seed: int) -> tuple[list, dict]:
     """octuple_ratio's closed form on the count random octuples that
     _octuple_sample draws, each checked on its plain node pairs."""
     from . import partitions, symmetric
@@ -243,8 +229,7 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> dict:
         done += 1
     if done < count:
         failures.append({"done": done})
-    return _record("octuple_closed_form", {"count": count, "n_max": n_max, "seed": seed},
-                   failures, {"verified": done})
+    return failures, {"verified": done}
 
 
 def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
@@ -324,7 +309,7 @@ def _octuple_pair(moves: list) -> tuple | None:
     return None
 
 
-def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> dict:
+def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
     from . import maxdegree
     failures = []
     for q in q_list:
@@ -336,10 +321,10 @@ def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> dict:
             if not (b <= maxdegree.seitz_bound(spec)
                     and low_i.hi <= c <= up_i.lo):
                 failures.append({"n": n, "q": q, "b": b})
-    return _record("bgl_brackets", {"n_max": n_max, "q_list": list(q_list)}, failures)
+    return failures, {}
 
 
-def check_poly_brackets(q_list: tuple[int, ...], bound: int) -> dict:
+def check_poly_brackets(q_list: tuple[int, ...], bound: int) -> tuple[list, dict]:
     """(poly): 3q^d/4d <= n_d < q^d/d for d >= 3; (poly2): n*_d < q^d/d always
     and >= 3q^d/4d for d >= 3, q >= 3 or d >= 5, q = 2."""
     from . import maxdegree
@@ -357,7 +342,7 @@ def check_poly_brackets(q_list: tuple[int, ...], bound: int) -> dict:
                     and not (3 * q ** d <= 4 * d * nds):
                 failures.append({"q": q, "d": d, "which": "poly2-lower"})
             d += 1
-    return _record("poly_brackets", {"q_list": list(q_list), "bound": bound}, failures)
+    return failures, {}
 
 
 EPSILON_FRONTIER = (
@@ -375,18 +360,20 @@ EPSILON_FRONTIER = (
 )
 
 
-def check_epsilon_certificates() -> dict:
+def check_epsilon_certificates(rows: int) -> tuple[list, dict]:
+    """The epsilon certificate of each of the first rows rows of
+    EPSILON_FRONTIER is the one listed there."""
     from . import maxdegree
     failures = []
-    for fam, n, q, expected in EPSILON_FRONTIER:
+    for fam, n, q, expected in EPSILON_FRONTIER[:rows]:
         got = maxdegree.epsilon_certificate(maxdegree.GroupSpec(fam, n, q)).value
         if got != expected:
             failures.append({"family": fam, "n": n, "q": q,
                              "expected": expected, "got": got})
-    return _record("epsilon_certificates", {"rows": len(EPSILON_FRONTIER)}, failures)
+    return failures, {}
 
 
-def check_merge_ratios(n_max: int) -> dict:
+def check_merge_ratios(n_max: int) -> tuple[list, dict]:
     from . import maxdegree
     failures = []
     count = 0
@@ -399,10 +386,10 @@ def check_merge_ratios(n_max: int) -> dict:
                 maxdegree.merge_ratio_sl_n_2(t)
             except ArithmeticError:
                 failures.append({"type": t.blocks})
-    return _record("merge_ratios", {"n_max": n_max}, failures, {"types": count})
+    return failures, {"types": count}
 
 
-def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
+def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
     """Every non-Steinberg symbol class of rank <= rank_max has a chain of
     strictly increasing degree to a Steinberg symbol at each q (see
     unipotent.stclass_chains)."""
@@ -415,11 +402,10 @@ def check_stclass_chains(rank_max: int, q_list: tuple[int, ...]) -> dict:
         else:
             failures.append({"family": fam, "n": n, "q": q, "symbol": list(rows),
                              "error": error})
-    return _record("stclass_chains", {"rank_max": rank_max, "q_list": list(q_list)}, failures,
-                   {"chains": chains})
+    return failures, {"chains": chains}
 
 
-def check_ratio_witness(n_min: int, n_max: int) -> dict:
+def check_ratio_witness(n_min: int, n_max: int) -> tuple[list, dict]:
     """Every shape in the size range has a degree-ratio witness avoiding
     {2, 1, 1/2} with ratio at least 1/100."""
     from . import partitions, symmetric
@@ -432,12 +418,12 @@ def check_ratio_witness(n_min: int, n_max: int) -> dict:
             count += 1
             if symmetric.ratio_witness(lam, excluded, delta) is None:
                 failures.append({"lam": lam.parts})
-    return _record("ratio_witness", {"n_min": n_min, "n_max": n_max}, failures,
-                   {"shapes": count})
+    return failures, {"shapes": count}
 
 
-def check_epsilon_an(n_min: int, n_max: int) -> dict:
-    """Data-only: epsilon(A_n); flags (never fails on) values below 1."""
+def check_epsilon_an(n_min: int, n_max: int) -> tuple[list, dict]:
+    """Data-only: epsilon(A_n); the n with a value below 1 are its witness,
+    which never fails the check (see _DATA_ONLY)."""
     from . import symmetric
     rows = []
     below_one = []
@@ -446,13 +432,7 @@ def check_epsilon_an(n_min: int, n_max: int) -> dict:
         rows.append({"n": n, "epsilon": fmt_rational(eps)})
         if eps < 1:
             below_one.append(n)
-    return {
-        "check": "epsilon_an",
-        "params": {"n_min": n_min, "n_max": n_max},
-        "verdict": "report",
-        "witness": {"below_one": below_one} if below_one else None,
-        "values": {"rows": rows},
-    }
+    return [{"below_one": below_one}] if below_one else [], {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -483,46 +463,64 @@ class SuiteConfig:
 
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:
-    """(check function, arguments) of each check the selection runs, in
-    report order."""
+    """(check function, params) of each check the selection runs, in report
+    order; the check is called with the params as keyword arguments."""
     tasks: list[tuple] = []
     if selection in ("steinberg", "all"):
         for fam in cfg.families:
-            tasks.append((check_steinberg, (fam, cfg.n_min, cfg.n_max, cfg.q_list)))
+            tasks.append((check_steinberg, {"family": fam, "n_min": cfg.n_min,
+                                            "n_max": cfg.n_max, "q_list": cfg.q_list}))
     if selection in ("props", "all"):
-        tasks.append((check_anchor_degrees, ()))
-        tasks.append((check_prop_compgl, (min(cfg.n_max, 20), cfg.q_list)))
-        tasks.append((check_prop_dominance, (min(cfg.n_max, 14),
-                                             tuple(q for q in cfg.q_list if q >= 3) or (3, 4, 5))))
-        tasks.append((check_prop_glgu, (min(cfg.n_max, 25), cfg.q_list)))
+        tasks.append((check_anchor_degrees, {}))
+        tasks.append((check_prop_compgl, {"n_max": min(cfg.n_max, 20), "q_list": cfg.q_list}))
+        tasks.append((check_prop_dominance, {
+            "n_max": min(cfg.n_max, 14),
+            "q_list": tuple(q for q in cfg.q_list if q >= 3) or (3, 4, 5)}))
+        tasks.append((check_prop_glgu, {"n_max": min(cfg.n_max, 25), "q_list": cfg.q_list}))
     if selection in ("lemmas", "all"):
-        tasks.append((check_lemma_bracket_ratios, (12, cfg.q_list)))
-        tasks.append((check_lemma_products, (max(cfg.q_list), cfg.truncation_m)))
+        tasks.append((check_lemma_bracket_ratios,
+                      {"s_max": 12, "q_list": cfg.q_list, "grid_max": 30}))
+        tasks.append((check_lemma_products, {"q_max": max(cfg.q_list), "m": cfg.truncation_m}))
     if selection == "all":
-        tasks.append((check_oracle_sym_squares, (min(cfg.n_max, 20),)))
-        tasks.append((check_oracle_alt_squares, (min(cfg.n_max, 20),)))
-        tasks.append((check_oracle_branching, (min(cfg.n_max, 30),)))
-        tasks.append((check_octuple_closed_form, (1000, 60, 20260810)))
+        tasks.append((check_oracle_sym_squares, {"n_max": min(cfg.n_max, 20)}))
+        tasks.append((check_oracle_alt_squares, {"n_max": min(cfg.n_max, 20)}))
+        tasks.append((check_oracle_branching, {"n_max": min(cfg.n_max, 30)}))
+        tasks.append((check_octuple_closed_form, {"count": 1000, "n_max": 60, "seed": 20260810}))
         from . import maxdegree
         prime_powers = tuple(q for q in cfg.q_list if maxdegree.prime_power(q))
-        tasks.append((check_bgl_brackets, (min(cfg.n_max, 40), prime_powers)))
-        tasks.append((check_poly_brackets, (prime_powers, 2 ** 16)))
-        tasks.append((check_epsilon_certificates, ()))
-        tasks.append((check_merge_ratios, (min(cfg.n_max, 12),)))
-        tasks.append((check_stclass_chains, (min(cfg.n_max, 8), cfg.q_list)))
-        tasks.append((check_ratio_witness, (15, 18)))
-        tasks.append((check_epsilon_an, (5, min(cfg.n_max + 10, 20))))
+        tasks.append((check_bgl_brackets, {"n_max": min(cfg.n_max, 40), "q_list": prime_powers}))
+        tasks.append((check_poly_brackets, {"q_list": prime_powers, "bound": 2 ** 16}))
+        tasks.append((check_epsilon_certificates, {"rows": len(EPSILON_FRONTIER)}))
+        tasks.append((check_merge_ratios, {"n_max": min(cfg.n_max, 12)}))
+        tasks.append((check_stclass_chains, {"rank_max": min(cfg.n_max, 8), "q_list": cfg.q_list}))
+        tasks.append((check_ratio_witness, {"n_min": 15, "n_max": 18}))
+        tasks.append((check_epsilon_an, {"n_min": 5, "n_max": min(cfg.n_max + 10, 20)}))
     if not tasks:
         raise ValueError(f"unknown suite selection {selection!r}")
     return tasks
 
 
+_DATA_ONLY = frozenset({"epsilon_an"})  # checks whose verdict is "report", never "fail"
+
+
 def _run_task(task: tuple) -> dict:
-    check, args = task
+    """The record of one (check, params) task, the only place a record is
+    built: check is the function's name without its check_ prefix; verdict
+    is "error" if the check raised an Exception (its type and message are
+    the witness), else "report" for a data-only check, else "fail" iff it
+    returned failures, the first of which is the witness."""
+    check, params = task
+    name = check.__name__.removeprefix("check_")
     started = time.monotonic()
-    record = check(*args)
-    record["_elapsed"] = time.monotonic() - started
-    return record
+    try:
+        failures, values = check(**params)
+    except Exception as exc:
+        verdict, witness, values = "error", {"error": f"{type(exc).__name__}: {exc}"}, {}
+    else:
+        verdict = "report" if name in _DATA_ONLY else "fail" if failures else "pass"
+        witness = failures[0] if failures else None
+    return {"check": name, "params": params, "verdict": verdict, "witness": witness,
+            "values": values, "_elapsed": time.monotonic() - started}
 
 
 class SuiteReport:
@@ -534,7 +532,7 @@ class SuiteReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(c["verdict"] != "fail" for c in self.checks)
+        return all(c["verdict"] in ("pass", "report") for c in self.checks)
 
     def to_json(self, timing: bool = False) -> str:
         checks = []
@@ -544,11 +542,10 @@ class SuiteReport:
             if timing:
                 c["wall_ms"] = round(1000 * elapsed, 3) if elapsed is not None else None
             checks.append(c)
-        summary = {
-            "pass": sum(c["verdict"] == "pass" for c in self.checks),
-            "fail": sum(c["verdict"] == "fail" for c in self.checks),
-            "report": sum(c["verdict"] == "report" for c in self.checks),
-        }
+        verdicts = [c["verdict"] for c in self.checks]
+        summary = {v: verdicts.count(v) for v in ("pass", "fail", "report")}
+        if "error" in verdicts:  # absent otherwise: a passing report keeps its bytes
+            summary["error"] = verdicts.count("error")
         doc = {"schema": SCHEMA, "config": self.config,
                "checks": checks, "summary": summary}
         with _int_digits(0):
@@ -575,11 +572,10 @@ def _work(tasks: list[tuple], deal: int, out: int, inherited: tuple[int, ...]) -
 
     It takes the next four-byte task index from the pipe deal until the pipe
     is empty.  To the pipe out it writes each index as it takes it, then the
-    length and the pickle of the task's record, or of the exception the task
-    raised, after which it stops.  It closes the read ends of the result pipes
-    it inherited, so a worker whose parent is gone fails its next write.  It
-    leaves through os._exit: no exit handlers, no flush of the stdio buffers
-    it shares with the parent.
+    length and the pickle of the task's record.  It closes the read ends of
+    the result pipes it inherited, so a worker whose parent is gone fails its
+    next write.  It leaves through os._exit: no exit handlers, no flush of the
+    stdio buffers it shares with the parent, and status 1 if anything raised.
     """
     import pickle
 
@@ -591,15 +587,9 @@ def _work(tasks: list[tuple], deal: int, out: int, inherited: tuple[int, ...]) -
             while index := os.read(deal, 4):
                 pipe.write(index)
                 pipe.flush()
-                try:
-                    result = _run_task(tasks[int.from_bytes(index, "little")])
-                except BaseException as exc:
-                    result = exc
-                data = pickle.dumps(result)
+                data = pickle.dumps(_run_task(tasks[int.from_bytes(index, "little")]))
                 pipe.write(len(data).to_bytes(4, "little") + data)
                 pipe.flush()
-                if isinstance(result, BaseException):
-                    break
         status = 0
     finally:
         os._exit(status)
@@ -615,8 +605,7 @@ def _run_forked(tasks: list[tuple], workers: int) -> list[dict]:
     order.
 
     Every task index is written to one pipe before the first fork, and each
-    worker takes the next whenever it is free (see _work).  A task's
-    exception is raised here with its own type and message; a worker that
+    worker takes the next whenever it is free (see _work).  A worker that
     exits holding a task, or with a nonzero status, raises WorkerDied.
     Every worker is killed and reaped before the call ends, however it ends.
     """
@@ -661,8 +650,6 @@ def _run_forked(tasks: list[tuple], workers: int) -> list[dict]:
                     if end > len(data):
                         break  # the worker ended while it ran task i
                     records[i] = pickle.loads(data[pos + 8:end])
-                    if isinstance(records[i], BaseException):
-                        raise records[i]
                     pos = end
                 if pos < len(data) or code:
                     how = f"exit status {code}" if code >= 0 else f"signal {-code}"

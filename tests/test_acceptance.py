@@ -10,6 +10,11 @@ from lie_degrees import _SYMBOL_DEFECT, maxdegree, qexact, suites, unipotent
 from lie_degrees.partitions import Partition
 
 
+def _run(check, **params):
+    """The record the suite runner builds for check at params."""
+    return suites._run_task((check, params))
+
+
 def _report(num: int, description: str, ok: bool, detail: str = ""):
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {description}"
     if detail:
@@ -35,22 +40,24 @@ def test_criterion_01_paper_counterexample_degrees():
 
 def test_criterion_02_steinberg_maximality():
     qs = (2, 3, 4, 5)
-    records = [suites.check_steinberg(fam, 1, 30, qs) for fam in ("GL", "GU")]
-    records += [suites.check_steinberg(fam, 1, 10, qs) for fam in _SYMBOL_DEFECT]
+    records = [_run(suites.check_steinberg, family=fam, n_min=1, n_max=30, q_list=qs)
+               for fam in ("GL", "GU")]
+    records += [_run(suites.check_steinberg, family=fam, n_min=1, n_max=10, q_list=qs)
+                for fam in _SYMBOL_DEFECT]
     _report_checks(2, "Steinberg is the unique largest unipotent degree "
                       "(GL/GU n<=30, symbols rank<=10, q in {2,3,4,5})",
                    records, f"{sum(r['values']['cases'] for r in records)} cases")
 
 
 def test_criterion_03_dominance_monotonicity():
-    record = suites.check_prop_dominance(14, (3, 4, 5))
+    record = _run(suites.check_prop_dominance, n_max=14, q_list=(3, 4, 5))
     _report_checks(3, "dominance forces strictly smaller degree for q in {3,4,5}, n<=14; "
                       "q=2 fails exactly at (2,2,2) vs (3,2,1) for n=6",
                    [record], f"{record['values']['cases']} comparable pairs")
 
 
 def test_criterion_04_gl_dominates_gu():
-    record = suites.check_prop_glgu(25, (2, 3, 4, 5))
+    record = _run(suites.check_prop_glgu, n_max=25, q_list=(2, 3, 4, 5))
     _report_checks(4, "degree_gl >= degree_gu for all partitions of n <= 25, q in {2,3,4,5}",
                    [record], f"{record['values']['cases']} cases")
 
@@ -74,18 +81,20 @@ def test_criterion_06_b_gl_brackets_and_seitz():
     # enclosure lower.lo <= c <= upper.hi
     _report_checks(6, "lower <= b/q^(n(n-1)/2) <= upper and b <= minimal-torus bound "
                       "for n <= 40, q in {2,3,4,5,7,8,9}",
-                   [suites.check_bgl_brackets(40, (2, 3, 4, 5, 7, 8, 9))], "280 cases")
+                   [_run(suites.check_bgl_brackets, n_max=40, q_list=(2, 3, 4, 5, 7, 8, 9))],
+                   "280 cases")
 
 
 def test_criterion_07_oracle_identities():
-    records = [suites.check_oracle_sym_squares(20), suites.check_oracle_alt_squares(20),
-               suites.check_oracle_branching(30)]
+    records = [_run(suites.check_oracle_sym_squares, n_max=20),
+               _run(suites.check_oracle_alt_squares, n_max=20),
+               _run(suites.check_oracle_branching, n_max=30)]
     _report_checks(7, "square-sum identities (n <= 20) and branching sums (n <= 30) exact",
                    records)
 
 
 def test_criterion_08_octuple_closed_form():
-    record = suites.check_octuple_closed_form(1000, 60, 20260810)
+    record = _run(suites.check_octuple_closed_form, count=1000, n_max=60, seed=20260810)
     _report_checks(8, "octuple closed form equals the hook-product ratio exactly", [record],
                    f"{record['values']['verified']} random octuples, n <= 60")
 
@@ -145,9 +154,10 @@ def test_criterion_10_epsilon_certificates_and_merges():
     }
     assert frontier <= set(suites.EPSILON_FRONTIER)
     # merge_ratio_sl_n_2 raises unless the ratio is in (81/512, 1)
-    merges = suites.check_merge_ratios(12)
+    merges = _run(suites.check_merge_ratios, n_max=12)
     _report_checks(10, "epsilon certificate frontier rows and SL_n(2) merge ratios in (81/512, 1)",
-                   [suites.check_epsilon_certificates(), merges],
+                   [_run(suites.check_epsilon_certificates, rows=len(suites.EPSILON_FRONTIER)),
+                    merges],
                    f"{len(suites.EPSILON_FRONTIER)} frontier rows, "
                    f"{merges['values']['types']} merge types")
 
@@ -156,14 +166,14 @@ def test_replacement_witness_search_15_to_30():
     # stated replacement for the non-reproducible existential constants:
     # every shape of size 15..30 admits a degree-ratio witness avoiding
     # {2, 1, 1/2} with ratio >= 1/100
-    record = suites.check_ratio_witness(15, 30)
+    record = _run(suites.check_ratio_witness, n_min=15, n_max=30)
     _report_checks(12, "ratio witness exists for every shape, 15 <= n <= 30 "
                        "(excluded set {2, 1, 1/2}, delta 1/100)",
                    [record], f"{record['values']['shapes']} shapes")
 
 
 def test_criterion_11_chains_reach_steinberg():
-    record = suites.check_stclass_chains(8, (2, 3))
+    record = _run(suites.check_stclass_chains, rank_max=8, q_list=(2, 3))
     _report_checks(11, "every non-Steinberg symbol class of rank <= 8 reaches a Steinberg "
                        "symbol through strictly increasing degrees (q in {2,3})",
                    [record], f"{record['values']['chains']} chains")

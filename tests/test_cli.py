@@ -236,6 +236,15 @@ def test_verify_refuses_an_unknown_family_before_any_check(capsys):
         assert capsys.readouterr() == ("", f"error: unknown family {argv[3]!r}\n")
 
 
+def test_an_empty_q_list_is_a_usage_error(capsys):
+    # no blank table, no empty JSON columns, no "q values must be >= 2"
+    for argv in (["bounds", "--q", ""], ["bounds", "--q", ","],
+                 ["bounds", "--q", "", "--format", "json"],
+                 ["verify", "lemmas", "--q", ""], ["verify", "all", "--q", ","]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: no q values given\n")
+
+
 def test_fewer_than_one_job_is_a_usage_error(capsys):
     for jobs in ("0", "-2"):
         assert main(["verify", "lemmas", "--q", "2", "--jobs", jobs]) == 2
@@ -259,15 +268,32 @@ def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: non-integral b(GL_3(2))\n"
 
 
-def test_internal_error_in_a_worker_exits_3(capsys, monkeypatch):
+def test_a_check_that_raises_is_an_error_record_and_the_others_are_kept(capsys, monkeypatch):
     from lie_degrees import suites
+    argv = ["verify", "all", "--n", "1..3", "--q", "2"]
+    assert main(argv) == 0
+    passing = json.loads(capsys.readouterr().out)
 
     def check_lemma_products(q_max, m):
-        raise ArithmeticError("non-integral bound")
+        raise ArithmeticError(f"non-integral bound at q = {q_max}")
 
     monkeypatch.setattr(suites, "check_lemma_products", check_lemma_products)
-    assert main(["verify", "lemmas", "--n", "1..3", "--q", "2", "--jobs", "2"]) == 3
-    assert capsys.readouterr().err == "internal error: non-integral bound\n"
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    [i] = [k for k, c in enumerate(passing["checks"]) if c["check"] == "lemma_products"]
+    assert doc["checks"][i] == {
+        "check": "lemma_products", "params": {"q_max": 2, "m": 40}, "verdict": "error",
+        "witness": {"error": "ArithmeticError: non-integral bound at q = 2"}, "values": {}}
+    del doc["checks"][i], passing["checks"][i]
+    assert doc["checks"] == passing["checks"]
+    summary = passing["summary"]
+    assert doc["summary"] == {**summary, "pass": summary["pass"] - 1, "error": 1}
 
 
 _DEAD_WORKER_CLI = """

@@ -13,6 +13,14 @@ import pytest
 from lie_degrees import maxdegree, qexact, suites, symmetric, tables, unipotent
 
 
+def _run(check, **params):
+    """The record the suite runner builds for check at params, without its
+    wall time."""
+    record = suites._run_task((check, params))
+    del record["_elapsed"]
+    return record
+
+
 def test_fmt_rational():
     f = tables.fmt_rational(Fraction(7, 5))
     assert f == {"ratio": "7/5", "decimal": "1.4"}
@@ -22,20 +30,20 @@ def test_fmt_rational():
 
 def test_check_prop_compgl_sweep():
     # exhaustive over all shapes of n <= 20 and their higher addable nodes
-    record = suites.check_prop_compgl(20, (2, 3, 4, 5))
+    record = _run(suites.check_prop_compgl, n_max=20, q_list=(2, 3, 4, 5))
     assert record["verdict"] == "pass" and record["values"]["cases"] > 20000
 
 
 def test_check_ratio_witness():
-    record = suites.check_ratio_witness(15, 16)
+    record = _run(suites.check_ratio_witness, n_min=15, n_max=16)
     assert record["verdict"] == "pass" and record["values"]["shapes"] > 300
 
 
 def test_check_octuple_closed_form_fails_on_a_wrong_hook_length(monkeypatch):
-    assert suites.check_octuple_closed_form(20, 30, 1)["verdict"] == "pass"
+    assert _run(suites.check_octuple_closed_form, count=20, n_max=30, seed=1)["verdict"] == "pass"
     broken = symmetric.formal_hook_length
     monkeypatch.setattr(symmetric, "formal_hook_length", lambda lam, node: broken(lam, node) + 1)
-    record = suites.check_octuple_closed_form(20, 30, 1)
+    record = _run(suites.check_octuple_closed_form, count=20, n_max=30, seed=1)
     assert record["verdict"] == "fail"
     assert set(record["witness"]) == {"lam", "move"}
     assert record["values"] == {"verified": 20}
@@ -86,7 +94,7 @@ def test_octuple_check_picks_the_same_pairs_as_the_move_object_selection(monkeyp
         return real(lam, move)
 
     monkeypatch.setattr(symmetric, "octuple_ratio", recording)
-    record = suites.check_octuple_closed_form(1000, 60, 20260810)
+    record = _run(suites.check_octuple_closed_form, count=1000, n_max=60, seed=20260810)
     assert record["verdict"] == "pass" and record["values"] == {"verified": 1000}
     expected = [(lam.parts, (tuple(m1.remove), tuple(m1.add)), (tuple(m2.remove), tuple(m2.add)))
                 for lam, m1, m2 in _downup_move_octuple_picks(1000, 60, 20260810)]
@@ -131,7 +139,7 @@ def test_octuple_check_failure_names_the_move_objects(monkeypatch):
         raise ArithmeticError("closed form differs")
 
     monkeypatch.setattr(symmetric, "octuple_ratio", wrong)
-    record = suites.check_octuple_closed_form(2, 30, 1)
+    record = _run(suites.check_octuple_closed_form, count=2, n_max=30, seed=1)
     parts, (r1, a1), (r2, a2) = next(suites._octuple_sample(2, 30, 1))
     assert record["witness"] == {
         "lam": parts,
@@ -147,7 +155,8 @@ _OCTUPLE_UNDER_O = textwrap.dedent("""
         sys.exit("not running under python -O")
     broken = symmetric.formal_hook_length
     symmetric.formal_hook_length = lambda lam, node: broken(lam, node) + 1
-    verdict = suites.check_octuple_closed_form(20, 30, 1)["verdict"]
+    task = (suites.check_octuple_closed_form, {"count": 20, "n_max": 30, "seed": 1})
+    verdict = suites._run_task(task)["verdict"]
     sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a wrong hook length")
 """)
 
@@ -165,13 +174,13 @@ def test_octuple_check_survives_python_O():
 
 
 def test_check_stclass_chains_fails_on_a_degree_that_drops_along_a_chain(monkeypatch):
-    assert suites.check_stclass_chains(3, (2,))["verdict"] == "pass"
+    assert _run(suites.check_stclass_chains, rank_max=3, q_list=(2,))["verdict"] == "pass"
     degree = unipotent._class_degree  # right except at the Steinberg classes, where it is 0
     steinberg = {rows for n in (2, 3) for fam in ("BC", "D")
                  for rows in unipotent._steinberg_classes(n, fam)}
     monkeypatch.setattr(unipotent, "_class_degree", lambda rows, q: (
         0 if rows in steinberg else degree(rows, q)))
-    record = suites.check_stclass_chains(3, (2,))
+    record = _run(suites.check_stclass_chains, rank_max=3, q_list=(2,))
     assert record["verdict"] == "fail"
     assert set(record["witness"]) == {"family", "n", "q", "symbol", "error"}
 
@@ -185,7 +194,8 @@ _STCLASS_UNDER_O = textwrap.dedent("""
     steinberg = {rows for n in (2, 3) for fam in ("BC", "D")
                  for rows in unipotent._steinberg_classes(n, fam)}
     unipotent._class_degree = lambda rows, q: 0 if rows in steinberg else degree(rows, q)
-    verdict = suites.check_stclass_chains(3, (2,))["verdict"]
+    task = (suites.check_stclass_chains, {"rank_max": 3, "q_list": (2,)})
+    verdict = suites._run_task(task)["verdict"]
     sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a degree that drops")
 """)
 
@@ -232,14 +242,15 @@ def _stclass_outcome(record):
 def test_stclass_forest_check_matches_the_per_chain_check(monkeypatch):
     expected = _per_chain_stclass_check(5, (2, 3))
     assert expected["verdict"] == "pass"
-    assert _stclass_outcome(suites.check_stclass_chains(5, (2, 3))) == _stclass_outcome(expected)
+    record = _run(suites.check_stclass_chains, rank_max=5, q_list=(2, 3))
+    assert _stclass_outcome(record) == _stclass_outcome(expected)
     # a 2D class of rank 5 that D chains cross into; no move is offered from it
     blocked = ((1, 2, 3, 4), (0, 1))
     candidates = unipotent._chain_candidates
     monkeypatch.setattr(unipotent, "_chain_candidates", lambda x, y: (
         iter(()) if (x, y) == blocked else candidates(x, y)))
     expected = _per_chain_stclass_check(5, (2, 3))
-    record = suites.check_stclass_chains(5, (2, 3))
+    record = _run(suites.check_stclass_chains, rank_max=5, q_list=(2, 3))
     assert expected["failures"] > 1 and expected["witness"]["family"] == "D"
     assert expected["witness"]["symbol"] != list(blocked)
     assert expected["witness"]["error"].startswith(
@@ -295,13 +306,13 @@ def test_hook_and_octuple_verdicts_survive_python_O():
 
 
 def test_check_merge_ratios_fails_on_a_wrong_block_weight(monkeypatch):
-    assert suites.check_merge_ratios(6)["verdict"] == "pass"
+    assert _run(suites.check_merge_ratios, n_max=6)["verdict"] == "pass"
     weight = maxdegree._block_weight  # 1/8 of it moves every ratio out of (81/512, 1)
     monkeypatch.setattr(maxdegree, "_block_weight", lambda q, d, k: weight(q, d, k) / 8)
     t = maxdegree.CentralizerTypeGL(((1, 2), (1, 1)))
     with pytest.raises(ArithmeticError, match="not in"):
         maxdegree.merge_ratio_sl_n_2(t)
-    record = suites.check_merge_ratios(6)
+    record = _run(suites.check_merge_ratios, n_max=6)
     assert record["verdict"] == "fail" and set(record["witness"]) == {"type"}
 
 
@@ -312,7 +323,7 @@ _MERGE_UNDER_O = textwrap.dedent("""
         sys.exit("not running under python -O")
     weight = maxdegree._block_weight
     maxdegree._block_weight = lambda q, d, k: weight(q, d, k) / 8
-    verdict = suites.check_merge_ratios(6)["verdict"]
+    verdict = suites._run_task((suites.check_merge_ratios, {"n_max": 6}))["verdict"]
     sys.exit(0 if verdict == "fail" else f"verdict {verdict} for a wrong block weight")
 """)
 
@@ -323,14 +334,14 @@ def test_merge_ratio_check_survives_python_O():
 
 
 def test_check_prop_dominance_includes_q2_pair():
-    record = suites.check_prop_dominance(10, (3, 4, 5))
+    record = _run(suites.check_prop_dominance, n_max=10, q_list=(3, 4, 5))
     assert record["verdict"] == "pass"
     assert record["values"]["q2_smallest_counterexample"] == [[[2, 2, 2], [3, 2, 1]]]
 
 
 def test_check_anchor_degrees_fail_record(monkeypatch):
     monkeypatch.setattr(unipotent, "degree_gl", lambda lam, q: sum(lam.parts) * q)
-    assert suites.check_anchor_degrees() == {
+    assert _run(suites.check_anchor_degrees) == {
         "check": "anchor_degrees", "params": {}, "verdict": "fail",
         "witness": {"got": [12, 12], "expected": [5952, 6480]},
         "values": {"deg_222": 12, "deg_321": 12},
@@ -338,15 +349,15 @@ def test_check_anchor_degrees_fail_record(monkeypatch):
 
 
 def test_check_prop_dominance_fail_record_when_only_q2_is_wrong(monkeypatch):
-    cases = suites.check_prop_dominance(6, (3,))["values"]["cases"]
+    cases = _run(suites.check_prop_dominance, n_max=6, q_list=(3,))["values"]["cases"]
     degree = unipotent.degree_gl
     # at q = 2 only: deg (3,2,1) drops to 5000, below 5952 = deg (2,2,2) and
     # above the degrees of the shapes dominating (3,2,1) (at most 1240), so the
     # known pair is no longer a violation and no new one appears; q = 3 is untouched
     monkeypatch.setattr(unipotent, "degree_gl",
                         lambda lam, q: 5000 if (q, lam.parts) == (2, (3, 2, 1)) else degree(lam, q))
-    assert suites.check_prop_dominance(6, (3,)) == {
-        "check": "prop_dominance", "params": {"n_max": 6, "q_list": [3]},
+    assert _run(suites.check_prop_dominance, n_max=6, q_list=(3,)) == {
+        "check": "prop_dominance", "params": {"n_max": 6, "q_list": (3,)},
         "verdict": "fail", "witness": {"q2_violations": []},
         "values": {"cases": cases, "q2_smallest_counterexample": []},
     }
@@ -356,7 +367,7 @@ def test_check_lemma_products_fail_record_names_the_failing_q(monkeypatch):
     report = {"ok": False, "per_q": {2: {"poly_lower": True, "alternating": False},
                                      3: {"poly_lower": True, "alternating": True}}}
     monkeypatch.setattr(qexact, "product_bound_suite", lambda q_max, m: report)
-    assert suites.check_lemma_products(3, 40) == {
+    assert _run(suites.check_lemma_products, q_max=3, m=40) == {
         "check": "lemma_products", "params": {"q_max": 3, "m": 40}, "verdict": "fail",
         "witness": {2: {"alternating": False}}, "values": {"q_checked": [2, 3]},
     }
@@ -364,20 +375,30 @@ def test_check_lemma_products_fail_record_names_the_failing_q(monkeypatch):
 
 def test_check_octuple_closed_form_fail_record_when_too_few_are_verified(monkeypatch):
     monkeypatch.setattr(symmetric, "downup_moves", lambda parts: [])  # nothing to pick
-    assert suites.check_octuple_closed_form(3, 20, 1) == {
+    assert _run(suites.check_octuple_closed_form, count=3, n_max=20, seed=1) == {
         "check": "octuple_closed_form", "params": {"count": 3, "n_max": 20, "seed": 1},
         "verdict": "fail", "witness": {"done": 0}, "values": {"verified": 0},
     }
 
 
 def test_check_prop_glgu_equalities():
-    record = suites.check_prop_glgu(12, (2, 3))
+    record = _run(suites.check_prop_glgu, n_max=12, q_list=(2, 3))
     assert record["verdict"] == "pass"
     assert record["values"]["equality_beyond_trivial_steinberg_22"] == []
 
 
+def test_check_prop_glgu_fails_on_an_unexpected_equality(monkeypatch):
+    # GU degrees read as GL degrees: gl >= gu still holds everywhere, so only
+    # the equalities beyond the trivial, Steinberg and (2,2) shapes show it
+    monkeypatch.setattr(unipotent, "degree_gu", unipotent.degree_gl)
+    record = _run(suites.check_prop_glgu, n_max=8, q_list=(2, 3, 4))
+    extra = record["values"]["equality_beyond_trivial_steinberg_22"]
+    assert record["verdict"] == "fail" and extra[:2] == [[2, 1], [2, 1, 1]]
+    assert record["witness"] == {"equality_beyond_trivial_steinberg_22": extra}
+
+
 def test_check_epsilon_an_reports_only():
-    record = suites.check_epsilon_an(5, 12)
+    record = _run(suites.check_epsilon_an, n_min=5, n_max=12)
     assert record["verdict"] == "report"
     rows = {r["n"]: r["epsilon"]["ratio"] for r in record["values"]["rows"]}
     assert rows[5] == "7/5" and rows[6] == "13/5"
@@ -461,25 +482,13 @@ def _reaped(pid):
     return False
 
 
-def test_a_worker_exception_reaches_the_caller(monkeypatch, forked):
-    def check_lemma_products(q_max, m):
-        raise ArithmeticError(f"non-integral bound at q = {q_max}")
-
-    monkeypatch.setattr(suites, "check_lemma_products", check_lemma_products)
-    with pytest.raises(ArithmeticError) as exc:
-        suites.run_suite(suites.SuiteConfig(n_max=3, q_list=(2,), parallelism=2), "lemmas")
-    assert type(exc.value) is ArithmeticError
-    assert str(exc.value) == "non-integral bound at q = 2"
-    assert len(forked) == 2 and all(_reaped(pid) for pid in forked)
-
-
 def test_forked_run_returns_records_in_task_order(forked):
     # more tasks than workers, and indices that need more than one byte
-    def echo(i):
-        return {"i": i}
+    def check_echo(i):
+        return [], {"i": i}
 
-    records = suites._run_forked([(echo, (i,)) for i in range(300)], 3)
-    assert [r["i"] for r in records] == list(range(300))
+    records = suites._run_forked([(check_echo, {"i": i}) for i in range(300)], 3)
+    assert [r["values"]["i"] for r in records] == list(range(300))
     assert all(r["_elapsed"] >= 0 for r in records)
     assert len(forked) == 3 and all(_reaped(pid) for pid in forked)
 
