@@ -296,6 +296,22 @@ def test_a_check_that_raises_is_an_error_record_and_the_others_are_kept(capsys, 
     assert doc["summary"] == {**summary, "pass": summary["pass"] - 1, "error": 1}
 
 
+def test_internal_error_in_a_worker_exits_3(capsys, monkeypatch):
+    # an error outside the check: a worker cannot pickle the record it built
+    from lie_degrees import suites
+
+    def check_lemma_products(q_max, m):
+        return [], {"bound": (q for q in range(q_max))}
+
+    monkeypatch.setattr(suites, "check_lemma_products", check_lemma_products)
+    assert main(["verify", "lemmas", "--n", "1..3", "--q", "2", "--jobs", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("internal error: worker process "), line
+    assert line.endswith(" ended with exit status 1 while running check 'lemma_products'"), line
+
+
 _DEAD_WORKER_CLI = """
 import os, sys
 from lie_degrees import cli, suites

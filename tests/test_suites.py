@@ -482,6 +482,21 @@ def _reaped(pid):
     return False
 
 
+def test_a_worker_exception_reaches_the_caller(monkeypatch, forked):
+    # raised in a forked worker, it comes back as that check's error record
+    def check_lemma_products(q_max, m):
+        raise ArithmeticError(f"non-integral bound at q = {q_max}")
+
+    monkeypatch.setattr(suites, "check_lemma_products", check_lemma_products)
+    report = suites.run_suite(suites.SuiteConfig(n_max=3, q_list=(2,), parallelism=2), "lemmas")
+    [record] = [c for c in report.checks if c["check"] == "lemma_products"]
+    assert record["verdict"] == "error" and record["values"] == {}
+    assert record["witness"] == {"error": "ArithmeticError: non-integral bound at q = 2"}
+    assert not report.all_pass
+    assert all(c["verdict"] == "pass" for c in report.checks if c is not record)
+    assert len(forked) == 2 and all(_reaped(pid) for pid in forked)
+
+
 def test_forked_run_returns_records_in_task_order(forked):
     # more tasks than workers, and indices that need more than one byte
     def check_echo(i):
