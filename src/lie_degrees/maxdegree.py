@@ -6,9 +6,12 @@ Group ranks follow the matrix conventions: family A of rank n is SL_n, 2A is
 SU_n, B/C rank n are Spin_{2n+1}/Sp_{2n}, D/2D rank n are Spin^{+-}_{2n}.
 
 Family names are read from the package's family table, which maps each group
-family A/2A/B/C/D/2D to its label family GL/GU/BC/D/2D.  Every q'-part of a
-group order comes from the one cached table orders.order_pprime, imported
-here with min_rank; this module adds the p-parts (order_parts).
+family A/2A/B/C/D/2D to its label family GL/GU/BC/D/2D.  Both parts of a
+group order come from orders, the q'-part from the one cached table
+order_pprime and the p-part from p_exponent, and the degree of a GL
+centralizer type is an orders.QProduct.  b(GL_n(q)) is one memoized DP over
+block kinds (_best_blocks): one block (k, d) at a time, field degree d
+increasing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _LABEL_FAMILY, _record
-from .orders import min_rank, order_pprime
+from .orders import QProduct, min_rank, order_pprime, p_exponent
 from .qexact import (
     RationalInterval,
     log_base_interval,
@@ -46,14 +49,7 @@ class GroupSpec(_record("GroupSpec", "family n q")):
 
 def order_parts(spec: GroupSpec) -> tuple[int, int]:
     """(|G|_p, |G|_{p'}) for the simply connected group of the family."""
-    n, label = spec.n, _LABEL_FAMILY[spec.family]
-    if label in ("GL", "GU"):
-        p_exponent = n * (n - 1) // 2
-    elif label == "BC":
-        p_exponent = n * n
-    else:  # D / 2D
-        p_exponent = n * (n - 1)
-    return spec.q ** p_exponent, order_pprime(spec.family, n, spec.q)
+    return spec.q ** p_exponent(spec.family, spec.n), order_pprime(spec.family, spec.n, spec.q)
 
 
 def seitz_bound(spec: GroupSpec) -> int:
@@ -278,6 +274,7 @@ class CentralizerTypeGL(_record("CentralizerTypeGL", "blocks")):
                    for d, count in self.degree_multiplicities().items())
 
 
+@lru_cache(maxsize=4096)
 def _block_budget(q: int, d: int) -> int:
     # d = 1 blocks carry nonzero eigenvalues in F_q, so at most q - 1 of them
     return q - 1 if d == 1 else count_irred(q, d)
@@ -290,43 +287,26 @@ def _block_weight(q: int, d: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=200_000)
-def _best_blocks_fixed_d(q: int, d: int, t: int, kmax: int, budget: int):
-    """Best (value, parts) for blocks of field degree d with k's summing to t,
-    at most `budget` blocks, parts weakly decreasing and <= kmax."""
-    if t == 0:
+def _best_blocks(q: int, d: int, weight: int, kmax: int, left: int):
+    """Best (value, sorted blocks) over the admissible types of total weight
+    sum k*d equal to `weight` with field degrees >= d, at most `left` blocks
+    of degree d and each with k <= kmax; None if there is none.  The value
+    is the product of the blocks' _block_weight, ties go to the smaller
+    sorted block tuple.  Either no further block has degree d, or one more
+    block (k, d) is taken; kmax and left are clamped to what the weight can
+    hold, so different call paths share memo states."""
+    if weight == 0:
         return (Fraction(1), ())
-    if budget == 0 or kmax == 0:
+    if d > weight:
         return None
-    best = None
-    for k in range(min(kmax, t), 0, -1):
-        sub = _best_blocks_fixed_d(q, d, t - k, k, budget - 1)
+    up = weight // (d + 1)
+    best = _best_blocks(q, d + 1, weight, up, min(_block_budget(q, d + 1), up))
+    for k in range(1, kmax + 1) if left else ():
+        rest = weight - k * d
+        sub = _best_blocks(q, d, rest, min(k, rest // d), min(left - 1, rest // d))
         if sub is None:
             continue
-        cand = (_block_weight(q, d, k) * sub[0], (k,) + sub[1])
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
-    return best
-
-
-@lru_cache(maxsize=200_000)
-def _best_split(q: int, d_min: int, budget_weight: int):
-    """Best (value, blocks) over types using field degrees >= d_min with total
-    weight sum k*d equal to budget_weight."""
-    if budget_weight == 0:
-        return (Fraction(1), ())
-    if d_min > budget_weight:
-        return None
-    best = None
-    for t in range(budget_weight // d_min + 1):
-        here = _best_blocks_fixed_d(q, d_min, t, t, min(t, _block_budget(q, d_min))) \
-            if t else (Fraction(1), ())
-        if here is None:
-            continue
-        rest = _best_split(q, d_min + 1, budget_weight - d_min * t)
-        if rest is None:
-            continue
-        blocks = tuple((k, d_min) for k in here[1]) + rest[1]
-        cand = (here[0] * rest[0], tuple(sorted(blocks)))
+        cand = (_block_weight(q, d, k) * sub[0], tuple(sorted(sub[1] + ((k, d),))))
         if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
             best = cand
     return best
@@ -339,32 +319,33 @@ def b_gl_exact(n: int, q: int) -> tuple[int, CentralizerTypeGL]:
     (q^{i d_j} - 1) over admissible centralizer types; the count of blocks
     with the same field degree d is capped by the number of available monic
     irreducibles (q - 1 for d = 1).  Ties prefer the lexicographically
-    smallest sorted block tuple.
+    smallest sorted block tuple.  The degree is the witness's
+    gl_degree_of_type, which must equal the value the search found.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
-    best = _best_split(q, 1, n)
+    best = _best_blocks(q, 1, n, n, min(_block_budget(q, 1), n))
     if best is None:
         raise ArithmeticError(f"no admissible centralizer type for n={n}, q={q}")
-    value = best[0] * order_pprime("GL", n, q)
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral b(GL_{n}({q})) = {value}")
     witness = CentralizerTypeGL(best[1])
     if witness.n != n or not witness.is_admissible(q):
         raise ArithmeticError(f"inadmissible witness {witness.blocks} for n={n}, q={q}")
-    return int(value), witness
+    value, degree = best[0] * order_pprime("GL", n, q), gl_degree_of_type(witness, q)
+    if degree != value:
+        raise ArithmeticError(f"b(GL_{n}({q})) = {value} is not the degree {degree} "
+                              f"of its witness {witness.blocks}")
+    return degree, witness
 
 
 def gl_degree_of_type(t: CentralizerTypeGL, q: int) -> int:
-    """Degree of the semisimple-type character attached to a centralizer type."""
-    val = Fraction(order_pprime("GL", t.n, q))
-    for k, d in t.blocks:
-        val *= _block_weight(q, d, k)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral degree {val} for type {t.blocks}, q={q}")
-    return int(val)
+    """Degree of the semisimple-type character attached to a centralizer type:
+    |GL_n(q)|_{q'} q^{sum d k(k-1)/2} / prod over the blocks (k, d) of
+    prod_{i <= k} (q^{d i} - 1)."""
+    minus = tuple(d * i for k, d in t.blocks for i in range(1, k + 1))
+    return QProduct(t.blocks, "GL", t.n, a=sum(d * k * (k - 1) // 2 for k, d in t.blocks),
+                    two_power=0, minus=minus, plus=(), top=max(minus, default=0)).evaluate(q)
 
 
 def enumerate_types(n: int, q: int) -> list[CentralizerTypeGL]:

@@ -1,22 +1,27 @@
-"""Group orders: the one table of |G|_{q'} for every family, on the one
-bracket kernel [c] = prod (Q^{c_i} - 1).
+"""Group orders and the exact degrees built on them: the one table of
+|G|_{q'} for every family, on the one bracket kernel [c] = prod (Q^{c_i} - 1),
+the exponent of |G|_p beside it, and QProduct, the one shape of every exact
+degree, q^a |G|_{q'} / (2^c prod(q^h - 1) prod(q^k + 1)).
 
 Group ranks follow the matrix conventions: family A of rank n is SL_n, 2A is
 SU_n, B/C rank n are Spin_{2n+1}/Sp_{2n}, D/2D rank n are Spin^{+-}_{2n}.
 Family names are read from the package's family table, so an order can be
 asked for a family of either kind (A or GL, B or BC); the unitary groups are
-read at Q = -q in absolute value (Ennola duality).
+read at Q = -q in absolute value (Ennola duality).  A QProduct is always
+evaluated at +q: a GU degree, the GL formula at -q, is built with that sign
+already applied, its odd hooks h as factors q^h + 1.
 
 A leaf module: it imports only the family table, so the unipotent degrees
-read their group orders here without loading the certified enclosures of
-qexact or the largest-degree machinery of maxdegree, which import the same
-names from here.
+and the GL type degrees read their group orders and their evaluator here
+without loading the certified enclosures of qexact or the largest-degree
+machinery of maxdegree, which import the same names from here.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import _LABEL_FAMILIES, _LABEL_FAMILY
 
@@ -80,3 +85,51 @@ def order_pprime(family: str, n: int, q: int) -> int:
     if label == "BC":
         return bracket(range(1, n + 1), q * q)
     return (q ** n - (1 if label == "D" else -1)) * bracket(range(1, n), q * q)
+
+
+def p_exponent(family: str, n: int) -> int:
+    """The exponent of q in |G|_p, the group of order_pprime(family, n, q):
+    n(n - 1)/2 for GL, GU, A and 2A, n^2 for B, C and BC, n(n - 1) for D
+    and 2D."""
+    label = _label_family(family)
+    if label in ("GL", "GU"):
+        return n * (n - 1) // 2
+    return n * n if label == "BC" else n * (n - 1)
+
+
+@lru_cache(maxsize=1024)
+def _factor_tables(q: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(q^k - 1) and (q^k + 1) for k = 0..top."""
+    powers = [q ** k for k in range(top + 1)]
+    return tuple(p - 1 for p in powers), tuple(p + 1 for p in powers)
+
+
+class QProduct(NamedTuple):
+    """q^a |G|_{q'} / (2^two_power prod(q^h - 1) prod(q^k + 1)) as a function
+    of q, with |G|_{q'} = order_pprime(fam, rank, q): the exact degree of a
+    character of the group of that family and rank, named by label.
+
+    h runs over minus and k over plus, all at most top.  Every product is
+    read at +q: a GU product holds its even hooks in minus and its odd hooks
+    in plus (Ennola's sign applied).
+    """
+
+    label: tuple
+    fam: str
+    rank: int
+    a: int
+    two_power: int
+    minus: tuple[int, ...]
+    plus: tuple[int, ...]
+    top: int
+
+    def evaluate(self, q: int) -> int:
+        """The degree at q; ArithmeticError, naming the family, the label
+        and q, if the quotient is not an integer."""
+        minus_tab, plus_tab = _factor_tables(q, self.top)
+        den = (math.prod(map(minus_tab.__getitem__, self.minus), start=1 << self.two_power)
+               * math.prod(map(plus_tab.__getitem__, self.plus)))
+        quot, rem = divmod(q ** self.a * order_pprime(self.fam, self.rank, q), den)
+        if rem != 0:  # the quotient is a character degree, so this cannot fail
+            raise ArithmeticError(f"non-integral {self.fam} degree for {self.label}, q={q}")
+        return quot

@@ -61,7 +61,8 @@ def check_anchor_degrees() -> tuple[list, dict]:
 
 def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
     """Adding a node at (i, j), j >= 2 versus a new bottom row: the degrees
-    satisfy q^{-j-1} deg_mu < deg_nu < q^{2-j} deg_mu <= deg_mu."""
+    satisfy q^{-j-1} deg_mu < deg_nu < q^{2-j} deg_mu (<= deg_mu, as j >= 2),
+    decided in integers."""
     from . import partitions, unipotent
     failures = []
     cases = 0
@@ -78,9 +79,7 @@ def check_prop_compgl(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:
                     dmu = unipotent.degree_gl(mu, q)
                     dnu = unipotent.degree_gl(nu, q)
                     cases += 1
-                    lower = Fraction(dmu, q ** (j + 1))
-                    upper = Fraction(q ** 2 * dmu, q ** j)
-                    if not (lower < dnu < upper <= dmu):
+                    if not (dmu < dnu * q ** (j + 1) and dnu * q ** j < q ** 2 * dmu):
                         failures.append({"lam": lam.parts, "node": [i, j], "q": q})
     return failures, {"cases": cases}
 
@@ -451,8 +450,12 @@ class SuiteConfig:
                 raise ValueError(f"unknown family {fam!r}")
         if n_min < 1 or n_max < n_min:
             raise ValueError("invalid rank range")
-        if any(q < 2 for q in q_list) or not q_list:
+        if not q_list:
+            raise ValueError("no q values given")
+        if any(q < 2 for q in q_list):
             raise ValueError("q values must be >= 2")
+        if truncation_m < 2:
+            raise ValueError("truncation order m must be >= 2")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.families = families

@@ -1,20 +1,21 @@
 """Unipotent character degrees of the finite classical groups.
 
 Every degree here has one shape, q^a |G|_{q'} / (2^c prod(q^h - 1)
-prod(q^k + 1)) (Carter, Finite Groups of Lie Type, 13.8), and one evaluator,
-the degree plan (_DegreePlan): the q-independent data of a label, evaluated
-at each q against one table of q^k - 1 and q^k + 1 with one checked exact
-division.  GL_n(q) and GU_n(q) unipotent characters are labelled by
-partitions: h runs over the hook lengths, with no k and c = 0, and a GU
-degree is the GL formula at -q in absolute value (Ennola duality), a sign
-the plan applies itself.  Types B/C, D and 2D are labelled by symbols: pairs
-of strictly increasing sequences up to shift-and-swap equivalence, with
-defect parity selecting the type; h runs over the hooks and k over the
-cohooks of positive length.  Length-0 cohooks are excluded, which is the
-normalization that makes the trivial character evaluate to 1 and the
-Steinberg symbol to the full q-part of the group order.  Every group order
-|G|_{q'} here is read from the one table orders.order_pprime, and the
-label families and their smallest defects from the package's family table.
+prod(q^k + 1)) (Carter, Finite Groups of Lie Type, 13.8), and one evaluator:
+a label's degree plan is an orders.QProduct, its q-independent data,
+evaluated at each q with one checked exact division.  GL_n(q) and GU_n(q)
+unipotent characters are labelled by partitions: for GL, h runs over the
+hook lengths, with no k and c = 0.  A GU degree is the GL formula at -q in
+absolute value (Ennola duality); its plan applies that sign when it is
+built, so h runs over the even hooks and k over the odd ones, and every
+plan is read at +q.  Types B/C, D and 2D are labelled by symbols: pairs of
+strictly increasing sequences up to shift-and-swap equivalence, with defect
+parity selecting the type; h runs over the hooks and k over the cohooks of
+positive length.  Length-0 cohooks are excluded, which is the normalization
+that makes the trivial character evaluate to 1 and the Steinberg symbol to
+the full q-part of the group order.  Every group order |G|_{q'} here is
+read from the one table orders.order_pprime, and the label families and
+their smallest defects from the package's family table.
 
 Symbols are enumerated on plain row tuples: each bipartition (alpha, beta)
 of the right size gives the rows of one reduced symbol directly, so no
@@ -62,10 +63,10 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from . import _LABEL_FAMILIES, _SYMBOL_DEFECT, _record
-from .orders import min_rank, order_pprime
+from .orders import QProduct, min_rank, order_pprime
 from .partitions import (
     Partition,
     _immutable,
@@ -293,64 +294,33 @@ def symbol_two_power(sym: Symbol) -> int:
 
 
 # ---------------------------------------------------------------------------
-# degree plans: the one evaluator of every unipotent degree
+# degree plans: every unipotent degree is an orders.QProduct
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
-def _factor_tables(q: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(q^k - 1) and (q^k + 1) for k = 0..top; q is negative for GU."""
-    powers = [q ** k for k in range(top + 1)]
-    return tuple(p - 1 for p in powers), tuple(p + 1 for p in powers)
+def _labelled(plan: QProduct) -> Partition | Symbol:
+    """The label of a plan as the Partition or the Symbol it is."""
+    if plan.fam in ("GL", "GU"):
+        return Partition._from_valid_parts(plan.label)
+    return Symbol._from_valid_rows(*plan.label)
 
 
-class _DegreePlan(NamedTuple):
-    """q^a |G|_{q'} / (2^two_power prod(q^h - 1) prod(q^k + 1)) as a function
-    of q: the degree of the unipotent character of the family and rank that
-    label names.
-
-    label is the parts of a partition (GL, GU) or the canonical rows (x, y)
-    of a symbol (BC, D, 2D).  h runs over the hook lengths (minus) and k over
-    the positive cohook lengths (plus, empty for a partition), all at most
-    top; fam and rank select the q'-order |G|_{q'}.
-    """
-
-    label: tuple
-    fam: str
-    rank: int
-    a: int
-    two_power: int
-    minus: tuple[int, ...]
-    plus: tuple[int, ...]
-    top: int
-
-    def evaluate(self, q: int) -> int:
-        """The degree at q, with |G|_{q'} = order_pprime(fam, rank, q)."""
-        x = -q if self.fam == "GU" else q  # Ennola: GU is the GL formula at -q, up to sign
-        minus_tab, plus_tab = _factor_tables(x, self.top)
-        den = (math.prod(map(minus_tab.__getitem__, self.minus), start=1 << self.two_power)
-               * math.prod(map(plus_tab.__getitem__, self.plus)))
-        quot, rem = divmod(x ** self.a * order_pprime(self.fam, self.rank, q), den)
-        if rem != 0:  # the quotient is a character degree, so this cannot fail
-            raise ArithmeticError(f"non-integral {self.fam} degree for {self.labelled()}, q={q}")
-        return abs(quot)
-
-    def labelled(self) -> Partition | Symbol:
-        """The label as the Partition or the Symbol it is."""
-        if self.fam in ("GL", "GU"):
-            return Partition._from_valid_parts(self.label)
-        return Symbol._from_valid_rows(*self.label)
-
-
-def _build_plan(label: tuple, fam: str, rank: int) -> _DegreePlan:
+def _build_plan(label: tuple, fam: str, rank: int) -> QProduct:
     """Degree plan of a label of the family: the parts of a partition (GL,
     GU), or canonical rows (x, y), whose hooks are those of the partitions
-    their beta-sets encode (BC, D, 2D)."""
+    their beta-sets encode (BC, D, 2D).  A GU plan is the GL formula at -q
+    with Ennola's sign applied: (-q)^h - 1 is q^h - 1 for an even hook and
+    -(q^h + 1) for an odd one, so its even hooks are minus and its odd hooks
+    plus."""
     if fam in ("GL", "GU"):
-        minus = _hook_lengths(label)
-        return _DegreePlan(label, fam, rank, a=_a_value(label), two_power=0, minus=minus,
-                           plus=(), top=max(minus, default=0))
+        hooks = _hook_lengths(label)
+        minus, plus = hooks, ()
+        if fam == "GU":
+            minus = tuple(h for h in hooks if h % 2 == 0)
+            plus = tuple(h for h in hooks if h % 2)
+        return QProduct(label, fam, rank, a=_a_value(label), two_power=0, minus=minus,
+                        plus=plus, top=max(hooks, default=0))
     x, y = label
-    return _DegreePlan(
+    return QProduct(
         label, fam, rank,
         a=_rows_a_value(x, y),
         two_power=_rows_two_power(x, y),
@@ -361,7 +331,7 @@ def _build_plan(label: tuple, fam: str, rank: int) -> _DegreePlan:
 
 
 @lru_cache(maxsize=200_000)
-def _symbol_plan(x: tuple[int, ...], y: tuple[int, ...]) -> _DegreePlan:
+def _symbol_plan(x: tuple[int, ...], y: tuple[int, ...]) -> QProduct:
     """Degree plan of a canonical symbol (see canonicalize)."""
     rank = _rows_rank(x, y)
     if rank < 1:
@@ -656,13 +626,13 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     partition with the smallest parts (GL, GU) or the first symbol class in
     enumeration order (BC, D, 2D).
 
-    Each degree is at most |G|_{q'} q^e (q/(q - 1))^k1 (q^2/(q^2 - 1))^k / 2^c
-    (|G|_{q'} taken at -q and in absolute value for GU, where
-    |(-q)^h - 1| >= q^h - 1), since for q >= 2 a hook of length 1 has
-    q - 1 = q (1 - 1/q), a longer one q^h - 1 >= q^h - q^(h - 2) =
-    q^h (1 - 1/q^2), and a cohook q^k + 1 > q^k.  Here e = a - sum h - sum k,
-    k1 counts the hooks of length 1, k the other hooks and c is the power of
-    two.  A partition lam has e = -n(lam') - n, n(lam') = sum binom(lam_i, 2),
+    Each degree is at most |G|_{q'} q^e (q/(q - 1))^k1 (q^2/(q^2 - 1))^k / 2^c,
+    since for q >= 2 a hook of length 1 has q - 1 = q (1 - 1/q), a longer
+    one q^h - 1 >= q^h - q^(h - 2) = q^h (1 - 1/q^2), and a cohook
+    q^k + 1 > q^k (a GU plan's odd hook h has q^h + 1 > q^h - 1, so it is
+    bounded as a hook).  Here e = a - sum h - sum k over all the plan's
+    factors, k1 counts the hooks of length 1, k the other hooks and c is the
+    power of two.  A partition lam has e = -n(lam') - n, n(lam') = sum binom(lam_i, 2),
     k1 the number of its corners (distinct parts), k = n - k1 and c = 0.  A
     reduced symbol with sorted entries z_j, j < m, has t_j = z_j - ceil(j/2)
     >= 0 (no entry occurs thrice, nor 0 twice), sum t_j = n - floor(m/2),
@@ -704,7 +674,7 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
         raise ValueError("q must be >= 2")
     if n < 1:
         raise ValueError("rank must be >= 1")
-    plans: dict[tuple, _DegreePlan] = {}  # built for the labels some q evaluates
+    plans: dict[tuple, QProduct] = {}  # built for the labels some q evaluates
 
     def evaluate(label: tuple, q: int) -> int:
         plan = plans.get(label)
@@ -719,7 +689,7 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     out = []
     for q, seed in zip(q_list, seeds):
         label, runner_degree, _ = _runner_up(entries, q, order_pprime(fam, n, q), slack, evaluate, seed)
-        runner = None if label is None else plans[label].labelled()
+        runner = None if label is None else _labelled(plans[label])
         out.append(_steinberg_outcome(degree(steinberg, q), runner, runner_degree))
     return out
 

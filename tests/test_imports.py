@@ -58,6 +58,12 @@ def test_building_the_parser_loads_only_cli():
     assert loaded == {"cli"}, loaded
 
 
+def test_the_order_module_is_a_leaf():
+    # the group orders and QProduct, the evaluator of every exact degree,
+    # load no other module of the package and no fractions
+    assert loaded_after("import lie_degrees.orders") == {"orders"}
+
+
 def test_young_diagram_modules_load_only_themselves():
     loaded = loaded_after("from lie_degrees import partitions, symmetric")
     assert loaded == {"partitions", "symmetric", "fractions"}, loaded

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lie_degrees import _LABEL_FAMILY, maxdegree
+from lie_degrees import _LABEL_FAMILY, maxdegree, orders
 from lie_degrees.maxdegree import (
     CentralizerTypeGL,
     CertVerdict,
@@ -354,11 +354,16 @@ def test_b_gl_examples():
 
 
 def test_b_gl_against_type_enumeration():
-    for q in (2, 3, 4):
+    # the witness is the maximizing type itself: the largest degree, ties to
+    # the smallest sorted block tuple
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, 9):
-            brute = max(gl_degree_of_type(t, q) for t in enumerate_types(n, q))
+            degrees = [(gl_degree_of_type(t, q), t) for t in enumerate_types(n, q)]
+            brute = max(deg for deg, _ in degrees)
+            best = min((t for deg, t in degrees if deg == brute), key=lambda t: sorted(t.blocks))
             b, w = b_gl_exact(n, q)
             assert b == brute == gl_degree_of_type(w, q)
+            assert w == best, (n, q)
             assert w.n == n and w.is_admissible(q)
     for n in (9, 10, 11):
         brute = max(gl_degree_of_type(t, 2) for t in enumerate_types(n, 2))
@@ -536,22 +541,25 @@ def test_non_integral_counts_raise(monkeypatch):
 
 
 def test_non_integral_degrees_raise(monkeypatch):
-    monkeypatch.setattr(maxdegree, "_block_weight",
-                        lambda q, d, k: Fraction(q ** (d * k * (k - 1) // 2), 5))
-    with pytest.raises(ArithmeticError):
+    # 3^3 (|GL_3(3)|_{3'} + 1) / |GL_3(3)|_{3'} is not an integer
+    real_order = orders.order_pprime
+    monkeypatch.setattr(orders, "order_pprime", lambda fam, n, q: real_order(fam, n, q) + 1)
+    with pytest.raises(ArithmeticError, match=r"GL degree for \(\(3, 1\),\), q=3"):
         gl_degree_of_type(CentralizerTypeGL(((3, 1),)), 3)
-    monkeypatch.setattr(maxdegree, "_best_split", lambda q, d, n: (Fraction(1, 5), ((n, 1),)))
+    monkeypatch.undo()
+    monkeypatch.setattr(maxdegree, "_best_blocks",
+                        lambda q, d, weight, kmax, left: (Fraction(1, 5), ((weight, 1),)))
     with pytest.raises(ArithmeticError):
-        b_gl_exact(2, 3)            # (3 - 1)(9 - 1)/5 is not an integer
+        b_gl_exact(2, 3)            # (3 - 1)(9 - 1)/5 is not the witness's degree, 3
 
 
 _OPTIMISED_PROBE = textwrap.dedent("""
     import sys
-    from fractions import Fraction
-    from lie_degrees import maxdegree
+    from lie_degrees import maxdegree, orders
     if __debug__:
         sys.exit("not running under python -O")
-    maxdegree._block_weight = lambda q, d, k: Fraction(q ** (d * k * (k - 1) // 2), 5)
+    real_order = orders.order_pprime
+    orders.order_pprime = lambda fam, n, q: real_order(fam, n, q) + 1
     t = maxdegree.CentralizerTypeGL(((3, 1),))
     try:
         print(maxdegree.gl_degree_of_type(t, 3))

@@ -526,6 +526,12 @@ def test_suite_config_validation():
         suites.SuiteConfig(n_min=3, n_max=2)
     with pytest.raises(ValueError):
         suites.SuiteConfig(q_list=(1,))
+    with pytest.raises(ValueError, match="^no q values given$"):
+        suites.SuiteConfig(q_list=())
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="truncation order m must be >= 2"):
+            suites.SuiteConfig(truncation_m=m)
+    assert suites.SuiteConfig(truncation_m=2).truncation_m == 2
     with pytest.raises(ValueError):
         suites.run_suite(suites.SuiteConfig(), "bogus")
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_degrees import _LABEL_FAMILIES, unipotent
+from lie_degrees import _LABEL_FAMILIES, orders, unipotent
 from lie_degrees.partitions import (
     Partition,
     _partition_tuples,
@@ -96,13 +96,13 @@ def test_empty_partition_has_degree_one():
 def test_every_degree_goes_through_the_one_evaluator(monkeypatch):
     # one plan evaluator for partitions and symbols: each entry point reaches it
     evaluated = []
-    real_evaluate = unipotent._DegreePlan.evaluate
+    real_evaluate = orders.QProduct.evaluate
 
     def counting_evaluate(plan, q):
         evaluated.append(plan.fam)
         return real_evaluate(plan, q)
 
-    monkeypatch.setattr(unipotent._DegreePlan, "evaluate", counting_evaluate)
+    monkeypatch.setattr(orders.QProduct, "evaluate", counting_evaluate)
     unipotent._partition_degree.cache_clear()
     degree_gl(Partition((3, 1)), 7)
     degree_gu(Partition((3, 1)), 7)
@@ -115,12 +115,13 @@ def test_every_degree_goes_through_the_one_evaluator(monkeypatch):
 
 
 def test_a_broken_gu_order_raises_and_names_the_label(monkeypatch):
-    # |GU_3(3)|_{3'} + 1 is not divisible by the hook product of (2, 1) at -3
-    real_order = unipotent.order_pprime
-    monkeypatch.setattr(unipotent, "order_pprime",
+    # 3 (|GU_3(3)|_{3'} + 1) is not divisible by the GU hook product of
+    # (2, 1), (3^3 + 1)(3 + 1)^2: its hooks 3, 1, 1 are odd
+    real_order = orders.order_pprime
+    monkeypatch.setattr(orders, "order_pprime",
                         lambda fam, n, q: real_order(fam, n, q) + (fam == "GU"))
     unipotent._partition_degree.cache_clear()
-    with pytest.raises(ArithmeticError, match=r"GU degree for Partition\(2, 1\), q=3"):
+    with pytest.raises(ArithmeticError, match=r"GU degree for \(2, 1\), q=3"):
         degree_gu(Partition((2, 1)), 3)
     assert degree_gl(Partition((2, 1)), 3) == 12
 
@@ -1009,7 +1010,7 @@ def test_runner_up_search_matches_the_unpruned_sweep():
 
 def test_runner_up_search_stops_early(monkeypatch):
     evaluated, built = [], []
-    real_evaluate, real_build = unipotent._DegreePlan.evaluate, unipotent._build_plan
+    real_evaluate, real_build = orders.QProduct.evaluate, unipotent._build_plan
 
     def counting_evaluate(plan, q):
         evaluated.append(plan.label)
@@ -1019,7 +1020,7 @@ def test_runner_up_search_stops_early(monkeypatch):
         built.append(label)
         return real_build(label, *args)
 
-    monkeypatch.setattr(unipotent._DegreePlan, "evaluate", counting_evaluate)
+    monkeypatch.setattr(orders.QProduct, "evaluate", counting_evaluate)
     monkeypatch.setattr(unipotent, "_build_plan", counting_build)
     labels = _symbol_labels(10, "BC")
     got = verify_steinberg_max(10, (2, 5), "BC")
