@@ -174,11 +174,15 @@ def _pentagonal_terms(m: int):
         k += 1
 
 
+@lru_cache(maxsize=256, typed=True)
 def euler_interval(q: int, m: int = 40) -> RationalInterval:
     """Certified enclosure of prod_{i>=1}(1 - q^{-i}).
 
     Partial sum of the pentagonal series up to exponent m; the omitted terms
     have distinct exponents > m, so their total is at most sum_{i>m} q^{-i}.
+    Cached, since the interval is immutable and product_bound_suite asks
+    for the same q and q^2 several times each; typed, so that a float q
+    raises even after the same int q was cached.
     """
     if q < 2:
         raise ValueError("q must be >= 2")

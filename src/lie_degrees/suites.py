@@ -156,12 +156,13 @@ def check_lemma_bracket_ratios(s_max: int, q_list: tuple[int, ...],
                 failures.append({"form": "minus", "c": c, "q": q})
             if qexact.bracket_ratio_bounds(tuple(range(1, s + 1)), q, form="plus") != (True, True):
                 failures.append({"form": "plus", "s": s, "q": q})
+        pw = [q ** k for k in range(grid_max + 1)]
         for a in range(2, grid_max + 1):
             for b in range(2, grid_max + 1):
-                minus_le = (q ** a - 1) * (q ** (b - 1) - 1) <= (q ** b - 1) * (q ** (a - 1) - 1)
+                minus_le = (pw[a] - 1) * (pw[b - 1] - 1) <= (pw[b] - 1) * (pw[a - 1] - 1)
                 if minus_le != (a >= b):
                     failures.append({"iff": "minus", "a": a, "b": b, "q": q})
-                plus_le = (q ** a + 1) * (q ** (b - 1) + 1) <= (q ** b + 1) * (q ** (a - 1) + 1)
+                plus_le = (pw[a] + 1) * (pw[b - 1] + 1) <= (pw[b] + 1) * (pw[a - 1] + 1)
                 if plus_le != (a <= b):
                     failures.append({"iff": "plus", "a": a, "b": b, "q": q})
     return failures, {}
@@ -239,7 +240,9 @@ def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
 
     The draws come from random.Random(seed).getrandbits through _randbelow
     and _shuffle, which draw what its randrange and shuffle would: the same
-    values, leaving the generator in the same state."""
+    values, leaving the generator in the same state.  The parts are drawn
+    with _randbelow's loop written out in place, as _shuffle draws its
+    indices."""
     import random
 
     from . import symmetric
@@ -254,7 +257,12 @@ def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
         parts = []
         prev = rem
         while rem:  # each part is at most the one before: no sort needed
-            p = 1 + _randbelow(getrandbits, min(prev, rem))
+            width = min(prev, rem)  # the part is 1 + _randbelow(getrandbits, width)
+            k = width.bit_length()
+            p = getrandbits(k)
+            while p >= width:
+                p = getrandbits(k)
+            p += 1
             parts.append(p)
             rem -= p
             prev = p

@@ -377,6 +377,78 @@ def test_main_entry_direct():
     assert main(["degree", "gl", "--partition", "2,2,2", "--q", "2"]) == 0
 
 
+def test_run_exits_with_mains_code_and_freezes_the_heap_once(capsys, monkeypatch):
+    # gc.freeze is patched, so this process is never frozen
+    import gc
+
+    from lie_degrees import cli, suites
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+    monkeypatch.setattr(suites, "check_lemma_products", lambda q_max, m: ([{"q": q_max}], {}))
+    for argv, code in ((["degree", "gl", "--partition", "2,2,2", "--q", "2"], 0),
+                       (["verify", "lemmas", "--n", "1..3", "--q", "2"], 1),
+                       (["verify", "lemmas", "--q", ""], 2),
+                       (["degree", "gl", "--bogus"], 2)):  # argparse raises SystemExit(2)
+        freezes.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert (exc.value.code, len(freezes)) == (code, 1), argv
+    capsys.readouterr()
+
+
+def test_main_does_not_freeze_the_heap(capsys):
+    import gc
+    before = gc.get_freeze_count()
+    assert main(["degree", "gl", "--partition", "2,2,2", "--q", "2"]) == 0
+    assert main(["verify", "lemmas", "--n", "1..3", "--q", "2", "--jobs", "2"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_the_console_script_goes_through_run():
+    import pathlib
+    tomllib = pytest.importorskip("tomllib")
+    with open(pathlib.Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"lie-degrees": "lie_degrees.cli:run"}
+
+
+# python -m lie_degrees.cli, with an exit handler that reports the heap frozen
+_MODULE_ENTRY = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["lie-degrees", "degree", "sym", "--partition", "3,2,1"]
+runpy.run_module("lie_degrees.cli", run_name="__main__")
+"""
+
+
+def test_the_module_entry_goes_through_run_and_keeps_exit_handlers():
+    import os
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lie_degrees.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_ENTRY], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16\n", "frozen True\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "all", "--n", "1..3", "--q", "2", "--jobs", "2", "--out", "r.json"),
+    ("bounds", "--family", "A,2A,B,C,D,2D", "--q", "2,3", "--n", "1..4", "--format", "csv",
+     "--out", "b.csv"),
+], ids=["verify", "bounds"])
+def test_no_file_pipe_or_worker_is_left_for_the_collector(tmp_path, args):
+    # the frozen heap is never collected, so nothing the program opens may
+    # wait for the collector to be closed: in dev mode, with ResourceWarning
+    # an error, a file, pipe or worker that a command leaves open (in a
+    # reference cycle, say) is reported on stderr
+    import os
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lie_degrees.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+                           "import sys; from lie_degrees import cli; sys.exit(cli.main(sys.argv[1:]))",
+                           *args], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / args[-1]).stat().st_size > 0
+
+
 # sha256 of the whole stdout of commands the benchmark runs (perfbench/golden/
 # holds them record by record), and of wider ones: report bytes are part of
 # the certificate

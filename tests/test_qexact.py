@@ -80,6 +80,16 @@ def test_euler_anchors():
     assert four.hi < Fraction("0.6886")
 
 
+def test_euler_interval_is_cached_and_still_checks_its_arguments():
+    assert euler_interval(3, 20) is euler_interval(3, 20)
+    for q, m in ((1, 40), (2, 1), (1, 40)):  # an error is raised again, not cached
+        with pytest.raises(ValueError):
+            euler_interval(q, m)
+    euler_interval(2)
+    with pytest.raises(TypeError):
+        euler_interval(2.0)
+
+
 def test_euler_large_q():
     ival = euler_interval(10 ** 6, 5)
     assert ival.lo > Fraction("0.9999") and ival.hi < 1

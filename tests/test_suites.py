@@ -34,6 +34,11 @@ def test_check_prop_compgl_sweep():
     assert record["verdict"] == "pass" and record["values"]["cases"] > 20000
 
 
+def test_check_lemma_bracket_ratios_beyond_the_pinned_q():
+    record = _run(suites.check_lemma_bracket_ratios, s_max=12, q_list=(5, 7, 16), grid_max=30)
+    assert record["verdict"] == "pass"
+
+
 def test_check_ratio_witness():
     record = _run(suites.check_ratio_witness, n_min=15, n_max=16)
     assert record["verdict"] == "pass" and record["values"]["shapes"] > 300
