@@ -24,6 +24,14 @@ reduced in integers (ln to [3/4, 3/2] by a power of two found from bit
 lengths, exp halved to |x| <= 1/2), ln's 2 atanh + k ln 2 is added on the
 integer mantissas, and the squarings that undo exp's halving run on the
 mantissas at scale 2^192.
+
+The kernels _ln_mantissas and _exp_mantissas take and return integers, and
+pow_interval chains them: ln of each endpoint, the product with the exponent
+u/v rounded outward to the grid in integers, then exp.  A Fraction is built
+only for the endpoints a public function returns (_dyadic): two each for
+ln_interval, exp_interval and pow_interval; log_base_interval divides the
+Fraction ends of ln(x) by those of ln(base), each by the end that moves it
+outward.
 """
 
 from __future__ import annotations
@@ -275,18 +283,6 @@ _GUARD_BITS = 64
 _WORK_BITS = _TIDY_BITS + _GUARD_BITS
 
 
-def _tidy(ival: RationalInterval, bits: int = _TIDY_BITS) -> RationalInterval:
-    """Outward-round endpoints to denominator 2^bits.
-
-    Keeps the enclosure valid while stopping denominator growth through
-    chained series evaluations.
-    """
-    scale = 1 << bits
-    lo = Fraction(math.floor(ival.lo * scale), scale)
-    hi = Fraction(-math.floor(-ival.hi * scale), scale)
-    return RationalInterval(lo, hi)
-
-
 def _round_out(lo_num: int, hi_num: int, den: int) -> tuple[int, int]:
     """Mantissas of [lo_num/den, hi_num/den] rounded outward to 2^-_TIDY_BITS."""
     return (lo_num << _TIDY_BITS) // den, -((-hi_num << _TIDY_BITS) // den)
@@ -403,29 +399,31 @@ def _ln_shift(p: int, r: int) -> int:
     return _min_shift(3 * r, 2 * p) - _min_shift(4 * p, 3 * r)
 
 
-def ln_interval(x, terms: int = 28) -> RationalInterval:
-    """Certified enclosure of ln(x) for a positive rational x.
+def _ln_mantissas(p: int, r: int, terms: int) -> tuple[int, int]:
+    """Mantissas at 2^-_TIDY_BITS of the enclosure of ln(p/r), p, r > 0, not
+    necessarily coprime (every floor and ceiling taken is of a ratio of them).
 
-    x = p/r is reduced to y = x/2^k in [3/4, 3/2], and ln x = 2 atanh(t) +
-    k ln 2 with t = (y - 1)/(y + 1), |t| <= 1/5, formed in integers; the sum
-    is taken on the 2^-_TIDY_BITS mantissas, so it is already on the grid.
+    p/r is reduced to y = p/(r 2^k) in [3/4, 3/2], and ln(p/r) = 2 atanh(t)
+    + k ln 2 with t = (y - 1)/(y + 1), |t| <= 1/5, formed in integers; the
+    sum is taken on the mantissas, so it is already on the grid.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("ln needs a positive argument")
-    p, r = x.numerator, x.denominator
     k = _ln_shift(p, r)
-    if k >= 0:
-        r <<= k
-    else:
-        p <<= -k
+    p, r = (p, r << k) if k >= 0 else (p << -k, r)
     lo, hi = _atanh_mantissas(p - r, p + r, terms)
     lo, hi = 2 * lo, 2 * hi
     if k:
         ln2_lo, ln2_hi = _ln2_mantissas(terms)
         lo += k * (ln2_lo if k > 0 else ln2_hi)
         hi += k * (ln2_hi if k > 0 else ln2_lo)
-    return _dyadic(lo, hi)
+    return lo, hi
+
+
+def ln_interval(x, terms: int = 28) -> RationalInterval:
+    """Certified enclosure of ln(x) for a positive rational x (see _ln_mantissas)."""
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("ln needs a positive argument")
+    return _dyadic(*_ln_mantissas(x.numerator, x.denominator, terms))
 
 
 def _exp_fixed(a: int, b: int, terms: int) -> tuple[int, int]:
@@ -448,21 +446,22 @@ def _exp_fixed(a: int, b: int, terms: int) -> tuple[int, int]:
     return acc, 2 * abs(p * a) // (b * (terms + 1)) + 1
 
 
-def exp_interval(x, terms: int = 26) -> RationalInterval:
-    """Certified enclosure of exp(x) for a rational x.
+def _exp_mantissas(a: int, b: int, terms: int) -> tuple[int, int]:
+    """Mantissas at 2^-_TIDY_BITS of the enclosure of exp(a/b), b > 0, a and b
+    not necessarily coprime (every floor and ceiling taken is of a ratio of them).
 
     x = a/b is halved k times to |x| <= 1/2 (b becomes b 2^k); the sum S of
     x^i/i! for i <= T and the tail tau = 2|x|^{T+1}/(T+1)! give the
-    enclosure [floor((S - tau) 2^192), ceil((S + tau) 2^192)] / 2^192, and
-    the k squarings run on the integer mantissas at scale 2^_TIDY_BITS.
+    mantissas [floor((S - tau) 2^192), ceil((S + tau) 2^192)], and the k
+    squarings run on them at scale 2^_TIDY_BITS.
 
     The guarded fixed-point sum (_exp_fixed, _settle) decides the rounding;
     when it cannot (always at x = 0), the exact kernel runs: the sum as one
     integer over b^T T!, the tail over the same denominator, each side
     rounded outward once.
     """
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
     k = _min_shift(b, 2 * abs(a))
     b <<= k
     guarded = _settle(*_exp_fixed(a, b, terms), terms)
@@ -484,22 +483,29 @@ def exp_interval(x, terms: int = 26) -> RationalInterval:
     for _ in range(k):
         lo = lo * lo >> _TIDY_BITS
         hi = -(-hi * hi >> _TIDY_BITS)
-    return _dyadic(lo, hi)
+    return lo, hi
 
 
-def ln_of_interval(ival: RationalInterval, terms: int = 28) -> RationalInterval:
-    return RationalInterval(ln_interval(ival.lo, terms).lo, ln_interval(ival.hi, terms).hi)
-
-
-def exp_of_interval(ival: RationalInterval, terms: int = 26) -> RationalInterval:
-    return RationalInterval(exp_interval(ival.lo, terms).lo, exp_interval(ival.hi, terms).hi)
+def exp_interval(x, terms: int = 26) -> RationalInterval:
+    """Certified enclosure of exp(x) for a rational x (see _exp_mantissas)."""
+    x = Fraction(x)
+    return _dyadic(*_exp_mantissas(x.numerator, x.denominator, terms))
 
 
 def log_base_interval(x, base: int, terms: int = 28) -> RationalInterval:
-    """Certified enclosure of log_base(x) for rational x > 0 and integer base >= 2."""
+    """Certified enclosure of log_base(x) for rational x > 0 and integer base >= 2.
+
+    The quotient of the enclosures of ln(x) and of ln(base), whose low end
+    is positive: each endpoint of ln(x) is divided by the end of ln(base)
+    that moves it outward.
+    """
+    if not isinstance(base, int):
+        raise TypeError(f"base must be an int, got {base!r}")
     if base < 2:
         raise ValueError("base must be >= 2")
-    return ln_interval(x, terms) / _ln_base(base, terms)
+    (lo, hi), (b_lo, b_hi) = ln_interval(x, terms), _ln_base(base, terms)
+    return RationalInterval(lo / (b_hi if lo.numerator >= 0 else b_lo),
+                            hi / (b_lo if hi.numerator >= 0 else b_hi))
 
 
 @lru_cache(maxsize=64)
@@ -509,11 +515,21 @@ def _ln_base(base: int, terms: int) -> RationalInterval:
 
 
 def pow_interval(ival: RationalInterval, exponent, terms: int = 28) -> RationalInterval:
-    """Certified enclosure of ival^exponent for a positive interval and rational exponent."""
-    e = Fraction(exponent)
-    if e.denominator == 1:
-        return ival.int_pow(e.numerator)
-    if ival.lo <= 0:
+    """Certified enclosure of ival^exponent for a positive interval and rational exponent.
+
+    An integer exponent is int_pow.  Otherwise exp(u/v ln x) runs on the
+    2^-192 mantissas: the outer ends of ln(ival) times u/v, rounded outward in
+    integers, then the outer ends of exp of each; only the two returned
+    endpoints are Fractions.
+    """
+    u, v = Fraction(exponent).as_integer_ratio()
+    if v == 1:
+        return ival.int_pow(u)
+    lo, hi = ival
+    if lo.numerator <= 0:
         raise ValueError("fractional powers need a positive interval")
-    ln_i = ln_of_interval(ival, terms)
-    return exp_of_interval(_tidy(ln_i * e), terms)
+    # u times the outer ends of ln(ival), low end first (swapped when u < 0)
+    t_lo, t_hi = sorted((_ln_mantissas(lo.numerator, lo.denominator, terms)[0] * u,
+                         _ln_mantissas(hi.numerator, hi.denominator, terms)[1] * u))
+    return _dyadic(_exp_mantissas(t_lo // v, 1 << _TIDY_BITS, terms)[0],
+                   _exp_mantissas(-(-t_hi // v), 1 << _TIDY_BITS, terms)[1])

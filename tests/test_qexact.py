@@ -519,3 +519,77 @@ def test_log_base_interval_takes_ln_of_the_base_once(monkeypatch):
     assert [log_base_interval(x, base) for x, base in args] == expected
     assert [seen.count(base) for base in (2, 3, 5)] == [1, 1, 1]
     qexact._ln_base.cache_clear()
+
+
+def test_log_base_interval_needs_an_int_base(monkeypatch):
+    seen = []
+    monkeypatch.setattr(qexact, "ln_interval", lambda x, terms=28: seen.append(x))
+    for base in (2.5, Fraction(5, 2), Fraction(4), "3"):
+        with pytest.raises(TypeError):
+            log_base_interval(10, base)
+    assert seen == []                      # refused before any ln is taken
+    with pytest.raises(ValueError):
+        log_base_interval(10, 1)
+
+
+def test_exp_interval_rejects_a_negative_number_of_terms():
+    for x, terms in ((0, -1), (1, -5), (Fraction(1, 3), -5)):
+        with pytest.raises(ValueError, match="terms must be >= 0"):
+            exp_interval(x, terms)
+    assert exp_interval(Fraction(1, 3), 0) == _ref_exp_interval(Fraction(1, 3), 0)
+
+
+def test_pow_interval_needs_a_positive_interval():
+    for lo in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            pow_interval(RationalInterval(lo, Fraction(2)), Fraction(3, 8))
+
+
+# ---------------------------------------------------------------------------
+# log_base and fractional powers: the interval composition as an oracle
+# ---------------------------------------------------------------------------
+
+def _ref_log_base_interval(x, base: int, terms: int = 28) -> RationalInterval:
+    return ln_interval(x, terms) / ln_interval(base, terms)
+
+
+def _ref_pow_interval(ival: RationalInterval, exponent, terms: int = 28) -> RationalInterval:
+    """ln of each endpoint, times e, tidied to the 2^-192 grid, exp of each end."""
+    e = Fraction(exponent)
+    if e.denominator == 1:
+        return ival.int_pow(e.numerator)
+    ln_i = RationalInterval(ln_interval(ival.lo, terms).lo, ln_interval(ival.hi, terms).hi)
+    lo, hi = _ref_tidy(*(ln_i * e))
+    return RationalInterval(exp_interval(lo, terms).lo, exp_interval(hi, terms).hi)
+
+
+_POW_ARGS = [
+    RationalInterval.point(4), RationalInterval.point(2), RationalInterval.point(Fraction(3, 7)),
+    RationalInterval(Fraction(1, 3), Fraction(5, 2)), RationalInterval(Fraction(9, 10), Fraction(11, 10)),
+    RationalInterval(Fraction(7, 10), Fraction(9, 10)), RationalInterval(Fraction(11, 3), Fraction(40)),
+    _ref_log_base_interval(Fraction(1, 9), 3) + 3, _ref_log_base_interval(41, 5) + 1,
+]
+
+
+@pytest.mark.parametrize("exponent", [Fraction(-3, 4), Fraction(3, 8), Fraction(127, 50), 2])
+def test_pow_interval_matches_the_interval_composition(exponent):
+    for ival in _POW_ARGS:
+        assert pow_interval(ival, exponent) == _ref_pow_interval(ival, exponent), ival
+
+
+def test_log_base_interval_matches_interval_division():
+    for base in (2, 3, 5, 49):
+        for x in (Fraction(1, 9), Fraction(2, 3), Fraction(99, 100), 1, Fraction(7, 3), 10 ** 6):
+            assert log_base_interval(x, base) == _ref_log_base_interval(x, base), (x, base)
+
+
+def test_bracket_intervals_match_the_interval_composition(monkeypatch):
+    from lie_degrees import maxdegree
+
+    brackets = maxdegree._bracket_intervals.__wrapped__
+    cases = [(kind, n, q) for kind in ("A", "2A", "BCD")
+             for q in (2, 3, 4, 5, 7, 8, 9, 16) for n in range(1, 21)]
+    fast = [brackets(*case) for case in cases]
+    monkeypatch.setattr(maxdegree, "pow_interval", _ref_pow_interval)
+    monkeypatch.setattr(maxdegree, "log_base_interval", _ref_log_base_interval)
+    assert [brackets(*case) for case in cases] == fast
