@@ -145,7 +145,6 @@ def cmd_verify(args) -> int:
         families=tuple(args.family.split(",")) if args.family else _LABEL_FAMILIES,
         n_min=n_min, n_max=n_max,
         q_list=parse_q_list(args.q),
-        truncation_m=args.truncation,
         parallelism=args.jobs,
     )
     try:
@@ -237,8 +236,6 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help=f"comma list of {','.join(_LABEL_FAMILIES)} (steinberg)")
     p.add_argument("--n", default="1..10", help="rank range, e.g. 1..20")
     p.add_argument("--q", default="2,3", help="comma list of q values")
-    p.add_argument("--truncation", type=int, default=40,
-                   help="series truncation order for product enclosures")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (the report bytes are the same for any value)")
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _LABEL_FAMILY, _record
-from .orders import QProduct, min_rank, order_pprime, p_exponent
+from .orders import QProduct, check_q, min_rank, order_pprime, p_exponent
 from .qexact import (
     RationalInterval,
     log_base_interval,
@@ -176,10 +176,8 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def check_field_order(q: int) -> None:
-    """ValueError unless q is the order of a finite field."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if prime_power(q) is None:
+    """check_q's errors, or a ValueError unless q is a finite field's order."""
+    if prime_power(check_q(q)) is None:
         raise ValueError("q must be a prime power")
 
 
@@ -204,8 +202,7 @@ def _mobius(n: int) -> int:
 
 def count_irred(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree d over F_q."""
-    if prime_power(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
+    check_field_order(q)
     if d < 1:
         raise ValueError("degree must be >= 1")
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
@@ -222,8 +219,7 @@ def count_self_dual(q: int, d: int) -> int:
     degrees are possible only for even d, counted through the elements of the
     norm-one subgroup of order q^{d/2} + 1 lying in no proper subfield.
     """
-    if prime_power(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
+    check_field_order(q)
     if d == 1:
         return math.gcd(2, q - 1)
     if d % 2 == 1:
@@ -274,10 +270,11 @@ class CentralizerTypeGL(_record("CentralizerTypeGL", "blocks")):
                    for d, count in self.degree_multiplicities().items())
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _block_budget(q: int, d: int) -> int:
     # d = 1 blocks carry nonzero eigenvalues in F_q, so at most q - 1 of them
-    return q - 1 if d == 1 else count_irred(q, d)
+    # (typed and checked: enumerate_types and is_admissible call it first)
+    return check_q(q) - 1 if d == 1 else count_irred(q, d)
 
 
 @lru_cache(maxsize=200_000)
@@ -324,8 +321,7 @@ def b_gl_exact(n: int, q: int) -> tuple[int, CentralizerTypeGL]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if prime_power(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
+    check_field_order(q)
     best = _best_blocks(q, 1, n, n, min(_block_budget(q, 1), n))
     if best is None:
         raise ArithmeticError(f"no admissible centralizer type for n={n}, q={q}")

@@ -11,6 +11,12 @@ read at Q = -q in absolute value (Ennola duality).  A QProduct is always
 evaluated at +q: a GU degree, the GL formula at -q, is built with that sign
 already applied, its odd hooks h as factors q^h + 1.
 
+check_q is the one rule for q, an int >= 2; QProduct.evaluate applies it
+before any table.  The caches keyed by q that a caller reaches before any
+check (order_pprime, unipotent._partition_degree, qexact.euler_interval,
+maxdegree._block_budget) are typed and check q in their body: untyped, a
+float 3.0 would hit the entry of 3, or store a float that 3 then reads.
+
 A leaf module: it imports only the family table, so the unipotent degrees
 and the GL type degrees read their group orders and their evaluator here
 without loading the certified enclosures of qexact or the largest-degree
@@ -24,6 +30,16 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import _LABEL_FAMILIES, _LABEL_FAMILY
+
+
+def check_q(q: int) -> int:
+    """q itself if it is an int >= 2: TypeError for any other type (bool,
+    float, Fraction), ValueError below 2 (prime powers: check_field_order)."""
+    if type(q) is not int:
+        raise TypeError(f"q must be an int, not {type(q).__name__}")
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    return q
 
 
 def _check_bracket_seq(c: Iterable[int]) -> tuple[int, ...]:
@@ -64,7 +80,7 @@ def min_rank(family: str) -> int:
     return 2 if _label_family(family) in ("D", "2D") else 1
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def order_pprime(family: str, n: int, q: int) -> int:
     """|G|_{p'} of GL_n(q), GU_n(q), SL_n (A), SU_n (2A) or the rank-n group
     of family B, C, BC (Spin_{2n+1} / Sp_{2n}), D or 2D (Spin^{+-}_{2n}).
@@ -74,8 +90,7 @@ def order_pprime(family: str, n: int, q: int) -> int:
     [c] = bracket(c, Q).  GL_0 = GU_0 = 1 (the empty partition); the
     rank-typed families need n >= 1.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    check_q(q)
     label = _label_family(family)
     if n < 1 and not (n == 0 and family in ("GL", "GU")):
         raise ValueError("rank must be >= 1")
@@ -125,7 +140,8 @@ class QProduct(NamedTuple):
 
     def evaluate(self, q: int) -> int:
         """The degree at q; ArithmeticError, naming the family, the label
-        and q, if the quotient is not an integer."""
+        and q, if the quotient is not an integer; check_q's errors first."""
+        check_q(q)
         minus_tab, plus_tab = _factor_tables(q, self.top)
         den = (math.prod(map(minus_tab.__getitem__, self.minus), start=1 << self.two_power)
                * math.prod(map(plus_tab.__getitem__, self.plus)))

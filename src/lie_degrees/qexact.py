@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import _record
-from .orders import _check_bracket_seq, bracket
+from .orders import _check_bracket_seq, bracket, check_q
 
 
 class RationalInterval(_record("RationalInterval", "lo hi")):
@@ -144,8 +144,7 @@ def bracket_ratio_bounds(c: Iterable[int], q: int, form: str = "minus") -> tuple
     Returns (lower_ok, upper_ok) with both inequalities decided exactly.
     """
     seq = _check_bracket_seq(c)
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    check_q(q)
     s = len(seq)
     if form == "minus":
         if not seq or seq[0] < 2:
@@ -192,8 +191,7 @@ def euler_interval(q: int, m: int = 40) -> RationalInterval:
     for the same q and q^2 several times each; typed, so that a float q
     raises even after the same int q was cached.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    check_q(q)
     if m < 2:
         raise ValueError("truncation order m must be >= 2")
     s = Fraction(1)
@@ -205,6 +203,7 @@ def euler_interval(q: int, m: int = 40) -> RationalInterval:
 
 def euler_tail_interval(q: int, k: int, m: int = 40) -> RationalInterval:
     """Certified enclosure of prod_{i>=k}(1 - q^{-i})."""
+    check_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
     head = Fraction(1)
@@ -218,8 +217,8 @@ def one_plus_interval(q: int, k: int = 1, m: int = 40) -> RationalInterval:
 
     Uses prod(1 + x_i) = prod(1 - x_i^2) / prod(1 - x_i) with x_i = q^{-i}.
     """
+    den = euler_tail_interval(q, k, m)  # first: it checks q, and True * True is 1
     num = euler_tail_interval(q * q, k, m)
-    den = euler_tail_interval(q, k, m)
     if den.lo <= 0:
         raise ArithmeticError("truncation too coarse for a positive enclosure")
     return num / den
@@ -227,7 +226,7 @@ def one_plus_interval(q: int, k: int = 1, m: int = 40) -> RationalInterval:
 
 def alternating_product(q: int, n: int) -> Fraction:
     """prod_{i=1}^{n} (1 - (-1/q)^i), exactly."""
-    x = Fraction(-1, q)
+    x = Fraction(-1, check_q(q))
     out = Fraction(1)
     for i in range(1, n + 1):
         out *= 1 - x ** i
@@ -236,7 +235,7 @@ def alternating_product(q: int, n: int) -> Fraction:
 
 def alternating_products(q: int, n_max: int) -> Iterator[Fraction]:
     """alternating_product(q, n) for n = 1, ..., n_max, as one running product."""
-    x = Fraction(-1, q)
+    x = Fraction(-1, check_q(q))
     power = out = Fraction(1)
     for _ in range(n_max):
         power *= x

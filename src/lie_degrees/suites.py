@@ -17,7 +17,8 @@ and qexact.  A parallel run imports every check module, then forks its
 workers with os.fork, so they inherit the modules instead of each loading
 its own copy; the workers take one task at a time, and a worker that dies
 holding a task is an error.  Where os.fork is missing the checks run
-serially.
+serially.  SuiteConfig checks each q by orders.check_q; lemma_products runs
+at the one series truncation order TRUNCATION_M, which the report records.
 """
 
 from __future__ import annotations
@@ -446,30 +447,32 @@ def check_epsilon_an(n_min: int, n_max: int) -> tuple[list, dict]:
 # suite configuration and runner
 # ---------------------------------------------------------------------------
 
+# lemma_products' series truncation order, which the report records: at q = 2
+# the tightest bound's margin is 2.9e-3 and no enclosure is wider than 1.5e-11;
+# as q grows the margin shrinks like q^-7 and the width like q^-40.
+TRUNCATION_M = 40
+
+
 class SuiteConfig:
-    """The label families, ranks and q values a suite covers, the series
-    truncation order, and the number of worker processes."""
+    """The label families, ranks and q values (a tuple, each by
+    orders.check_q) a suite covers, and the number of worker processes."""
 
     def __init__(self, families: tuple[str, ...] = _LABEL_FAMILIES, n_min: int = 1,
-                 n_max: int = 10, q_list: tuple[int, ...] = (2, 3),
-                 truncation_m: int = 40, parallelism: int = 1):
+                 n_max: int = 10, q_list: tuple[int, ...] = (2, 3), parallelism: int = 1):
+        from .orders import check_q  # here: importing suites loads no check module
         for fam in families:
             if fam not in _LABEL_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
         if n_min < 1 or n_max < n_min:
             raise ValueError("invalid rank range")
+        q_list = tuple(map(check_q, q_list))
         if not q_list:
             raise ValueError("no q values given")
-        if any(q < 2 for q in q_list):
-            raise ValueError("q values must be >= 2")
-        if truncation_m < 2:
-            raise ValueError("truncation order m must be >= 2")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.families = families
         self.n_min, self.n_max = n_min, n_max
         self.q_list = q_list
-        self.truncation_m = truncation_m
         self.parallelism = parallelism
 
 
@@ -491,7 +494,7 @@ def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:
     if selection in ("lemmas", "all"):
         tasks.append((check_lemma_bracket_ratios,
                       {"s_max": 12, "q_list": cfg.q_list, "grid_max": 30}))
-        tasks.append((check_lemma_products, {"q_max": max(cfg.q_list), "m": cfg.truncation_m}))
+        tasks.append((check_lemma_products, {"q_max": max(cfg.q_list), "m": TRUNCATION_M}))
     if selection == "all":
         tasks.append((check_oracle_sym_squares, {"n_max": min(cfg.n_max, 20)}))
         tasks.append((check_oracle_alt_squares, {"n_max": min(cfg.n_max, 20)}))
@@ -692,6 +695,6 @@ def run_suite(cfg: SuiteConfig, selection: str = "all") -> SuiteReport:
         "families": list(cfg.families),
         "n_min": cfg.n_min, "n_max": cfg.n_max,
         "q_list": list(cfg.q_list),
-        "truncation_m": cfg.truncation_m,
+        "truncation_m": TRUNCATION_M,
     }
     return SuiteReport(config=config, checks=records)

@@ -66,7 +66,7 @@ from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator
 
 from . import _LABEL_FAMILIES, _SYMBOL_DEFECT, _record
-from .orders import QProduct, min_rank, order_pprime
+from .orders import QProduct, check_q, min_rank, order_pprime
 from .partitions import (
     Partition,
     _immutable,
@@ -98,24 +98,21 @@ def _hook_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
     return hook_lengths(parts)
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=200_000, typed=True)
 def _partition_degree(parts: tuple[int, ...], fam: str, q: int) -> int:
     """The GL or GU degree at q of the partition with these parts, from its
-    plan; kept per (parts, family, q), since the checks ask for it again."""
+    plan; kept per (parts, family, q), since the checks ask for it again, and
+    typed, so that no float q reads an int's entry past evaluate's check."""
     return _build_plan(parts, fam, sum(parts)).evaluate(q)
 
 
 def degree_gl(lam: Partition, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) labelled by lam."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
     return _partition_degree(lam.parts, "GL", q)
 
 
 def degree_gu(lam: Partition, q: int) -> int:
     """Degree of the unipotent character of GU_n(q) labelled by lam."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
     return _partition_degree(lam.parts, "GU", q)
 
 
@@ -348,8 +345,6 @@ def degree_symbol(sym: Symbol, q: int) -> int:
     (X = Y) this value is the degree of each of the two characters the class
     carries.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
     return _symbol_plan(*_canonical(sym.X, sym.Y)).evaluate(q)
 
 
@@ -669,9 +664,7 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     """
     if fam not in _LABEL_FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
-    q_list = tuple(q_list)
-    if any(q < 2 for q in q_list):
-        raise ValueError("q must be >= 2")
+    q_list = tuple(map(check_q, q_list))
     if n < 1:
         raise ValueError("rank must be >= 1")
     plans: dict[tuple, QProduct] = {}  # built for the labels some q evaluates
@@ -769,7 +762,7 @@ def _chain_candidates(x: tuple[int, ...], y: tuple[int, ...]) -> Iterator[_Rows]
 
 _Degrees = dict[tuple[_Rows, int], int]  # (canonical rows, q) -> degree of the class
 _Steps = dict[tuple[_Rows, int], _Rows]  # (canonical rows, q) -> the next class
-_Moves = dict[_Rows, list]  # canonical rows -> the class's _class_moves tried so far
+_Moves = dict[_Rows, list[_Rows]]  # canonical rows -> the class's _class_moves tried so far
 
 
 def _class_degree(rows: _Rows, q: int) -> int:
@@ -777,11 +770,12 @@ def _class_degree(rows: _Rows, q: int) -> int:
     return _symbol_plan(*rows).evaluate(q)
 
 
-def _class_moves(rows: _Rows, n: int) -> Iterator[_Rows | str]:
+def _class_moves(rows: _Rows, n: int) -> Iterator[_Rows]:
     """The canonical rows of the moves from the class with canonical rows
     `rows`, of rank n, in _chain_candidates order, each class once and never
-    rows itself.  A move that changes the rank or the defect parity ends them
-    with the text of the error a chain reaching it raises."""
+    rows itself.  A move that changes the rank or the defect parity raises
+    ArithmeticError where it comes, so it stops a chain only at a q whose
+    step gets that far."""
     odd = (len(rows[0]) - len(rows[1])) % 2
     seen = {rows}
     for move in _chain_candidates(*rows):
@@ -790,9 +784,9 @@ def _class_moves(rows: _Rows, n: int) -> Iterator[_Rows | str]:
             continue
         seen.add(key)
         if _rows_rank(*key) != n or (len(key[0]) - len(key[1])) % 2 != odd:
-            yield (f"move from {Symbol._from_valid_rows(*rows)} to "
-                   f"{Symbol._from_valid_rows(*key)} changes the rank or the defect parity")
-            return
+            raise ArithmeticError(
+                f"move from {Symbol._from_valid_rows(*rows)} to "
+                f"{Symbol._from_valid_rows(*key)} changes the rank or the defect parity")
         yield key
 
 
@@ -809,19 +803,14 @@ def _chain_step(rows: _Rows, q: int, n: int, degrees: _Degrees, moves: _Moves) -
             out = degrees[key, q] = _class_degree(key, q)
         return out
 
-    def tried(key: _Rows | str) -> bool:
-        if type(key) is str:
-            raise ArithmeticError(key)
-        return degree(key) > current
-
     current = degree(rows)
     listed = moves.setdefault(rows, [])
     for key in listed:
-        if tried(key):
+        if degree(key) > current:
             return key
     for key in islice(_class_moves(rows, n), len(listed), None):
         listed.append(key)
-        if tried(key):
+        if degree(key) > current:
             return key
     raise ArithmeticError(
         f"no degree-increasing move from {Symbol._from_valid_rows(*rows)} at q={q}; "
@@ -858,8 +847,6 @@ def stclass_chain(sym: Symbol, q: int) -> list[Symbol]:
     reduced and once-shifted representatives).  Raises if no move increases
     the degree, which would contradict Steinberg maximality.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
     rows = _canonical(sym.X, sym.Y)
     n = _rows_rank(*rows)
     targets = _steinberg_classes(n, family_of_defect(len(rows[0]) - len(rows[1])))
@@ -881,13 +868,12 @@ def stclass_chains(rank_max: int, q_list: Iterable[int]) -> Iterator[tuple]:
     step is taken, and its degree evaluated, once per q, and its moves are
     generated and canonicalized once for all the q, unless a q goes past the
     ones an earlier q listed.  A move that changes the rank or the defect
-    parity is listed at its place as that error, so it stops the chain at
-    every q whose step reaches it and at no other.  A step goes only to a
-    class whose degree in that memo is larger, so every chain increases.
+    parity is never listed: the listing raises that error where it reaches
+    it, so it stops the chain at every q whose step gets there and at no
+    other.  A step goes only to a class whose degree in that memo is larger,
+    so every chain increases.
     """
-    q_list = tuple(q_list)
-    if any(q < 2 for q in q_list):
-        raise ValueError("q must be >= 2")
+    q_list = tuple(map(check_q, q_list))
     steps: _Steps = {}
     degrees: _Degrees = {}
     moves: _Moves = {}

@@ -245,13 +245,6 @@ def test_an_empty_q_list_is_a_usage_error(capsys):
         assert capsys.readouterr() == ("", "error: no q values given\n")
 
 
-def test_a_truncation_order_below_two_is_a_usage_error(capsys):
-    # refused before any check runs, not reported as an error record
-    for m in ("1", "0", "-3"):
-        assert main(["verify", "lemmas", "--q", "2,3", "--truncation", m]) == 2
-        assert capsys.readouterr() == ("", "error: truncation order m must be >= 2\n")
-
-
 def test_fewer_than_one_job_is_a_usage_error(capsys):
     for jobs in ("0", "-2"):
         assert main(["verify", "lemmas", "--q", "2", "--jobs", jobs]) == 2

@@ -533,21 +533,17 @@ def test_suite_config_validation():
         suites.SuiteConfig(q_list=(1,))
     with pytest.raises(ValueError, match="^no q values given$"):
         suites.SuiteConfig(q_list=())
-    for m in (1, 0, -3):
-        with pytest.raises(ValueError, match="truncation order m must be >= 2"):
-            suites.SuiteConfig(truncation_m=m)
-    assert suites.SuiteConfig(truncation_m=2).truncation_m == 2
     with pytest.raises(ValueError):
         suites.run_suite(suites.SuiteConfig(), "bogus")
 
 
 def test_suite_config_and_report_keep_their_defaults():
     cfg = suites.SuiteConfig()
-    assert (cfg.families, cfg.n_min, cfg.n_max, cfg.q_list, cfg.truncation_m,
-            cfg.parallelism) == (("GL", "GU", "BC", "D", "2D"), 1, 10, (2, 3), 40, 1)
-    cfg = suites.SuiteConfig(("GL",), 2, 3, (4,), 30, 2)  # positional, in field order
-    assert (cfg.families, cfg.n_min, cfg.n_max, cfg.q_list, cfg.truncation_m,
-            cfg.parallelism) == (("GL",), 2, 3, (4,), 30, 2)
+    assert (cfg.families, cfg.n_min, cfg.n_max, cfg.q_list,
+            cfg.parallelism) == (("GL", "GU", "BC", "D", "2D"), 1, 10, (2, 3), 1)
+    cfg = suites.SuiteConfig(("GL",), 2, 3, (4,), 2)  # positional, in field order
+    assert (cfg.families, cfg.n_min, cfg.n_max, cfg.q_list,
+            cfg.parallelism) == (("GL",), 2, 3, (4,), 2)
     first, second = suites.SuiteReport({}), suites.SuiteReport(config={})
     assert first.checks == [] and first.checks is not second.checks and first.all_pass
 
