@@ -5,8 +5,10 @@ Importing the package loads none of its modules: each public name below is
 imported from its module on first access (PEP 562), so a program that uses
 only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
 The family table lives here too, so that the CLI builds its parser from it
-without loading a module, and so does _record, the namedtuple base of every
-record (GroupSpec, RationalInterval, HookTable, DownUpMove, SymbolStats, ...).
+without loading a module, and so do _record, the namedtuple base of every
+record (GroupSpec, RationalInterval, HookTable, DownUpMove, SymbolStats, ...),
+and _int_tuple, the one rule for a sequence of integers (parts, symbol rows,
+bracket sequences, centralizer blocks).
 The labels Partition and Symbol are hand-written slotted classes instead:
 each equals only a label of its own class, never a tuple.  No module uses
 generated classes, whose import and code generation cost more than the work
@@ -82,6 +84,16 @@ def _record(typename: str, field_names: str) -> type:
     base._make = classmethod(lambda cls, fields: cls(*fields))
     base.__reduce__ = lambda self: (type(self), tuple(self))
     return base
+
+
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; ValueError if one is not integral, such as
+    2.7 or '2', which int() would truncate or parse."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise ValueError(f"{what} must be integers: {values}")
+    return ints
 
 
 def __getattr__(name: str):

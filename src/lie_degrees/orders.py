@@ -16,6 +16,10 @@ before any table.  The caches keyed by q that a caller reaches before any
 check (order_pprime, unipotent._partition_degree, qexact.euler_interval,
 maxdegree._block_budget) are typed and check q in their body: untyped, a
 float 3.0 would hit the entry of 3, or store a float that 3 then reads.
+check_rank, beside check_q, is the one rule for a Lie rank, an int of at
+least min_rank(family): 2 for D and 2D, 1 for every other family.  Its one
+exception is GL_0 = GU_0 = 1 in order_pprime, for an int 0 only, since the
+empty partition labels the trivial character.
 
 A leaf module: it imports only the family table, so the unipotent degrees
 and the GL type degrees read their group orders and their evaluator here
@@ -29,7 +33,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from . import _LABEL_FAMILIES, _LABEL_FAMILY
+from . import _LABEL_FAMILIES, _LABEL_FAMILY, _int_tuple
 
 
 def check_q(q: int) -> int:
@@ -43,7 +47,7 @@ def check_q(q: int) -> int:
 
 
 def _check_bracket_seq(c: Iterable[int]) -> tuple[int, ...]:
-    seq = tuple(int(x) for x in c)
+    seq = _int_tuple(c, "bracket sequence entries")
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"bracket sequence must be strictly increasing: {seq}")
     if seq and seq[0] < 1:
@@ -80,6 +84,15 @@ def min_rank(family: str) -> int:
     return 2 if _label_family(family) in ("D", "2D") else 1
 
 
+def check_rank(family: str, n: int) -> int:
+    """n if it is an int >= min_rank(family), else TypeError or ValueError."""
+    if type(n) is not int:
+        raise TypeError(f"rank must be an int, not {type(n).__name__}")
+    if n < min_rank(family):
+        raise ValueError(f"family {family} needs rank >= {min_rank(family)}")
+    return n
+
+
 @lru_cache(maxsize=4096, typed=True)
 def order_pprime(family: str, n: int, q: int) -> int:
     """|G|_{p'} of GL_n(q), GU_n(q), SL_n (A), SU_n (2A) or the rank-n group
@@ -87,13 +100,13 @@ def order_pprime(family: str, n: int, q: int) -> int:
 
     GL: [1..n] at q, A: [2..n] at q, GU and 2A: the same at -q in absolute
     value, B/C/BC: [1..n] at q^2, D/2D: (q^n -+ 1) [1..n-1] at q^2, with
-    [c] = bracket(c, Q).  GL_0 = GU_0 = 1 (the empty partition); the
-    rank-typed families need n >= 1.
+    [c] = bracket(c, Q).  GL_0 = GU_0 = 1 (the empty partition); every
+    other rank keeps to check_rank.
     """
     check_q(q)
     label = _label_family(family)
-    if n < 1 and not (n == 0 and family in ("GL", "GU")):
-        raise ValueError("rank must be >= 1")
+    if not (type(n) is int and n == 0 and family in ("GL", "GU")):
+        check_rank(family, n)
     if label in ("GL", "GU"):
         start = 1 if family == label else 2  # SL and SU drop [1]
         return abs(bracket(range(start, n + 1), q if label == "GL" else -q))
@@ -107,6 +120,7 @@ def p_exponent(family: str, n: int) -> int:
     n(n - 1)/2 for GL, GU, A and 2A, n^2 for B, C and BC, n(n - 1) for D
     and 2D."""
     label = _label_family(family)
+    check_rank(family, n)
     if label in ("GL", "GU"):
         return n * (n - 1) // 2
     return n * n if label == "BC" else n * (n - 1)

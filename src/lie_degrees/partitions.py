@@ -24,22 +24,12 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from . import _record
+from . import _int_tuple, _record
 
 
 class Node(NamedTuple):
     i: int  # row index, 1-based
     j: int  # column index, 1-based
-
-
-def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
-    """values as a tuple of ints; ValueError if one is not integral, such as
-    2.7 or '2', which int() would truncate or parse."""
-    values = tuple(values)
-    ints = tuple(map(int, values))
-    if ints != values:
-        raise ValueError(f"{what} must be integers: {values}")
-    return ints
 
 
 def _immutable(self, name: str, *value) -> None:

@@ -455,7 +455,8 @@ TRUNCATION_M = 40
 
 class SuiteConfig:
     """The label families, ranks and q values (a tuple, each by
-    orders.check_q) a suite covers, and the number of worker processes."""
+    orders.check_q) a suite covers, and the number of worker processes:
+    TypeError unless the rank bounds and the worker count are ints."""
 
     def __init__(self, families: tuple[str, ...] = _LABEL_FAMILIES, n_min: int = 1,
                  n_max: int = 10, q_list: tuple[int, ...] = (2, 3), parallelism: int = 1):
@@ -463,6 +464,9 @@ class SuiteConfig:
         for fam in families:
             if fam not in _LABEL_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
+        for name, value in (("n_min", n_min), ("n_max", n_max), ("parallelism", parallelism)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if n_min < 1 or n_max < n_min:
             raise ValueError("invalid rank range")
         q_list = tuple(map(check_q, q_list))

@@ -15,7 +15,10 @@ positive length.  Length-0 cohooks are excluded, which is the normalization
 that makes the trivial character evaluate to 1 and the Steinberg symbol to
 the full q-part of the group order.  Every group order |G|_{q'} here is
 read from the one table orders.order_pprime, and the label families and
-their smallest defects from the package's family table.
+their smallest defects from the package's family table.  Every rank keeps
+to orders.check_rank: BC labels start at rank 1, D and 2D labels at rank 2
+(rank 1 would be the torus Spin^{+-}_2), and a symbol of a smaller rank has
+no degree, no enumeration and no chain.
 
 Symbols are enumerated on plain row tuples: each bipartition (alpha, beta)
 of the right size gives the rows of one reduced symbol directly, so no
@@ -65,12 +68,11 @@ from functools import lru_cache
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator
 
-from . import _LABEL_FAMILIES, _SYMBOL_DEFECT, _record
-from .orders import QProduct, check_q, min_rank, order_pprime
+from . import _LABEL_FAMILIES, _SYMBOL_DEFECT, _int_tuple, _record
+from .orders import QProduct, check_q, check_rank, min_rank, order_pprime
 from .partitions import (
     Partition,
     _immutable,
-    _int_tuple,
     _partition_tuples,
     beta_hook_cells,
     beta_parts,
@@ -330,10 +332,8 @@ def _build_plan(label: tuple, fam: str, rank: int) -> QProduct:
 @lru_cache(maxsize=200_000)
 def _symbol_plan(x: tuple[int, ...], y: tuple[int, ...]) -> QProduct:
     """Degree plan of a canonical symbol (see canonicalize)."""
-    rank = _rows_rank(x, y)
-    if rank < 1:
-        raise ValueError(f"symbol must have positive rank: {Symbol._from_valid_rows(x, y)}")
-    return _build_plan((x, y), family_of_defect(len(x) - len(y)), rank)
+    fam = family_of_defect(len(x) - len(y))
+    return _build_plan((x, y), fam, check_rank(fam, _rows_rank(x, y)))
 
 
 def degree_symbol(sym: Symbol, q: int) -> int:
@@ -368,8 +368,7 @@ def _symbol_labels(n: int, fam: str) -> list[_Rows]:
     """
     if fam not in _SYMBOL_DEFECT:
         raise ValueError(f"enumeration is for symbol families, not {fam!r}")
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    check_rank(fam, n)
     row = lru_cache(maxsize=None)(beta_row)  # one per call: no rows outlive the rank
     labels: list[_Rows] = []
     for d in _defects_for(fam, n):
@@ -407,8 +406,7 @@ def steinberg_symbol(n: int, fam: str) -> Symbol:
     """
     if fam not in _SYMBOL_DEFECT:
         raise ValueError(f"no Steinberg symbol for family {fam!r}")
-    if n < min_rank(fam):
-        raise ValueError(f"{fam} needs rank >= {min_rank(fam)}")
+    check_rank(fam, n)
     d = _SYMBOL_DEFECT[fam]
     x = n - d // 2
     return Symbol(tuple(range(1, x + 1)), tuple(range(0, x + d)))
@@ -420,8 +418,7 @@ def _steinberg_classes(n: int, fam: str) -> frozenset[_Rows]:
     a class of the family: BC's own, or for D and 2D those of both, since
     chains cross between them."""
     fams = [f for f, d in _SYMBOL_DEFECT.items() if (d - _SYMBOL_DEFECT[fam]) % 2 == 0]
-    return frozenset(_canonical(st.X, st.Y)
-                     for st in (steinberg_symbol(n, f) for f in fams if n >= min_rank(f)))
+    return frozenset(_canonical(st.X, st.Y) for st in (steinberg_symbol(n, f) for f in fams))
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +662,7 @@ def verify_steinberg_max(n: int, q_list: Iterable[int], fam: str) -> list[tuple]
     if fam not in _LABEL_FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
     q_list = tuple(map(check_q, q_list))
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    check_rank(fam, n)
     plans: dict[tuple, QProduct] = {}  # built for the labels some q evaluates
 
     def evaluate(label: tuple, q: int) -> int:
@@ -844,15 +840,16 @@ def stclass_chain(sym: Symbol, q: int) -> list[Symbol]:
 
     Moves are tried in a fixed order: cuspidal split, the scripted
     hole-filling move, row transfers, then all +-1 entry exchanges (on the
-    reduced and once-shifted representatives).  Raises if no move increases
+    reduced and once-shifted representatives).  ValueError below the
+    family's rank (orders.check_rank); ArithmeticError if no move increases
     the degree, which would contradict Steinberg maximality.
     """
     rows = _canonical(sym.X, sym.Y)
-    n = _rows_rank(*rows)
-    targets = _steinberg_classes(n, family_of_defect(len(rows[0]) - len(rows[1])))
+    plan = _symbol_plan(*rows)  # its rank, by check_rank, and its family
+    targets = _steinberg_classes(plan.rank, plan.fam)
     if rows in targets:
         raise ValueError(f"{sym} already labels the Steinberg character")
-    chain = _walk(rows, q, n, targets, {}, {}, {})
+    chain = _walk(rows, q, plan.rank, targets, {}, {}, {})
     return [sym] + [Symbol._from_valid_rows(*r) for r in chain[1:]]
 
 

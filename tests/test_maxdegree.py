@@ -109,14 +109,13 @@ ORDER_QS = (2, 3, 4, 5, 7, 8, 9)
 
 def test_order_table_matches_the_written_out_formulas():
     for q in ORDER_QS:
-        for n in range(1, 13):
-            for family, label in _LABEL_FAMILY.items():
+        for family, label in _LABEL_FAMILY.items():
+            for n in range(min_rank(family), 13):
                 expected = _order_parts_reference(family, n, q)
                 assert order_pprime(family, n, q) == expected[1]
                 if label not in ("GL", "GU"):  # a symbol family has the order of its groups
                     assert order_pprime(label, n, q) == expected[1]
-                if n >= min_rank(family):
-                    assert order_parts(GroupSpec(family, n, q)) == expected, (family, n, q)
+                assert order_parts(GroupSpec(family, n, q)) == expected, (family, n, q)
         for n in range(13):
             for family in ("GL", "GU"):
                 assert order_pprime(family, n, q) == _partition_order_reference(family, n, q)
@@ -141,11 +140,13 @@ def test_named_group_orders():
 
 def test_order_table_refuses_rank_below_one():
     for family in ("A", "2A", "B", "C", "BC", "D", "2D"):
-        with pytest.raises(ValueError, match="rank must be >= 1"):
-            order_pprime(family, 0, 2)
+        for n in range(min_rank(family) - 1, -1, -1):  # D and 2D: also rank 1, a torus
+            with pytest.raises(ValueError, match=f"^family {family} needs rank >= "
+                                                 f"{min_rank(family)}$"):
+                order_pprime(family, n, 2)
     for family in ("GL", "GU"):  # GL_0 = GU_0 = 1, but no negative sizes
         assert order_pprime(family, 0, 3) == 1
-        with pytest.raises(ValueError, match="rank must be >= 1"):
+        with pytest.raises(ValueError, match=f"^family {family} needs rank >= 1$"):
             order_pprime(family, -1, 2)
     with pytest.raises(ValueError, match="unknown family"):
         order_pprime("E", 6, 2)
@@ -172,6 +173,19 @@ def test_one_order_table_under_every_name():
             f((2, 1), 2)
 
 
+def test_integer_sequences_are_not_truncated():
+    # int() would read (1.5, 2.5) and ("1", "2") as (1, 2), whose bracket at 2 is 3
+    for seq in ((1.5, 2.5), ("1", "2")):
+        with pytest.raises(ValueError, match="^bracket sequence entries must be integers"):
+            orders.bracket(seq, 2)
+    # int() made this the type ((1, 3), (1, 2)), whose merge ratio is 21/31
+    with pytest.raises(ValueError, match="^block sizes must be integers"):
+        merge_ratio_sl_n_2(CentralizerTypeGL(((1.5, 2), (1, 3))))
+    with pytest.raises(ValueError, match="^block sizes must be integers"):
+        CentralizerTypeGL((("2", 1),))
+    assert merge_ratio_sl_n_2(CentralizerTypeGL(((1, 2), (1, 3)))) == Fraction(21, 31)
+
+
 def test_order_parts_examples():
     assert order_parts(GroupSpec("A", 3, 2)) == (8, 21)      # |SL_3(2)| = 168
     assert order_parts(GroupSpec("C", 2, 3)) == (81, 640)    # |Sp_4(3)|
@@ -182,7 +196,7 @@ def test_order_parts_examples():
 
 
 def test_group_spec_validation():
-    for args, error in ((("A", 0, 2), "rank must be >= 1"),
+    for args, error in ((("A", 0, 2), "family A needs rank >= 1"),
                         (("D", 1, 2), "family D needs rank >= 2"),
                         (("A", 2, 1), "q must be >= 2")):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
@@ -396,6 +410,12 @@ def test_b_gl_rejects_bad_input():
         b_gl_exact(3, 6)
     with pytest.raises(ValueError):
         b_gl_exact(0, 2)
+
+
+def test_b_gl_memo_is_unbounded():
+    # a bounded memo evicts the states of one large call (n > 330 at q = 2)
+    # while that call still reads them
+    assert maxdegree._best_blocks.cache_parameters()["maxsize"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,12 @@ def test_suite_config_refuses_fewer_than_one_worker():
             suites.SuiteConfig(parallelism=jobs)
 
 
+def test_suite_config_refuses_non_int_ranks_and_workers():
+    for field, bad in (("n_min", 1.0), ("n_max", 3.0), ("n_max", True), ("parallelism", 2.5)):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not {type(bad).__name__}$"):
+            suites.SuiteConfig(families=("GL",), q_list=(2,), **{field: bad})
+
+
 def test_report_timing_opt_in():
     cfg = suites.SuiteConfig(n_min=1, n_max=3, q_list=(2,))
     report = suites.run_suite(cfg, "lemmas")

@@ -280,7 +280,7 @@ def test_class_invariants_under_shift_and_swap():
         x = tuple(sorted(rng.sample(range(12), rng.randint(0, 5))))
         y = tuple(sorted(rng.sample(range(12), rng.randint(0, 5))))
         sym = Symbol(x, y)
-        if symbol_rank(sym) < 1:
+        if symbol_rank(sym) < orders.min_rank(family_of_defect(symbol_defect(sym))):
             continue
         variants = [sym.swapped(), sym.shifted(), sym.shifted().shifted().swapped()]
         base = symbol_stats(sym)
@@ -468,7 +468,7 @@ def test_enumeration_ranks_and_defects():
 
 def test_degenerate_only_in_D():
     for fam in ("BC", "2D"):
-        for n in range(1, 7):
+        for n in range(orders.min_rank(fam), 7):
             assert all(not c.degenerate for c in enumerate_symbols(n, fam))
     degen = [c for c in enumerate_symbols(2, "D") if c.degenerate]
     assert len(degen) == 1 and degen[0].multiplicity == 2
@@ -506,7 +506,7 @@ def _plan_key(plan):
 
 def test_enumeration_and_plans_match_reference():
     for fam in ("BC", "D", "2D"):
-        for n in range(1, 11):
+        for n in range(orders.min_rank(fam), 11):
             classes = enumerate_symbols(n, fam)
             assert classes == _ref_enumerate_symbols(n, fam), (fam, n)
             labels = _symbol_labels(n, fam)
@@ -519,7 +519,7 @@ def test_enumeration_and_plans_match_reference():
 
 def test_built_rows_are_valid_and_canonical():
     for fam in ("BC", "D", "2D"):
-        for n in range(1, 11):
+        for n in range(orders.min_rank(fam), 11):
             for x, y in _symbol_labels(n, fam):
                 sym = Symbol(x, y)  # the validating constructor
                 assert (sym.X, sym.Y) == (x, y)
@@ -776,7 +776,8 @@ def test_steinberg_classes_are_cached_frozensets():
     for fam in ("D", "2D"):
         assert unipotent._steinberg_classes(4, fam) == {
             (s.X, s.Y) for s in (canonicalize(steinberg_symbol(4, f)) for f in ("D", "2D"))}
-        assert unipotent._steinberg_classes(1, fam) == frozenset()
+        with pytest.raises(ValueError, match="^family D needs rank >= 2$"):
+            unipotent._steinberg_classes(1, fam)  # rank 1 is no group of either
     bc = canonicalize(steinberg_symbol(4, "BC"))
     assert unipotent._steinberg_classes(4, "BC") == {(bc.X, bc.Y)}
 
@@ -1115,6 +1116,7 @@ def test_runner_up_search_stops_on_the_largest_slack():
 
 def test_steinberg_max_rejects_rank_below_one():
     for fam in _LABEL_FAMILIES:
-        for n in (0, -1):
-            with pytest.raises(ValueError, match="rank must be >= 1"):
+        for n in range(orders.min_rank(fam) - 1, -2, -1):  # D and 2D: also rank 1
+            with pytest.raises(ValueError, match=f"^family {fam} needs rank >= "
+                                                 f"{orders.min_rank(fam)}$"):
                 verify_steinberg_max(n, (2,), fam)
