@@ -7,8 +7,9 @@ only the Young-diagram modules never compiles the q-arithmetic or symbol ones.
 The family table lives here too, so that the CLI builds its parser from it
 without loading a module, and so do _record, the namedtuple base of every
 record (GroupSpec, RationalInterval, HookTable, DownUpMove, SymbolStats, ...),
-and _int_tuple, the one rule for a sequence of integers (parts, symbol rows,
-bracket sequences, centralizer blocks).
+_int_tuple, the one rule for a sequence of integers (parts, symbol rows,
+bracket sequences, centralizer blocks), and _check_int, the one rule for a
+scalar integer argument (q, a rank, a size, a degree, a series order).
 The labels Partition and Symbol are hand-written slotted classes instead:
 each equals only a label of its own class, never a tuple.  No module uses
 generated classes, whose import and code generation cost more than the work
@@ -94,6 +95,16 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     if ints != values:
         raise ValueError(f"{what} must be integers: {values}")
     return ints
+
+
+def _check_int(value, least: int, name: str) -> int:
+    """value itself if it is an int >= least: TypeError for any other type
+    (bool, float and Fraction included), ValueError below least."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def __getattr__(name: str):

@@ -90,8 +90,17 @@ def parse_q_list(text: str) -> tuple[int, ...]:
 @_int_digits(_INPUT_DIGITS)
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with a zero denominator a ValueError like any other
-    malformed number (Fraction raises ZeroDivisionError for it)."""
+    malformed number (Fraction raises ZeroDivisionError for it).
+
+    Fraction builds 10**e for an exponent e, which the digit limit does not
+    see, so an exponent larger in magnitude than the limit is a ValueError.
+    """
+    import re
     from fractions import Fraction  # here: building the parser loads no fractions
+    exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent of {text.strip()!r} exceeds {limit} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _LABEL_FAMILY, _int_tuple, _record
+from . import _LABEL_FAMILY, _check_int, _int_tuple, _record
 from .orders import QProduct, check_q, check_rank, min_rank, order_pprime, p_exponent
 from .qexact import (
     RationalInterval,
@@ -200,8 +200,7 @@ def _mobius(n: int) -> int:
 def count_irred(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree d over F_q."""
     check_field_order(q)
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    _check_int(d, 1, "degree")
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     if total % d != 0:
         raise ArithmeticError(f"non-integral irreducible count for q={q}, d={d}")
@@ -217,7 +216,7 @@ def count_self_dual(q: int, d: int) -> int:
     norm-one subgroup of order q^{d/2} + 1 lying in no proper subfield.
     """
     check_field_order(q)
-    if d == 1:
+    if _check_int(d, 1, "degree") == 1:
         return math.gcd(2, q - 1)
     if d % 2 == 1:
         return 0
@@ -345,6 +344,7 @@ def gl_degree_of_type(t: CentralizerTypeGL, q: int) -> int:
 
 def enumerate_types(n: int, q: int) -> list[CentralizerTypeGL]:
     """All admissible centralizer types of GL_n(q)."""
+    check_rank("GL", n)
     from .partitions import _partition_tuples  # here: `bounds` must not load partitions
     out: list[CentralizerTypeGL] = []
 

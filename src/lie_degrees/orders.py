@@ -11,15 +11,17 @@ read at Q = -q in absolute value (Ennola duality).  A QProduct is always
 evaluated at +q: a GU degree, the GL formula at -q, is built with that sign
 already applied, its odd hooks h as factors q^h + 1.
 
-check_q is the one rule for q, an int >= 2; QProduct.evaluate applies it
-before any table.  The caches keyed by q that a caller reaches before any
-check (order_pprime, unipotent._partition_degree, qexact.euler_interval,
-maxdegree._block_budget) are typed and check q in their body: untyped, a
-float 3.0 would hit the entry of 3, or store a float that 3 then reads.
-check_rank, beside check_q, is the one rule for a Lie rank, an int of at
-least min_rank(family): 2 for D and 2D, 1 for every other family.  Its one
+check_q and check_rank are the two named uses of the package's one rule
+for an integer argument, _check_int.  check_q asks for an int q >= 2;
+QProduct.evaluate applies it before any table.  The caches keyed by q that
+a caller reaches before any check (order_pprime, unipotent._partition_degree,
+qexact.euler_interval, maxdegree._block_budget) are typed and check q in
+their body: untyped, a float 3.0 would hit the entry of 3, or store a float
+that 3 then reads.  check_rank asks for a Lie rank, an int of at least
+min_rank(family): 2 for D and 2D, 1 for every other family.  Its one
 exception is GL_0 = GU_0 = 1 in order_pprime, for an int 0 only, since the
-empty partition labels the trivial character.
+empty partition labels the trivial character.  bracket takes an int q of
+either sign, |q| >= 2, since the unitary orders read it at -q.
 
 A leaf module: it imports only the family table, so the unipotent degrees
 and the GL type degrees read their group orders and their evaluator here
@@ -33,17 +35,13 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from . import _LABEL_FAMILIES, _LABEL_FAMILY, _int_tuple
+from . import _LABEL_FAMILIES, _LABEL_FAMILY, _check_int, _int_tuple
 
 
 def check_q(q: int) -> int:
-    """q itself if it is an int >= 2: TypeError for any other type (bool,
-    float, Fraction), ValueError below 2 (prime powers: check_field_order)."""
-    if type(q) is not int:
-        raise TypeError(f"q must be an int, not {type(q).__name__}")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    return q
+    """q itself if it is an int >= 2, by _check_int (prime powers:
+    check_field_order)."""
+    return _check_int(q, 2, "q")
 
 
 def _check_bracket_seq(c: Iterable[int]) -> tuple[int, ...]:
@@ -62,7 +60,7 @@ def bracket(c: Iterable[int], q: int) -> int:
     unitary counterpart of the one at q (Ennola duality).
     """
     seq = _check_bracket_seq(c)
-    if abs(q) < 2:
+    if abs(_check_int(q, -math.inf, "q")) < 2:  # an int of either sign
         raise ValueError("|q| must be >= 2")
     out = 1
     for ci in seq:
@@ -85,11 +83,11 @@ def min_rank(family: str) -> int:
 
 
 def check_rank(family: str, n: int) -> int:
-    """n if it is an int >= min_rank(family), else TypeError or ValueError."""
-    if type(n) is not int:
-        raise TypeError(f"rank must be an int, not {type(n).__name__}")
-    if n < min_rank(family):
-        raise ValueError(f"family {family} needs rank >= {min_rank(family)}")
+    """n if it is an int >= min_rank(family), by _check_int, with the
+    family named in the ValueError."""
+    least = min_rank(family)
+    if _check_int(n, -math.inf, "rank") < least:  # its type test only
+        raise ValueError(f"family {family} needs rank >= {least}")
     return n
 
 

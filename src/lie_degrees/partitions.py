@@ -24,7 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from . import _int_tuple, _record
+from . import _check_int, _int_tuple, _record
 
 
 class Node(NamedTuple):
@@ -298,9 +298,7 @@ def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
     parts = lam.parts
     if size is None:
         size = len(parts)
-    if size < len(parts):
-        raise ValueError(f"beta-set size {size} smaller than number of parts")
-    return beta_row(parts, size)
+    return beta_row(parts, _check_int(size, len(parts), "beta-set size"))
 
 
 def partition_from_beta_set(beta: Iterable[int]) -> Partition:
@@ -430,8 +428,7 @@ def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_int(n, 0, "n")
     for parts in _partition_tuples(n, n if max_part is None else max_part):
         yield Partition._from_valid_parts(parts)
 

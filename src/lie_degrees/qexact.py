@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from . import _record
+from . import _check_int, _record
 from .orders import _check_bracket_seq, bracket, check_q
 
 
@@ -192,8 +192,7 @@ def euler_interval(q: int, m: int = 40) -> RationalInterval:
     raises even after the same int q was cached.
     """
     check_q(q)
-    if m < 2:
-        raise ValueError("truncation order m must be >= 2")
+    _check_int(m, 2, "truncation order m")
     s = Fraction(1)
     for sign, e in _pentagonal_terms(m):
         s += Fraction(sign, q ** e)
@@ -204,8 +203,7 @@ def euler_interval(q: int, m: int = 40) -> RationalInterval:
 def euler_tail_interval(q: int, k: int, m: int = 40) -> RationalInterval:
     """Certified enclosure of prod_{i>=k}(1 - q^{-i})."""
     check_q(q)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int(k, 1, "k")
     head = Fraction(1)
     for i in range(1, k):
         head *= 1 - Fraction(1, q ** i)
@@ -228,7 +226,7 @@ def alternating_product(q: int, n: int) -> Fraction:
     """prod_{i=1}^{n} (1 - (-1/q)^i), exactly."""
     x = Fraction(-1, check_q(q))
     out = Fraction(1)
-    for i in range(1, n + 1):
+    for i in range(1, _check_int(n, 0, "n") + 1):
         out *= 1 - x ** i
     return out
 
@@ -237,7 +235,7 @@ def alternating_products(q: int, n_max: int) -> Iterator[Fraction]:
     """alternating_product(q, n) for n = 1, ..., n_max, as one running product."""
     x = Fraction(-1, check_q(q))
     power = out = Fraction(1)
-    for _ in range(n_max):
+    for _ in range(_check_int(n_max, 0, "n_max")):
         power *= x
         out *= 1 - power
         yield out
@@ -252,8 +250,7 @@ def product_bound_suite(q_max: int, m: int = 40, n_max: int = 50) -> dict:
     (iii) prod_{i>=k}(1+q^{-i}) below 2.4 / 1.6 / 1.28 / 16/15 for k = 1,2,3,5.
     (iv) 1 < prod_{i=1}^{n}(1-(-1/q)^i) <= 3/2 for 1 <= n <= n_max.
     """
-    if q_max < 2:
-        raise ValueError("q_max must be >= 2")
+    _check_int(q_max, 2, "q_max")
     plus_caps = {1: Fraction("2.4"), 2: Fraction("1.6"),
                  3: Fraction("1.28"), 5: Fraction(16, 15)}
     per_q = {}
@@ -349,8 +346,7 @@ def _atanh_mantissas(a: int, b: int, terms: int) -> tuple[int, int]:
     """
     if 2 * abs(a) >= b:
         raise ValueError(f"atanh series needs |t| < 1/2, got {Fraction(a, b)}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    _check_int(terms, 1, "terms")
     guarded = _settle(*_atanh_fixed(abs(a), b, terms), terms)
     if guarded is not None:
         lo, hi = guarded
@@ -459,8 +455,7 @@ def _exp_mantissas(a: int, b: int, terms: int) -> tuple[int, int]:
     integer over b^T T!, the tail over the same denominator, each side
     rounded outward once.
     """
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
+    _check_int(terms, 0, "terms")
     k = _min_shift(b, 2 * abs(a))
     b <<= k
     guarded = _settle(*_exp_fixed(a, b, terms), terms)
@@ -498,10 +493,7 @@ def log_base_interval(x, base: int, terms: int = 28) -> RationalInterval:
     is positive: each endpoint of ln(x) is divided by the end of ln(base)
     that moves it outward.
     """
-    if not isinstance(base, int):
-        raise TypeError(f"base must be an int, got {base!r}")
-    if base < 2:
-        raise ValueError("base must be >= 2")
+    _check_int(base, 2, "base")
     (lo, hi), (b_lo, b_hi) = ln_interval(x, terms), _ln_base(base, terms)
     return RationalInterval(lo / (b_hi if lo.numerator >= 0 else b_lo),
                             hi / (b_lo if hi.numerator >= 0 else b_hi))

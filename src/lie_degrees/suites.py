@@ -29,7 +29,7 @@ import time
 from fractions import Fraction
 from typing import Iterator
 
-from . import _LABEL_FAMILIES, _int_digits
+from . import _LABEL_FAMILIES, _check_int, _int_digits, _record
 from .tables import SCHEMA, fmt_rational, json_safe_ints, render_table
 
 
@@ -247,8 +247,7 @@ def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
     import random
 
     from . import symmetric
-    if n_max < 8:  # randrange raised on the empty range; _randbelow would not end
-        raise ValueError(f"octuple shapes need 8 <= n <= n_max, not n_max = {n_max}")
+    _check_int(n_max, 8, "n_max")  # below 8, _randbelow would never end
     getrandbits = random.Random(seed).getrandbits
     done = 0
     attempts = 0
@@ -453,31 +452,30 @@ def check_epsilon_an(n_min: int, n_max: int) -> tuple[list, dict]:
 TRUNCATION_M = 40
 
 
-class SuiteConfig:
-    """The label families, ranks and q values (a tuple, each by
-    orders.check_q) a suite covers, and the number of worker processes:
-    TypeError unless the rank bounds and the worker count are ints."""
+class SuiteConfig(_record("SuiteConfig", "families n_min n_max q_list parallelism")):
+    """The label families and q values (two non-empty tuples, each q by
+    orders.check_q) a suite covers, the rank range n_min..n_max (ints,
+    1 <= n_min <= n_max) and the number of worker processes (an int >= 1).
+    Immutable: _replace checks the new fields again."""
 
-    def __init__(self, families: tuple[str, ...] = _LABEL_FAMILIES, n_min: int = 1,
-                 n_max: int = 10, q_list: tuple[int, ...] = (2, 3), parallelism: int = 1):
+    __slots__ = ()
+
+    def __new__(cls, families: tuple[str, ...] = _LABEL_FAMILIES, n_min: int = 1,
+                n_max: int = 10, q_list: tuple[int, ...] = (2, 3), parallelism: int = 1):
         from .orders import check_q  # here: importing suites loads no check module
+        families = tuple(families)
+        if not families:
+            raise ValueError("no families given")
         for fam in families:
             if fam not in _LABEL_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
-        for name, value in (("n_min", n_min), ("n_max", n_max), ("parallelism", parallelism)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-        if n_min < 1 or n_max < n_min:
-            raise ValueError("invalid rank range")
+        _check_int(n_min, 1, "n_min")
+        _check_int(n_max, n_min, "n_max")
         q_list = tuple(map(check_q, q_list))
         if not q_list:
             raise ValueError("no q values given")
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        self.families = families
-        self.n_min, self.n_max = n_min, n_max
-        self.q_list = q_list
-        self.parallelism = parallelism
+        _check_int(parallelism, 1, "parallelism")
+        return super().__new__(cls, families, n_min, n_max, q_list, parallelism)
 
 
 def _suite_tasks(cfg: SuiteConfig, selection: str) -> list[tuple]:

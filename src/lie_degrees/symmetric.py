@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _record
+from . import _check_int, _record
 from .partitions import (
     Node,
     Partition,
@@ -285,7 +285,10 @@ class DegreeMultiset(_record("DegreeMultiset", "counts")):
             raise ValueError("empty degree multiset")
         if any(m < 1 for m in d.values()):
             raise ValueError("multiplicities must be positive")
-        return cls(tuple(sorted(d.items())))
+        counts = tuple(sorted(d.items()))
+        if counts[0][0] < 1:  # the smallest degree, read off the sort
+            raise ValueError("degrees must be positive")
+        return cls(counts)
 
     @property
     def b(self) -> int:
@@ -304,8 +307,7 @@ class DegreeMultiset(_record("DegreeMultiset", "counts")):
 
 def sym_degrees(n: int) -> DegreeMultiset:
     """All S_n irreducible degrees with multiplicity."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_int(n, 0, "n")
     counts: dict[int, int] = {}
     for parts in _partition_tuples(n, n):
         d = _sym_degree(parts)
@@ -321,8 +323,7 @@ def alt_degrees(n: int) -> DegreeMultiset:
     at its lexicographically larger member.  The conjugate's first part is the
     number of rows, so the conjugate is built only when the two are equal.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_int(n, 2, "n")
     counts: dict[int, int] = {}
     for parts in _partition_tuples(n, n):
         rows = len(parts)

@@ -257,6 +257,25 @@ def test_zero_denominators_are_usage_errors(capsys):
     assert capsys.readouterr().err == "error: zero denominator in '1/0'\n" * 2
 
 
+def test_a_huge_exponent_is_a_usage_error_at_once():
+    # Fraction("1e100000000") builds 10**100000000 by a power, which the
+    # input digit limit does not see; the parser refuses the exponent itself
+    for delta in ("1e100000000", "1E-100000000"):
+        start = time.perf_counter()
+        r = run_cli("ratio-search", "--partition", "3,2,1", "--delta", delta)
+        assert time.perf_counter() - start < 1
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith(f"error: exponent of {delta!r} exceeds ")
+
+
+def test_an_exponent_within_the_limit_reads_as_its_fraction(capsys):
+    assert main(["ratio-search", "--partition", "3,2,1", "--delta", "1/100"]) == 0
+    plain = capsys.readouterr()
+    for delta in ("1e-2", "1E-2", "0.1e-1", " 10e-3 "):
+        assert main(["ratio-search", "--partition", "3,2,1", "--delta", delta]) == 0
+        assert capsys.readouterr() == plain
+
+
 def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
     from lie_degrees import maxdegree
 

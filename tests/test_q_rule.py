@@ -3,6 +3,7 @@ that is not an int (TypeError) or is below 2 (ValueError), and no cache
 keyed by q hands a float's result to an int call or the reverse."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -102,8 +103,9 @@ def test_the_commands_word_a_bad_q_alike(capsys, argv, error):
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
-# prime_power is a predicate: it answers None below 2 and decides nothing
-ALLOWED = {("orders", "check_q"), ("maxdegree", "prime_power")}
+# prime_power is a predicate: it answers None below 2 and decides nothing;
+# check_q holds the bound as an argument of the package's integer rule
+ALLOWED = {("maxdegree", "prime_power")}
 
 
 def _q_against_bound(x: ast.AST, y: ast.AST) -> bool:
@@ -141,6 +143,7 @@ def test_only_check_q_compares_q_with_two():
                 visitor.visit(ast.parse(fh.read()))
             found |= visitor.found
     assert found == ALLOWED, found
+    assert '_check_int(q, 2, "q")' in inspect.getsource(orders.check_q)
 
 
 def test_only_the_two_q_rules_word_their_errors():
@@ -150,8 +153,13 @@ def test_only_the_two_q_rules_word_their_errors():
             with open(os.path.join(PACKAGE, name)) as fh:
                 texts.append(fh.read())
     source = "\n".join(texts)
-    assert source.count('"q must be >= 2"') == 1
+    # _check_int words both errors of check_q, whose call is the one place
+    # that names q with its bound; no other text says what q must be, apart
+    # from bracket's rule for a q of either sign
+    assert source.count('_check_int(q, 2, "q")') == 1
     assert source.count('"q must be a prime power"') == 1
+    assert source.count("q must be") == 1
+    assert source.count('"|q| must be >= 2"') == 1
     assert "is not a prime power" not in source
 
 

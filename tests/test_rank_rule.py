@@ -27,6 +27,7 @@ RANK_TAKERS = [
     ("p_exponent", ALL_FAMILIES, orders.p_exponent),
     ("GroupSpec", GROUP_FAMILIES, lambda fam, n: maxdegree.GroupSpec(fam, n, 3)),
     ("b_gl_exact", ("GL",), lambda fam, n: maxdegree.b_gl_exact(n, 3)),
+    ("enumerate_types", ("GL",), lambda fam, n: maxdegree.enumerate_types(n, 3)),
     ("steinberg_symbol", SYMBOL_FAMILIES, lambda fam, n: unipotent.steinberg_symbol(n, fam)),
     ("enumerate_symbols", SYMBOL_FAMILIES, lambda fam, n: unipotent.enumerate_symbols(n, fam)),
     ("verify_steinberg_max", LABEL_FAMILIES,

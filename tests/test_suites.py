@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import stat
 import subprocess
 import sys
@@ -135,7 +136,7 @@ def test_octuple_draws_are_those_of_randrange_and_shuffle(seed):
 
 def test_octuple_sample_refuses_an_empty_size_range():
     # randrange raised here; a rejection loop on width 0 would never end
-    with pytest.raises(ValueError, match="n_max = 7"):
+    with pytest.raises(ValueError, match="^n_max must be >= 8$"):
         next(suites._octuple_sample(1, 7, 0))
 
 
@@ -539,8 +540,23 @@ def test_suite_config_validation():
         suites.SuiteConfig(q_list=(1,))
     with pytest.raises(ValueError, match="^no q values given$"):
         suites.SuiteConfig(q_list=())
+    with pytest.raises(ValueError, match="^no families given$"):
+        suites.SuiteConfig(families=())
     with pytest.raises(ValueError):
         suites.run_suite(suites.SuiteConfig(), "bogus")
+
+
+def test_suite_config_is_immutable_and_checked_on_replace():
+    cfg = suites.SuiteConfig(q_list=(2,))
+    with pytest.raises(AttributeError):
+        cfg.q_list = (2.0,)
+    with pytest.raises(TypeError, match="^q must be an int, not float$"):
+        cfg._replace(q_list=(2.0,))
+    with pytest.raises(ValueError, match="^n_max must be >= 4$"):
+        cfg._replace(n_min=4, n_max=3)
+    assert cfg._replace(n_max=4).n_max == 4 and cfg.n_max == 10
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert suites.SuiteConfig(families=["GL", "D"]).families == ("GL", "D")
 
 
 def test_suite_config_and_report_keep_their_defaults():

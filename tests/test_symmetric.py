@@ -412,7 +412,7 @@ def test_sym_degrees_total():
 
 
 def test_sym_degrees_rejects_a_negative_size():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
         sym_degrees(-1)
 
 
@@ -439,6 +439,13 @@ def test_epsilon_examples():
     assert epsilon_of(alt_degrees(5)) == Fraction(7, 5)
     assert epsilon_of(alt_degrees(6)) == Fraction(13, 5)
     assert epsilon_of(DegreeMultiset.from_dict({1: 1})) == 0
+
+
+def test_degree_multisets_refuse_degrees_below_one():
+    # epsilon_of divided by zero at {0: 1} and gave 9/4 at {-3: 1, 2: 1}
+    for counts in ({0: 1}, {-3: 1, 2: 1}, {0: 2, 1: 1}):
+        with pytest.raises(ValueError, match="^degrees must be positive$"):
+            DegreeMultiset.from_dict(counts)
 
 
 def test_epsilon_excludes_all_top_copies():
