@@ -235,10 +235,13 @@ def remove_node(lam: Partition, node: Node) -> Partition:
 def formal_hook_length(lam: Partition, node: Node) -> int:
     """Hook length formula 1 + (row length - j) + (column height - i).
 
-    Defined for any node with positive coordinates; on nodes of the diagram it
-    is the usual hook length, on addable nodes it evaluates to -1.
+    Defined for any node with positive coordinates (a usage error otherwise);
+    on nodes of the diagram it is the usual hook length, on addable nodes it
+    evaluates to -1.
     """
     i, j = node
+    _check_int(i, 1, "row")
+    _check_int(j, 1, "column")
     parts = lam.parts
     row = parts[i - 1] if i <= len(parts) else 0
     col = 0  # column height: the number of parts >= j
@@ -427,18 +430,23 @@ def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order."""
+    """All partitions of n, with parts at most max_part if it is given, in
+    reverse-lexicographic order.  The arguments are checked at the call."""
     _check_int(n, 0, "n")
-    for parts in _partition_tuples(n, n if max_part is None else max_part):
-        yield Partition._from_valid_parts(parts)
+    top = n if max_part is None else _check_int(max_part, 0, "max_part")
+    return map(Partition._from_valid_parts, _partition_tuples(n, top))
+
+
+def partition_count(n: int, max_part: int | None = None) -> int:
+    """The number of partitions of n, with parts at most max_part if it is given."""
+    _check_int(n, 0, "n")
+    top = n if max_part is None else _check_int(max_part, 0, "max_part")
+    return _partition_count(n, min(top, n))
 
 
 @lru_cache(maxsize=200_000)
-def partition_count(n: int, max_part: int | None = None) -> int:
-    if max_part is None or max_part > n:
-        max_part = n
+def _partition_count(n: int, max_part: int) -> int:
+    """partition_count for checked ints with max_part <= n."""
     if n == 0:
         return 1
-    if max_part == 0:
-        return 0
-    return sum(partition_count(n - k, k) for k in range(1, max_part + 1))
+    return sum(_partition_count(n - k, min(k, n - k)) for k in range(1, max_part + 1))

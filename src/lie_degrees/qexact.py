@@ -232,13 +232,18 @@ def alternating_product(q: int, n: int) -> Fraction:
 
 
 def alternating_products(q: int, n_max: int) -> Iterator[Fraction]:
-    """alternating_product(q, n) for n = 1, ..., n_max, as one running product."""
+    """alternating_product(q, n) for n = 1, ..., n_max, as one running
+    product.  The arguments are checked at the call."""
     x = Fraction(-1, check_q(q))
-    power = out = Fraction(1)
-    for _ in range(_check_int(n_max, 0, "n_max")):
-        power *= x
-        out *= 1 - power
-        yield out
+    _check_int(n_max, 0, "n_max")
+
+    def running() -> Iterator[Fraction]:
+        power = out = Fraction(1)
+        for _ in range(n_max):
+            power *= x
+            out *= 1 - power
+            yield out
+    return running()
 
 
 def product_bound_suite(q_max: int, m: int = 40, n_max: int = 50) -> dict:

@@ -236,8 +236,8 @@ def check_octuple_closed_form(count: int, n_max: int, seed: int) -> tuple[list, 
 def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
     """(parts, m1, m2) of up to count random octuples, in 100 * count draws
     at most: a random shape with 8 <= n <= n_max, its down-up moves shuffled,
-    and the first pair (m1, m2) of ((ri, rj), (ai, aj)) moves among the first
-    eight in four distinct rows and four distinct columns.
+    and the first octuple (m1, m2) that symmetric._octuple_pairs finds among
+    the first eight ((ri, rj), (ai, aj)) moves.
 
     The draws come from random.Random(seed).getrandbits through _randbelow
     and _shuffle, which draw what its randrange and shuffle would: the same
@@ -269,7 +269,7 @@ def _octuple_sample(count: int, n_max: int, seed: int) -> Iterator[tuple]:
         parts = tuple(parts)
         moves = symmetric.downup_moves(parts)
         _shuffle(getrandbits, moves)
-        picked = _octuple_pair(moves[:8])
+        picked = next(symmetric._octuple_pairs(moves[:8]), None)
         if picked:
             done += 1
             yield (parts, *picked)
@@ -298,22 +298,6 @@ def _shuffle(getrandbits, x: list) -> None:
         while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
-
-
-def _octuple_pair(moves: list) -> tuple | None:
-    """The first (m1, m2) of ((ri, rj), (ai, aj)) moves, m1 outer and m2
-    inner, whose four nodes lie in four distinct rows and columns."""
-    for m1 in moves:
-        (r1i, r1j), (a1i, a1j) = m1
-        if r1i == a1i or r1j == a1j:
-            continue
-        for m2 in moves:
-            (r2i, r2j), (a2i, a2j) = m2
-            if (r2i != a2i and r2i != r1i and r2i != a1i and a2i != r1i and a2i != a1i
-                    and r2j != a2j and r2j != r1j and r2j != a1j
-                    and a2j != r1j and a2j != a1j):
-                return m1, m2
-    return None
 
 
 def check_bgl_brackets(n_max: int, q_list: tuple[int, ...]) -> tuple[list, dict]:

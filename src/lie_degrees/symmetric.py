@@ -7,24 +7,29 @@ they produce has a closed form in two hook lengths of Delta, which is checked
 against the direct hook-product ratio on every call.
 
 What is built, and when:
-- The moves come from one generator, `_corners`, on integer (row, column)
+- `downup_moves` lists the moves as plain ((ri, rj), (ai, aj)) integer
   pairs: for each removable corner, the nodes addable once it is gone,
   derived from the addable nodes of the whole diagram, not recomputed.
-  `downup_moves` returns them as plain ((ri, rj), (ai, aj)) pairs;
-  `downup_neighborhood` builds a `DownUpMove` and a `Partition` per move.
+  `downup_neighborhood` builds a `DownUpMove` and a `Partition` from each.
+- `_octuple_pairs` is the one octuple rule: it walks a move list for the
+  pairs whose four nodes lie in four distinct rows and four distinct
+  columns.  `_check_octuple` (so `OctupleMove` and `octuple_ratio`), the
+  octuple stage of `ratio_witness` and the octuple check's sampler in
+  `suites` all decide through it.
 - `ratio_witness` builds each neighbour straight from the part tuple, from
-  the corner rows and the rows under them, without `_corners`' move lists;
-  it scores each with the cached `partitions._sym_degree`, tests ratios in
-  integers, and sorts the neighbours only when the farthest one from ratio 1
-  is not a witness.  Only the octuple stage, reached when no neighbour is a
-  witness, lists the moves through `_corners`.  It builds one `Partition`,
-  for the witness it returns.
+  the corner rows and the rows under them, without a move list; it scores
+  each with the cached `partitions._sym_degree`, tests ratios in integers,
+  and sorts the neighbours only when the farthest one from ratio 1 is not a
+  witness.  Only the octuple stage, reached when no neighbour is a witness,
+  lists the moves through `downup_moves` and pairs them through
+  `_octuple_pairs`.  It builds one `Partition`, for the witness it returns.
 - `octuple_ratio` reads its two moves as integer node pairs: an
   `OctupleMove` is one already, as are the plain pairs the octuple check
   draws.  It forms its three moved diagrams as part tuples and tests its
-  meets and cross cells as plain (i, j) pairs (a `Node` only in the error
-  text).  It returns the closed form's fraction, which equals the ratio of
-  the four hook products once the cross-multiplied test has passed.
+  meets and cross cells with `Partition.contains` (a `Node` only in the
+  error text).  It returns the closed form's fraction, which equals the
+  ratio of the four hook products once the cross-multiplied test has
+  passed.
 - `alt_degrees` walks part tuples and builds a conjugate only for diagrams
   whose first row is as long as their first column.
 
@@ -35,6 +40,7 @@ The records `DownUpMove`, `OctupleMove` and `DegreeMultiset` are namedtuples
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from . import _check_int, _record
 from .partitions import (
@@ -67,12 +73,29 @@ class OctupleMove(_record("OctupleMove", "first second")):
         return super().__new__(cls, first, second)
 
 
+def _octuple_pairs(moves) -> Iterator[tuple]:
+    """Each (m1, m2) of the ((ri, rj), (ai, aj)) moves, m1 outer and m2
+    inner, whose four nodes lie in four distinct rows and four distinct
+    columns: the one octuple rule.  An m1 that shares a row or a column
+    between its own two nodes pairs with nothing and is skipped."""
+    for m1 in moves:
+        (r1i, r1j), (a1i, a1j) = m1
+        if r1i == a1i or r1j == a1j:
+            continue
+        rows, cols = (r1i, a1i), (r1j, a1j)
+        for m2 in moves:
+            (r2i, r2j), (a2i, a2j) = m2
+            if (r2i != a2i and r2j != a2j and r2i not in rows and a2i not in rows
+                    and r2j not in cols and a2j not in cols):
+                yield m1, m2
+
+
 def _check_octuple(first: tuple, second: tuple) -> None:
     """ValueError unless the nodes of the two ((ri, rj), (ai, aj)) moves lie
-    in four distinct rows and four distinct columns."""
-    (r1i, r1j), (a1i, a1j) = first
-    (r2i, r2j), (a2i, a2j) = second
-    if len({r1i, a1i, r2i, a2i}) != 4 or len({r1j, a1j, r2j, a2j}) != 4:
+    in four distinct rows and four distinct columns.  The rule is symmetric
+    and no move pairs with itself, so the two moves yield a pair exactly
+    when (first, second) is an octuple."""
+    if not any(_octuple_pairs((first, second))):
         raise ValueError("octuple coordinates must be pairwise distinct in i and in j")
 
 
@@ -87,10 +110,10 @@ def apply_downup(lam: Partition, move: DownUpMove) -> Partition:
     return Partition._from_valid_parts(_downup_parts(lam.parts, move))
 
 
-def _corners(parts: tuple[int, ...]) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """(i, p, adds) for each removable corner (i, p) of the diagram, top row
-    first, with adds the (row, column) nodes addable to the diagram without
-    that corner, top row first.
+def downup_moves(parts: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The ((ri, rj), (ai, aj)) node pairs of the down-up moves of the
+    diagram: for each removable corner (ri, rj), top row first, the nodes
+    addable to the diagram without it, top row first.
 
     The diagram's addable nodes are (1, p_1 + 1) and (i + 1, p_{i+1} + 1) for
     each corner row i (p_{l+1} = 0).  Removing the corner (i, p) makes (i, p)
@@ -105,30 +128,22 @@ def _corners(parts: tuple[int, ...]) -> list[tuple[int, int, list[tuple[int, int
     out = []
     for c, i in enumerate(rows):  # adds[c + 1] is row i + 1's node
         p = padded[i - 1]
+        corner = (i, p)
         above = adds[:c] if adds[c][0] == i else adds[:c + 1]
-        here = [(i, p), adds[c + 1]] if padded[i] < p - 1 else [(i, p)]
-        out.append((i, p, above + here + adds[c + 2:]))
+        here = [corner, adds[c + 1]] if padded[i] < p - 1 else [corner]
+        for add in above + here + adds[c + 2:]:
+            out.append((corner, add))
     return out
-
-
-def downup_moves(parts: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The ((ri, rj), (ai, aj)) node pairs of downup_neighborhood's moves, in
-    the same order, without building the moves or the diagrams they lead to."""
-    return [((i, p), add) for i, p, adds in _corners(parts) for add in adds]
 
 
 def downup_neighborhood(lam: Partition) -> list[tuple[DownUpMove, Partition]]:
     """All (move, Gamma) with Gamma obtained by removing then adding a node."""
     if lam.n < 1:
         raise ValueError("need a non-empty partition")
-    out = []
-    for i, p, adds in _corners(lam.parts):
-        rem = Node(i, p)
-        mid = _without_node(lam.parts, rem)
-        for ai, aj in adds:
-            out.append((DownUpMove(rem, Node(ai, aj)),
-                        Partition._from_valid_parts(mid[:ai - 1] + (aj,) + mid[ai:])))
-    return out
+    parts = lam.parts
+    return [(DownUpMove(Node(*remove), Node(*add)),
+             Partition._from_valid_parts(_downup_parts(parts, (remove, add))))
+            for remove, add in downup_moves(parts)]
 
 
 def _cross_hook(lam: Partition, remove: tuple[int, int], add: tuple[int, int]) -> int:
@@ -140,8 +155,7 @@ def _cross_hook(lam: Partition, remove: tuple[int, int], add: tuple[int, int]) -
     """
     (ri, rj), (ai, aj) = remove, add
     i, j = (ai, rj) if ai < ri else (ri, aj)
-    parts = lam.parts
-    if not (1 <= i <= len(parts) and 1 <= j <= parts[i - 1]):
+    if not lam.contains((i, j)):
         raise ArithmeticError(f"cross cell {Node(i, j)} of {remove} and {add} is outside {lam}")
     return formal_hook_length(lam, (i, j))
 
@@ -175,7 +189,7 @@ def octuple_ratio(lam: Partition, move: OctupleMove | tuple) -> Fraction:
     a_meet = (min(a1i, a2i), min(a1j, a2j))
     b_meet = (min(r1i, r2i), min(r1j, r2j))
     for i, j in (a_meet, b_meet):
-        if not (1 <= i <= len(parts) and 1 <= j <= parts[i - 1]):
+        if not lam.contains((i, j)):
             raise ArithmeticError(f"meet {Node(i, j)} of the octuple {move} is outside {lam}")
     a = formal_hook_length(lam, a_meet)
     b = formal_hook_length(lam, b_meet)
@@ -245,28 +259,12 @@ def ratio_witness(lam: Partition, excluded: set[Fraction], delta: Fraction) -> P
         if d >= low and d not in banned:
             return Partition._from_valid_parts(gamma)
 
-    # octuples: two moves in four distinct rows and four distinct columns.  A
-    # move shares a row or a column between its own two nodes only when it
-    # puts its corner back, so those are dropped and the two moves compared.
-    # The second stays a down-up move after the first: each row moves by one.
-    moves = [(i, p, ai, aj) for i, p, adds in _corners(parts) for ai, aj in adds if ai != i]
-    for ri, rj, ai, aj in moves:
-        for si, sj, bi, bj in moves:
-            if si == ri or si == ai or bi == ri or bi == ai:
-                continue
-            if sj == rj or sj == aj or bj == rj or bj == aj:
-                continue
-            rows = list(padded)
-            rows[ri - 1] -= 1
-            rows[ai - 1] += 1
-            rows[si - 1] -= 1
-            rows[bi - 1] += 1
-            while not rows[-1]:
-                rows.pop()
-            gamma = tuple(rows)
-            d = _sym_degree(gamma)
-            if d >= low and d not in banned:
-                return Partition._from_valid_parts(gamma)
+    # octuples: the second move stays a down-up move after the first
+    for first, second in _octuple_pairs(downup_moves(parts)):
+        gamma = _downup_parts(_downup_parts(parts, first), second)
+        d = _sym_degree(gamma)
+        if d >= low and d not in banned:
+            return Partition._from_valid_parts(gamma)
     return None
 
 

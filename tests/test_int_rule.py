@@ -5,6 +5,7 @@ that is not an int (TypeError) or is below its least value (ValueError,
 
 import ast
 import os
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,14 @@ PACKAGE = os.path.dirname(lie_degrees.__file__)
 # name -> (the argument's name in the error, its least value, call(value))
 INT_TAKERS = {
     "check_q": ("q", 2, orders.check_q),
-    "partitions_of": ("n", 0, lambda n: list(partitions.partitions_of(n))),
+    "partitions_of": ("n", 0, partitions.partitions_of),
+    "partitions_of-max_part": ("max_part", 0, lambda m: partitions.partitions_of(5, m)),
+    "partition_count": ("n", 0, partitions.partition_count),
+    "partition_count-max_part": ("max_part", 0, lambda m: partitions.partition_count(5, m)),
+    "formal_hook_length-row": ("row", 1, lambda i: partitions.formal_hook_length(
+        Partition((3, 1)), (i, 1))),
+    "formal_hook_length-column": ("column", 1, lambda j: partitions.formal_hook_length(
+        Partition((3, 1)), (1, j))),
     "beta_set": ("beta-set size", 2, lambda size: partitions.beta_set(Partition((2, 1)), size)),
     "sym_degrees": ("n", 0, symmetric.sym_degrees),
     "alt_degrees": ("n", 2, symmetric.alt_degrees),
@@ -33,7 +41,7 @@ INT_TAKERS = {
     "log_base_interval": ("base", 2, lambda b: qexact.log_base_interval(7, b)),
     "log_base_interval-terms": ("terms", 1, lambda t: qexact.log_base_interval(7, 2, t)),
     "alternating_product": ("n", 0, lambda n: qexact.alternating_product(2, n)),
-    "alternating_products": ("n_max", 0, lambda n: list(qexact.alternating_products(2, n))),
+    "alternating_products": ("n_max", 0, lambda n: qexact.alternating_products(2, n)),
     "SuiteConfig-n_min": ("n_min", 1, lambda n: suites.SuiteConfig(n_min=n, n_max=3)),
     "SuiteConfig-n_max": ("n_max", 2, lambda n: suites.SuiteConfig(n_min=2, n_max=n)),
     "SuiteConfig-parallelism": ("parallelism", 1,
@@ -42,16 +50,23 @@ INT_TAKERS = {
 }
 
 
+def _read(value):
+    """value, with an iterator read out into a list."""
+    return list(value) if isinstance(value, Iterator) else value
+
+
 @pytest.mark.parametrize("name", sorted(INT_TAKERS))
 def test_every_integer_argument_keeps_to_check_int(name):
+    # partitions_of and alternating_products return iterators: a bad
+    # argument must raise at the call, before any item is read
     what, least, call = INT_TAKERS[name]
-    valid = call(least + 1)
+    valid = _read(call(least + 1))
     for bad in (2.0, True, Fraction(2)):
         with pytest.raises(TypeError, match=f"^{what} must be an int, not {type(bad).__name__}$"):
             call(bad)
     with pytest.raises(ValueError, match=f"^{what} must be >= {least}$"):
         call(least - 1)
-    assert call(least + 1) == valid
+    assert _read(call(least + 1)) == valid
 
 
 def test_bracket_takes_an_int_q_of_either_sign():

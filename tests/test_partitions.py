@@ -421,6 +421,8 @@ def test_partition_counts():
         labels = list(partitions_of(n))
         assert len(labels) == partition_count(n)
         assert all(Partition(lam.parts) == lam for lam in labels)  # built unvalidated
+        for max_part in range(n + 2):
+            assert partition_count(n, max_part) == len(list(partitions_of(n, max_part)))
     assert partition_count(30) == 5604
 
 

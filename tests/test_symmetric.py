@@ -47,12 +47,17 @@ def random_partition(rng, n):
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
+def is_octuple(first, second):
+    """The set rule: the nodes of the two (remove, add) moves lie in four
+    distinct rows and four distinct columns."""
+    nodes = (*first, *second)
+    return len({i for i, _ in nodes}) == 4 and len({j for _, j in nodes}) == 4
+
+
 def legal_octuples(lam, moves):
     for m1 in moves:
         for m2 in moves:
-            iset = {m1.remove.i, m1.add.i, m2.remove.i, m2.add.i}
-            jset = {m1.remove.j, m1.add.j, m2.remove.j, m2.add.j}
-            if len(iset) == 4 and len(jset) == 4:
+            if is_octuple(m1, m2):
                 yield OctupleMove(m1, m2)
 
 
@@ -468,6 +473,34 @@ def test_downup_moves_match_the_neighborhood():
         for lam in partitions_of(n):
             assert symmetric.downup_moves(lam.parts) == [(m.remove, m.add)
                                                          for m, _ in downup_neighborhood(lam)]
+
+
+def test_octuple_pairs_follow_the_move_object_rule():
+    # the same pairs in the same order as legal_octuples' set rule
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            moves = [m for m, _ in downup_neighborhood(lam)]
+            pairs = list(symmetric._octuple_pairs(symmetric.downup_moves(lam.parts)))
+            assert pairs == list(legal_octuples(lam, moves)), lam
+
+
+def test_check_octuple_agrees_with_the_set_rule_on_every_pair_of_moves():
+    # every move between two cells of a 4 x 4 grid, put-backs and moves
+    # within a row or a column included, then the moves of small diagrams
+    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    grid = [(r, a) for r in cells for a in cells]
+    diagrams = [symmetric.downup_moves(lam.parts) for n in range(1, 9) for lam in partitions_of(n)]
+    legal = 0
+    for moves in [grid] + diagrams:
+        for first in moves:
+            for second in moves:
+                if is_octuple(first, second):
+                    symmetric._check_octuple(first, second)
+                    legal += 1
+                else:
+                    with pytest.raises(ValueError, match="pairwise distinct"):
+                        symmetric._check_octuple(first, second)
+    assert legal > 0
 
 
 def test_move_and_degree_records_are_namedtuples():
