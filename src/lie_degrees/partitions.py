@@ -7,9 +7,13 @@ node (i, j) belongs to the diagram iff j <= parts[i-1].
 `Partition` validates its parts only in the public constructor. The hot paths
 (hook lengths, S_n degrees, down-up moves, enumeration) work on the plain part
 tuples and build their results with `Partition._from_valid_parts`, because
-those results are valid by construction. S_n degrees come from `hook_product`,
-which reads the product of all hook lengths off the first-column hooks without
-listing the hooks; `hook_lengths` lists them for `hooks()` and the q-analogues.
+those results are valid by construction. The S_n degree of one diagram comes
+from `hook_product`, which reads the product of all hook lengths off the
+first-column hooks without listing the hooks; whole degree lists come from
+`_degree_walk`, which builds the diagrams bottom row up and forms each row's
+hook product once for every diagram sharing the rows below it.  Both fill one
+bounded memo of S_n degrees, which `sym_degree` reads.  `hook_lengths` lists
+the hooks for `hooks()` and the q-analogues.
 
 `Partition` is a hand-written slotted class and `HookTable` a namedtuple
 record, so loading this module generates and compiles no methods.
@@ -165,19 +169,94 @@ def hook_product(parts: tuple[int, ...]) -> int:
     return product
 
 
-@lru_cache(maxsize=200_000)
-def _sym_degree(parts: tuple[int, ...]) -> int:
-    product = hook_product(parts)
-    n = sum(parts)
-    degree, rest = divmod(math.factorial(n), product)
-    if rest:  # impossible for a genuine hook table
-        raise ArithmeticError(f"hook product {product} does not divide {n}!")
-    return degree
+_SYM_DEGREE_BOUND = 200_000
+
+
+class _DegreeMemo(dict):
+    """The S_n degree of each part tuple met so far.  A lookup that misses
+    reads the conjugate's entry when the diagram has more rows than columns
+    (conjugates have the same degree, and _degree_walk lists only the
+    diagrams with at least as many columns as rows), and otherwise computes
+    the degree from hook_product; _degree_walk stores every degree it lists.
+    The memo is emptied when it holds _SYM_DEGREE_BOUND entries, so an insert
+    costs O(1)."""
+
+    __slots__ = ()
+
+    def __missing__(self, parts: tuple[int, ...]) -> int:
+        if parts and parts[0] < len(parts):
+            degree = self[tuple(_column_heights(parts))]
+        else:
+            product = hook_product(parts)
+            n = sum(parts)
+            degree, rest = divmod(math.factorial(n), product)
+            if rest:  # impossible for a genuine hook table
+                raise ArithmeticError(f"hook product {product} does not divide {n}!")
+        self.store(parts, degree)
+        return degree
+
+    def store(self, parts: tuple[int, ...], degree: int) -> None:
+        if len(self) >= _SYM_DEGREE_BOUND:
+            self.clear()
+        self[parts] = degree
+
+
+_SYM_DEGREES = _DegreeMemo()
+_sym_degree = _SYM_DEGREES.__getitem__  # a hit runs no Python frame
 
 
 def sym_degree(lam: Partition) -> int:
     """Degree of the S_n irreducible labelled by lam, via the hook length formula."""
     return _sym_degree(lam.parts)
+
+
+def _degree_walk(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(parts, S_n degree) of every partition of n with parts[0] >= len(parts),
+    each once, its degree stored in the memo _sym_degree reads; n = 0 lists
+    the empty partition.
+
+    The diagrams grow from the bottom row up.  A row of length b with h rows
+    below has first-column hook beta = b + h, and its hook lengths are
+    1..beta without the differences beta - beta' to the rows below (the
+    identity behind hook_product), so its hook product beta! / prod(beta -
+    beta') is formed once for every diagram built on those rows.  A row is
+    added only while the diagram can still end with a first row at least as
+    long as its first column, so the other member of a conjugate pair with
+    unequal first row and column is never built.
+    """
+    store = _SYM_DEGREES.store
+    if n == 0:
+        store((), 1)
+        return [((), 1)]
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def grow(parts: tuple[int, ...], betas: tuple[int, ...], left: int, product: int) -> None:
+        # parts and betas: the rows built so far, top first, with left > len(parts)
+        # cells still to place.  The next row b either leaves a top row of
+        # left - b cells room to be at least b long and longer than the rows
+        # then built (b <= left // 2 and left - b >= h + 2), or is the top
+        # row itself, of all left cells.
+        h = len(parts)
+        for b in (*range(parts[0] if parts else 1, min(left // 2, left - h - 2) + 1), left):
+            beta = b + h
+            den = math.prod(map(beta.__sub__, betas))
+            row, rest = divmod(fact[beta], den)
+            if rest:  # impossible for strictly decreasing first-column hooks
+                raise ArithmeticError(f"the differences {den} of row {b} to the rows "
+                                      f"{parts} below it do not divide {beta}!")
+            if b < left:
+                grow((b,) + parts, (beta,) + betas, left - b, product * row)
+                continue
+            full = (b,) + parts
+            degree, rest = divmod(fact[n], product * row)
+            if rest:  # impossible for a genuine hook table
+                raise ArithmeticError(f"hook product {product * row} does not divide {n}!")
+            store(full, degree)
+            out.append((full, degree))
+
+    grow((), (), n, 1)
+    return out
 
 
 def addable_nodes(parts: tuple[int, ...]) -> list[Node]:

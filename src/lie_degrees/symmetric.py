@@ -18,8 +18,9 @@ What is built, and when:
   `suites` all decide through it.
 - `ratio_witness` builds each neighbour straight from the part tuple, from
   the corner rows and the rows under them, without a move list; it scores
-  each with the cached `partitions._sym_degree`, tests ratios in integers,
-  and sorts the neighbours only when the farthest one from ratio 1 is not a
+  each with `partitions._sym_degree`, a lookup in the memo of S_n degrees
+  (which `alt_degrees` has often filled), tests ratios in integers, and
+  sorts the neighbours only when the farthest one from ratio 1 is not a
   witness.  Only the octuple stage, reached when no neighbour is a witness,
   lists the moves through `downup_moves` and pairs them through
   `_octuple_pairs`.  It builds one `Partition`, for the witness it returns.
@@ -30,8 +31,12 @@ What is built, and when:
   error text).  It returns the closed form's fraction, which equals the
   ratio of the four hook products once the cross-multiplied test has
   passed.
-- `alt_degrees` walks part tuples and builds a conjugate only for diagrams
-  whose first row is as long as their first column.
+- `alt_degrees` and `sym_degrees` read `partitions._degree_walk`, which
+  builds only the diagrams whose first row is at least as long as their
+  first column, bottom row up, with one hook product per row shared by
+  every diagram on the rows below, and stores each degree in the memo.
+  `alt_degrees` builds a conjugate only for diagrams whose first row is as
+  long as their first column.
 
 The records `DownUpMove`, `OctupleMove` and `DegreeMultiset` are namedtuples
 (the package's `_record`): each equals the plain tuple of its fields.
@@ -47,7 +52,7 @@ from .partitions import (
     Node,
     Partition,
     _column_heights,
-    _partition_tuples,
+    _degree_walk,
     _sym_degree,
     _with_node,
     _without_node,
@@ -304,12 +309,15 @@ class DegreeMultiset(_record("DegreeMultiset", "counts")):
 
 
 def sym_degrees(n: int) -> DegreeMultiset:
-    """All S_n irreducible degrees with multiplicity."""
+    """All S_n irreducible degrees with multiplicity.
+
+    A diagram whose first row is longer than its first column has the same
+    degree as its conjugate, which the walk does not list, so it counts twice.
+    """
     _check_int(n, 0, "n")
     counts: dict[int, int] = {}
-    for parts in _partition_tuples(n, n):
-        d = _sym_degree(parts)
-        counts[d] = counts.get(d, 0) + 1
+    for parts, d in _degree_walk(n):
+        counts[d] = counts.get(d, 0) + (2 if parts and parts[0] > len(parts) else 1)
     return DegreeMultiset.from_dict(counts)
 
 
@@ -318,27 +326,25 @@ def alt_degrees(n: int) -> DegreeMultiset:
 
     Self-conjugate diagrams split into two characters of half degree; a
     non-self-conjugate transpose pair restricts to a single character, counted
-    at its lexicographically larger member.  The conjugate's first part is the
-    number of rows, so the conjugate is built only when the two are equal.
+    at its lexicographically larger member.  The walk lists only diagrams whose
+    first row is at least as long as their first column, which is the larger
+    member when the two lengths differ; the conjugate is built only when they
+    are equal.
     """
     _check_int(n, 2, "n")
     counts: dict[int, int] = {}
-    for parts in _partition_tuples(n, n):
-        rows = len(parts)
-        if parts[0] < rows:  # the conjugate is the larger member
-            continue
-        if parts[0] == rows:
+    for parts, d in _degree_walk(n):
+        if parts[0] == len(parts):
             conj = tuple(_column_heights(parts))
             if parts < conj:
                 continue
             if parts == conj:
-                half, odd = divmod(_sym_degree(parts), 2)
+                half, odd = divmod(d, 2)
                 if odd:
                     raise ArithmeticError("self-conjugate degree must be even: "
                                           f"{Partition._from_valid_parts(parts)}")
                 counts[half] = counts.get(half, 0) + 2
                 continue
-        d = _sym_degree(parts)
         counts[d] = counts.get(d, 0) + 1
     return DegreeMultiset.from_dict(counts)
 

@@ -16,7 +16,7 @@ import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import _SYMBOL_DEFECT, _int_digits
+from . import _SYMBOL_DEFECT, _check_int, _int_digits
 
 SCHEMA = "lie-degrees-report/1"
 
@@ -155,7 +155,7 @@ def epsilon_table(n_min: int, n_max: int) -> tuple[list[str], list[list]]:
 
     header = ["n", "b", "epsilon", "epsilon_decimal"]
     rows = []
-    for n in range(max(n_min, 2), n_max + 1):
+    for n in range(_check_int(n_min, 2, "n"), n_max + 1):
         degs = symmetric.alt_degrees(n)
         eps = symmetric.epsilon_of(degs)
         f = fmt_rational(eps)

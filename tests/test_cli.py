@@ -229,6 +229,13 @@ def test_reversed_ranges_are_usage_errors(capsys):
         assert capsys.readouterr().err.startswith("error: empty range")
 
 
+def test_epsilon_an_refuses_n_below_two_however_the_range_is_written(capsys):
+    # --n 1..4 started at 2, and 0..1 and 1..1 --format csv printed an empty table
+    for n, fmt in (("1", "json"), ("1..4", "json"), ("0..1", "json"), ("1..1", "csv")):
+        assert main(["epsilon", "an", "--n", n, "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", "error: n must be >= 2\n")
+
+
 def test_verify_refuses_an_unknown_family_before_any_check(capsys):
     for argv in (["verify", "props", "--family", "XX", "--n", "1..2", "--q", "3"],
                  ["verify", "all", "--family", "A", "--jobs", "2"]):

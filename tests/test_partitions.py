@@ -13,6 +13,7 @@ from lie_degrees.partitions import (
     Dominance,
     Node,
     Partition,
+    _degree_walk,
     add_node,
     addable_removable,
     beta_set,
@@ -191,6 +192,17 @@ def test_hook_product_examples():
     assert hook_product((3, 2, 1)) == 45
     assert hook_product((2, 2)) == 12
     assert hook_product((1,) * 6) == math.factorial(6) == hook_product((6,))
+
+
+def test_degree_walk_lists_each_partition_with_first_row_at_least_first_column_once():
+    for n in range(0, 23):
+        listed = _degree_walk(n)
+        parts_listed = [parts for parts, _ in listed]
+        assert len(set(parts_listed)) == len(parts_listed), n
+        assert sorted(parts_listed) == sorted(
+            parts for parts in recursive_partition_tuples(n, n) if not parts or parts[0] >= len(parts))
+        for parts, degree in listed:
+            assert degree == math.factorial(n) // math.prod(hook_lengths(parts)), parts
 
 
 def test_sym_degree_examples():

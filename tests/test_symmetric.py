@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_degrees import symmetric
+from lie_degrees import partitions, symmetric
 from lie_degrees.partitions import (
     Node,
     Partition,
@@ -16,6 +16,7 @@ from lie_degrees.partitions import (
     addable_nodes,
     addable_removable,
     formal_hook_length,
+    hook_product,
     partitions_of,
     removable_nodes,
     remove_node,
@@ -379,11 +380,16 @@ def test_branching_identity():
             assert total == sym_degree(lam)
 
 
+def hook_formula_degree(lam):
+    """sym_degree without the memo that the degree lists fill."""
+    return math.factorial(lam.n) // hook_product(lam.parts)
+
+
 def reference_sym_degrees(n):
     """The Partition-based S_n degree list, kept as a reference."""
     counts = {}
     for lam in partitions_of(n):
-        d = sym_degree(lam)
+        d = hook_formula_degree(lam)
         counts[d] = counts.get(d, 0) + 1
     return DegreeMultiset.from_dict(counts)
 
@@ -394,11 +400,11 @@ def reference_alt_degrees(n):
     for lam in partitions_of(n):
         conj = transpose(lam)
         if lam == conj:
-            half, odd = divmod(sym_degree(lam), 2)
+            half, odd = divmod(hook_formula_degree(lam), 2)
             assert not odd
             counts[half] = counts.get(half, 0) + 2
         elif lam.parts > conj.parts:
-            d = sym_degree(lam)
+            d = hook_formula_degree(lam)
             counts[d] = counts.get(d, 0) + 1
     return DegreeMultiset.from_dict(counts)
 
@@ -408,6 +414,33 @@ def test_degree_lists_match_the_partition_based_reference():
         assert sym_degrees(n) == reference_sym_degrees(n)
     for n in range(2, 31):
         assert alt_degrees(n) == reference_alt_degrees(n)
+
+
+def test_the_degree_memo_keeps_to_its_bound(monkeypatch):
+    bound, sizes = 7, []
+
+    def setitem(memo, parts, degree):
+        dict.__setitem__(memo, parts, degree)
+        sizes.append(len(memo))
+
+    monkeypatch.setattr(partitions, "_SYM_DEGREE_BOUND", bound)
+    monkeypatch.setattr(partitions._DegreeMemo, "__setitem__", setitem)
+    assert alt_degrees(12) == reference_alt_degrees(12)
+    assert sym_degrees(9) == reference_sym_degrees(9)
+    for n in (9, 12):
+        for lam in partitions_of(n):
+            assert sym_degree(lam) == hook_formula_degree(lam), lam
+    assert len(sizes) > 10 * bound and max(sizes) <= bound
+
+
+def test_a_diagram_with_more_rows_than_columns_reads_its_conjugates_degree(monkeypatch):
+    # the degree lists store only diagrams with at least as many columns as
+    # rows; a lookup of a taller diagram then forms no hook product
+    partitions._SYM_DEGREES.clear()
+    alt_degrees(11)
+    monkeypatch.setattr(partitions, "hook_product", None)
+    tall = [lam for lam in partitions_of(11) if lam.parts[0] < len(lam.parts)]
+    assert tall and all(sym_degree(lam) == sym_degree(transpose(lam)) for lam in tall)
 
 
 def test_sym_degrees_total():
@@ -428,9 +461,9 @@ def test_alt_degrees_frozen_lists():
 
 
 def test_alt_degrees_rejects_odd_self_conjugate_degree(monkeypatch):
-    real = symmetric._sym_degree
-    monkeypatch.setattr(symmetric, "_sym_degree",
-                        lambda parts: 17 if parts == (3, 2, 1) else real(parts))
+    real = symmetric._degree_walk
+    monkeypatch.setattr(symmetric, "_degree_walk", lambda n: [
+        (parts, 17 if parts == (3, 2, 1) else d) for parts, d in real(n)])
     with pytest.raises(ArithmeticError, match="even"):
         alt_degrees(6)
 
